@@ -19,20 +19,21 @@ from pathlib import Path
 
 from . import dataset as ds_mod
 from .dataset import load_dense, load_sparse, mushrooms50, synthetic_blobs
-from .engine import PANELS, diproperm
+from .engine import CLASSIFIERS, PANELS, diproperm
 from .errors import (
     DppError,
     NonConvergedError,
     PanelUnavailableError,
     ValidationError,
 )
-from .permute import PermutationPlan
+from .permute import SCHEMES, PermutationPlan
 from .report import (
     DiagnosticsBundle,
     emit_bundle,
     emit_result_json,
     load_result_json,
 )
+from .unistat import STATISTICS
 
 _BUNDLED = {"bundled:mushrooms50": mushrooms50}
 
@@ -50,19 +51,18 @@ def _load_dataset(args) -> ds_mod.LabeledDataset:
     )
 
 
+def _given(args, *names) -> dict:
+    """The named options the user gave; the rest keep the library default."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _cmd_run(args) -> int:
     ds = _load_dataset(args)
-    plan = PermutationPlan(scheme=args.scheme, B=args.B, seed=args.seed)
+    plan = PermutationPlan(**_given(args, "scheme", "B", "seed"))
     result = diproperm(
-        ds,
-        plan,
-        classifier=args.classifier,
-        statistic=args.stat,
-        alpha=args.alpha,
-        workers=args.workers,
-        retain_all=args.retain_all,
-        dwd_tol=args.dwd_tol,
-        dwd_max_iter=args.dwd_max_iter,
+        ds, plan, workers=args.workers, retain_all=args.retain_all,
+        **_given(args, "classifier", "statistic", "alpha", "dwd_tol",
+                 "dwd_max_iter"),
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -91,27 +91,23 @@ def _cmd_loadings(args) -> int:
 
 def _cmd_report(args) -> int:
     result = load_result_json(args.result)
-    panels = tuple(p.strip() for p in args.panels.split(",") if p.strip())
-    bundle = DiagnosticsBundle(panels=panels, out_dir=args.out)
+    bundle = DiagnosticsBundle(out_dir=args.out, **_given(args, "panels"))
     for path in emit_bundle(result, bundle, bins=args.bins):
         print(path)
     return 0
 
 
 def _cmd_synth(args) -> int:
-    ds = synthetic_blobs(
-        n_samples=args.n, n_features=args.p,
-        center_distance=args.distance, cluster_std=args.std, seed=args.seed,
-    )
+    ds = synthetic_blobs(**_given(args, "n_samples", "n_features",
+                                  "center_distance", "cluster_std", "seed"))
     ds_mod.write_dense(ds, args.out)
     ds_mod.write_labels(ds, args.labels_out)
     print(f"wrote {args.out} ({ds.n_samples}x{ds.n_features}) and {args.labels_out}")
     return 0
 
 
-def _workers_default() -> int | None:
-    env = os.environ.get("DPP_WORKERS")
-    return int(env) if env else None
+def _panel_list(text: str) -> tuple[str, ...]:
+    return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,6 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Direction-projection-permutation two-sample test",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options without a CLI default are left out of the namespace when not
+    # given, so the library's own default applies
+    lib = argparse.SUPPRESS
 
     run = sub.add_parser("run", help="run the full test and emit results")
     run.add_argument("--data", required=True,
@@ -131,19 +130,20 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--has-header", action="store_true")
     run.add_argument("--n-features", type=int,
                      help="explicit width for sparse files")
-    run.add_argument("--classifier", choices=("dwd", "md"), default="dwd")
-    run.add_argument("--stat", choices=("md", "t", "med"), default="md")
-    run.add_argument("--scheme", choices=("balanced", "unbalanced"),
-                     default="balanced")
-    run.add_argument("-B", "--permutations", dest="B", type=int, default=1000)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--alpha", type=float, default=0.05)
-    run.add_argument("--workers", type=int, default=_workers_default())
+    run.add_argument("--classifier", choices=CLASSIFIERS, default=lib)
+    run.add_argument("--stat", dest="statistic", choices=tuple(STATISTICS),
+                     default=lib)
+    run.add_argument("--scheme", choices=SCHEMES, default=lib)
+    run.add_argument("-B", "--permutations", dest="B", type=int, default=lib)
+    run.add_argument("--seed", type=int, default=lib)
+    run.add_argument("--alpha", type=float, default=lib)
+    run.add_argument("--workers", type=int,  # type=int parses the env value too
+                     default=os.environ.get("DPP_WORKERS") or None)
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--retain-all", action="store_true",
                      help="retain every permutation's scores in the result")
-    run.add_argument("--dwd-tol", type=float, default=1e-5)
-    run.add_argument("--dwd-max-iter", type=int, default=5000)
+    run.add_argument("--dwd-tol", type=float, default=lib)
+    run.add_argument("--dwd-max-iter", type=int, default=lib)
     run.add_argument("--bins", type=int, default=None,
                      help="histogram bin count (default: Freedman-Diaconis)")
     run.set_defaults(func=_cmd_run)
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="re-emit diagnostic panels")
     report.add_argument("result", help="result.json from a run")
-    report.add_argument("--panels", default="obs,min,max,permdist",
+    report.add_argument("--panels", type=_panel_list, default=lib,
                         help=f"comma list from {','.join(PANELS)}")
     report.add_argument("--out", default=".", help="output directory")
     report.add_argument("--bins", type=int, default=None)
@@ -165,11 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="generate two-cluster Gaussian data")
     synth.add_argument("--out", required=True, help="output data CSV")
     synth.add_argument("--labels-out", required=True, help="output labels file")
-    synth.add_argument("-n", type=int, default=100)
-    synth.add_argument("-p", type=int, default=2)
-    synth.add_argument("--std", type=float, default=2.0)
-    synth.add_argument("--distance", type=float, default=6.0)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("-n", dest="n_samples", type=int, default=lib)
+    synth.add_argument("-p", dest="n_features", type=int, default=lib)
+    synth.add_argument("--std", dest="cluster_std", type=float, default=lib)
+    synth.add_argument("--distance", dest="center_distance", type=float,
+                       default=lib)
+    synth.add_argument("--seed", type=int, default=lib)
     synth.set_defaults(func=_cmd_synth)
     return parser
 

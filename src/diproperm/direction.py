@@ -105,28 +105,34 @@ def md_direction(ds: LabeledDataset) -> Direction:
 def penalty_parameter(ds: LabeledDataset) -> float:
     """Scale-adaptive DWD penalty: C = 100 / median between-class distance^2."""
     neg, pos = _split_classes(ds.features, ds.labels)
-    diffs = pos[:, None, :] - neg[None, :, :]
-    dists = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs)).ravel()
-    med = float(np.median(dists))
+    sq = np.empty((len(neg), len(pos)))
+    for i, a in enumerate(neg):  # one row at a time: O(n- n+ + n+ p) memory
+        d = pos - a
+        sq[i] = np.einsum("jk,jk->j", d, d)
+    med = float(np.median(np.sqrt(sq)))
     if med < 1e-12:
         raise DegenerateScaleError("all between-class distances are ~0")
     return 100.0 / (med * med)
 
 
-def dwd_loss(u, C: float):
-    """Per-sample DWD margin loss V_C evaluated elementwise."""
-    u = np.asarray(u, dtype=np.float64)
+def _loss(u: np.ndarray, C: float, grad: bool):
+    """V_C(u) elementwise, plus V_C'(u) when `grad` is set (else None)."""
     sqrt_c = math.sqrt(C)
     knot = 1.0 / sqrt_c
     recip = 1.0 / np.maximum(u, knot)
-    return np.where(u >= knot, recip, 2.0 * sqrt_c - C * u)
+    hi = u >= knot
+    value = np.where(hi, recip, 2.0 * sqrt_c - C * u)
+    return value, (np.where(hi, -recip * recip, -C) if grad else None)
+
+
+def dwd_loss(u, C: float):
+    """Per-sample DWD margin loss V_C evaluated elementwise."""
+    return _loss(np.asarray(u, dtype=np.float64), C, False)[0]
+
 
 def dwd_loss_grad(u, C: float):
     """First derivative of V_C evaluated elementwise."""
-    u = np.asarray(u, dtype=np.float64)
-    knot = 1.0 / math.sqrt(C)
-    recip = 1.0 / np.maximum(u, knot)
-    return np.where(u >= knot, -recip * recip, -C)
+    return _loss(np.asarray(u, dtype=np.float64), C, True)[1]
 
 
 def _dwd_arrays(X: np.ndarray, y: np.ndarray, C: float, tol: float,
@@ -139,21 +145,13 @@ def _dwd_arrays(X: np.ndarray, y: np.ndarray, C: float, tol: float,
     n, p = X.shape
     yf = y.astype(np.float64)
     Z = X * yf[:, None]
-    sqrt_c = math.sqrt(C)
-    knot = 1.0 / sqrt_c
 
     def value(w, beta):
-        u = Z @ w + yf * beta
-        recip = 1.0 / np.maximum(u, knot)
-        return float(np.where(u >= knot, recip, 2.0 * sqrt_c - C * u).sum())
+        return float(_loss(Z @ w + yf * beta, C, False)[0].sum())
 
     def value_grad(w, beta):
-        u = Z @ w + yf * beta
-        recip = 1.0 / np.maximum(u, knot)
-        hi = u >= knot
-        f = float(np.where(hi, recip, 2.0 * sqrt_c - C * u).sum())
-        gu = np.where(hi, -recip * recip, -C)
-        return f, Z.T @ gu, float(gu @ yf)
+        v, gu = _loss(Z @ w + yf * beta, C, True)
+        return float(v.sum()), Z.T @ gu, float(gu @ yf)
 
     # warm start from the mean-difference rule when it exists
     try:

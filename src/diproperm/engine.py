@@ -18,6 +18,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .direction import (
     penalty_parameter,
 )
 from .errors import EmptyError, NonConvergedError, ValidationError, ZeroVarianceError
-from .permute import SCHEMES, PermutationPlan, derive_stream, permute_labels
+from .permute import PermutationPlan, derive_stream, half_split_fits, permute_labels
 from .unistat import STATISTICS, ProjectionScores
 
 log = logging.getLogger(__name__)
@@ -46,14 +47,31 @@ PANELS = SCORE_PANELS + ("permdist",)
 
 @dataclass(frozen=True)
 class TestConfig:
-    """Everything needed to reproduce a run (with the same data)."""
+    """Everything needed to reproduce a run (with the same data).
 
-    classifier: str = "dwd"
-    statistic: str = "md"
-    scheme: str = "balanced"
-    B: int = 1000
-    seed: int = 0
-    alpha: float = 0.05
+    Validated on construction: an instance always describes a run that
+    diproperm() accepts.  Scheme, B and seed are checked by the
+    PermutationPlan they make up.
+    """
+
+    classifier: str
+    statistic: str
+    scheme: str
+    B: int
+    seed: int
+    alpha: float
+
+    def __post_init__(self):
+        if self.classifier not in CLASSIFIERS:
+            raise ValidationError(f"classifier must be one of {CLASSIFIERS}, got {self.classifier!r}")
+        if self.statistic not in STATISTICS:
+            raise ValidationError(f"statistic must be one of {tuple(STATISTICS)}, got {self.statistic!r}")
+        PermutationPlan(self.scheme, self.B, self.seed)
+        _check_alpha(self.alpha)
+        if self.alpha * self.B < 1.0:
+            raise ValidationError(
+                f"alpha*B = {self.alpha * self.B:.3g} < 1: too few permutations for the cutoff"
+            )
 
 
 @dataclass(eq=False)
@@ -118,62 +136,59 @@ def z_score(perm_stats, observed: float) -> float:
     return (float(observed) - float(stats.mean())) / sd
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def cutoff(perm_stats, alpha: float) -> float:
     """Empirical critical value: the ceil((1-alpha)*B)-th order statistic."""
     stats = np.asarray(perm_stats, dtype=np.float64)
     if stats.size == 0:
         raise EmptyError("no permutation statistics")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     rank = math.ceil((1.0 - alpha) * stats.size - 1e-9)
     rank = min(max(rank, 1), stats.size)
     return float(np.sort(stats)[rank - 1])
 
 
-# Worker-side state, installed once per process by _init_state.
-_STATE: dict = {}
+# Permutations whose scores are always kept: the perm1/perm2 panels.
+_KEEP_SCORES_UPTO = 2
+
+# Worker-side run state (X, y, config, C, tol, max_iter), installed once
+# per process by _init_state.
+_STATE: tuple = ()
 
 
-def _init_state(features, labels, classifier, statistic, scheme, seed, C,
-                tol, max_iter, keep_scores_upto, keep_all):
-    _STATE.update(
-        features=features, labels=labels, classifier=classifier,
-        statistic=statistic, scheme=scheme, seed=seed, C=C, tol=tol,
-        max_iter=max_iter, keep_scores_upto=keep_scores_upto,
-        keep_all=keep_all,
-    )
+def _init_state(*state):
+    global _STATE
+    _STATE = state
 
 
-def _fit_direction(X, y, classifier, C, tol, max_iter):
-    if classifier == "md":
-        return _md_arrays(X, y), None
-    model = _dwd_arrays(X, y, C, tol, max_iter)
-    return model.direction, model
+def _fit_and_score(X, y, config, C, tol, max_iter):
+    """Direction (and DWD model) fit to labels y, its scores and statistic."""
+    if config.classifier == "md":
+        direction, model = _md_arrays(X, y), None
+    else:
+        model = _dwd_arrays(X, y, C, tol, max_iter)
+        direction = model.direction
+    ps = ProjectionScores(X @ direction.w + direction.beta, y)
+    return direction, model, ps, STATISTICS[config.statistic](ps)
 
 
-def _one_permutation(b: int):
-    """Stat (and optionally scores) for permutation b; pure in (state, b)."""
-    st = _STATE
+def _one_permutation(b: int, keep: bool = False):
+    """Stat (and, if kept, scores) for permutation b; pure in (state, b)."""
+    X, y, config, C, tol, max_iter = _STATE
     t0 = time.perf_counter()
-    stream = derive_stream(st["seed"], b)
-    perm_y = permute_labels(st["labels"], st["scheme"], stream)
+    perm_y = permute_labels(y, config.scheme, derive_stream(config.seed, b))
     try:
-        direction, model = _fit_direction(
-            st["features"], perm_y, st["classifier"], st["C"], st["tol"],
-            st["max_iter"],
-        )
+        _, model, ps, stat = _fit_and_score(X, perm_y, config, C, tol, max_iter)
     except NonConvergedError as err:
         raise NonConvergedError(
             err.iterations, err.kkt_residual, model=err.model, perm_index=b
         ) from None
-    ps = ProjectionScores(
-        st["features"] @ direction.w + direction.beta, perm_y
-    )
-    stat = STATISTICS[st["statistic"]](ps)
     telemetry = (model.iterations if model else 0, time.perf_counter() - t0)
-    if st["keep_all"] or b <= st["keep_scores_upto"]:
-        return stat, perm_y, ps.scores, telemetry
-    return stat, None, None, telemetry
+    return stat, ps if keep or b <= _KEEP_SCORES_UPTO else None, telemetry
 
 
 def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
@@ -185,96 +200,74 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
 
     The DWD penalty C is computed once from the observed data and reused
     for every permutation re-fit.  Permutations run on `workers`
-    processes (default: all cores); results are bit-identical for any
-    worker count because each permutation derives its own stream.
+    processes (default: the usable cores, per the CPU affinity mask);
+    results are bit-identical for any worker count because each
+    permutation derives its own stream.
     A NonConvergedError on any re-fit aborts the run with that
     permutation's index; no permutation is silently dropped.
     """
     plan = plan or PermutationPlan()
-    if classifier not in CLASSIFIERS:
-        raise ValidationError(f"classifier must be one of {CLASSIFIERS}, got {classifier!r}")
-    if statistic not in STATISTICS:
-        raise ValidationError(f"statistic must be one of {tuple(STATISTICS)}, got {statistic!r}")
-    if plan.scheme not in SCHEMES:
-        raise ValidationError(f"scheme must be one of {SCHEMES}")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    if alpha * plan.B < 1.0:
-        raise ValidationError(
-            f"alpha*B = {alpha * plan.B:.3g} < 1: too few permutations for the cutoff"
-        )
-    workers = workers or os.cpu_count() or 1
+    config = TestConfig(classifier, statistic, plan.scheme, plan.B,
+                        plan.seed, alpha)
+    if workers is None:  # the cores this process may run on
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
 
-    X, y = ds.features, ds.labels
-    if plan.scheme == "balanced":
-        n_neg = int((y == -1).sum())
-        n_pos = int((y == 1).sum())
-        if n_neg - n_neg // 2 > n_pos:
-            log.warning(
-                "balanced half-and-half draw infeasible for class sizes "
-                "(%d, %d); using the composition-matched relabeling",
-                n_neg, n_pos,
-            )
+    if config.scheme == "balanced" and not half_split_fits(*ds.class_counts()):
+        log.warning(
+            "balanced half-and-half draw infeasible for class sizes "
+            "(%d, %d); using the composition-matched relabeling",
+            *ds.class_counts(),
+        )
     C = penalty_parameter(ds) if classifier == "dwd" else None
-    observed_direction, observed_model = _fit_direction(
-        X, y, classifier, C, dwd_tol, dwd_max_iter
-    )
-    observed_scores = ProjectionScores(
-        X @ observed_direction.w + observed_direction.beta, y
-    )
-    observed_statistic = STATISTICS[statistic](observed_scores)
+    state = (ds.features, ds.labels, config, C, dwd_tol, dwd_max_iter)
+    (observed_direction, observed_model, observed_scores,
+     observed_statistic) = _fit_and_score(*state)
     loadings = loadings_of(observed_direction, ds.n_features, ds.feature_names)
 
-    state = (X, y, classifier, statistic, plan.scheme, plan.seed, C,
-             dwd_tol, dwd_max_iter, 2, retain_all)
-    indices = range(1, plan.B + 1)
-    if workers == 1 or plan.B == 1:
-        _init_state(*state)
-        outputs = [_one_permutation(b) for b in indices]
+    _init_state(*state)
+    run = partial(_one_permutation, keep=retain_all)
+    indices = range(1, config.B + 1)
+    if workers == 1 or config.B == 1:
+        outputs = [run(b) for b in indices]
     else:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_state, initargs=state
         ) as pool:
-            chunk = max(1, plan.B // (workers * 4))
-            outputs = list(pool.map(_one_permutation, indices, chunksize=chunk))
+            chunk = max(1, config.B // (workers * 4))
+            outputs = list(pool.map(run, indices, chunksize=chunk))
 
     perm_statistics = np.array([o[0] for o in outputs], dtype=np.float64)
     perm_statistics.setflags(write=False)
     if log.isEnabledFor(logging.DEBUG):
         for b, out in enumerate(outputs, start=1):
-            iters, seconds = out[3]
+            iters, seconds = out[2]
             log.debug(
                 "perm %d: statistic=%.6g iterations=%d time=%.4fs",
                 b, out[0], iters, seconds,
             )
-    iter_total = sum(o[3][0] for o in outputs)
+    iter_total = sum(o[2][0] for o in outputs)
     log.info(
         "ran B=%d permutations (%s/%s, scheme=%s): solver iterations "
         "total=%d, statistic range [%.4g, %.4g]",
-        plan.B, classifier, statistic, plan.scheme, iter_total,
+        config.B, classifier, statistic, config.scheme, iter_total,
         perm_statistics.min(), perm_statistics.max(),
     )
 
     # retain diagnostics records: first, second, extremes (or everything);
     # extreme permutations are recomputed from their streams, so no
     # per-permutation scores need to be held for the whole run
-    _init_state(*state[:-1], True)
-    wanted = {1, min(2, plan.B),
+    wanted = {*range(1, min(_KEEP_SCORES_UPTO, config.B) + 1),
               int(np.argmin(perm_statistics)) + 1,
               int(np.argmax(perm_statistics)) + 1}
     records: dict[int, PermutationRecord] = {}
     for b in (indices if retain_all else sorted(wanted)):
-        stat_b, perm_y, scores = outputs[b - 1][:3]
-        if perm_y is None:
-            stat_b, perm_y, scores = _one_permutation(b)[:3]
-        records[b] = PermutationRecord(
-            perm_index=b,
-            permuted_labels=perm_y,
-            scores=ProjectionScores(scores, perm_y),
-            statistic=stat_b,
-        )
+        stat_b, scores = outputs[b - 1][:2]
+        if scores is None:
+            stat_b, scores = _one_permutation(b, keep=True)[:2]
+        records[b] = PermutationRecord(b, scores.labels, scores, stat_b)
 
     try:
         z = z_score(perm_statistics, observed_statistic)
@@ -282,8 +275,7 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
         z = math.nan  # degenerate null (constant permutation statistics)
 
     return DppResult(
-        config=TestConfig(classifier, statistic, plan.scheme, plan.B,
-                          plan.seed, alpha),
+        config=config,
         observed_direction=observed_direction,
         observed_scores=observed_scores,
         observed_statistic=observed_statistic,

@@ -31,6 +31,18 @@ class PermutationPlan:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
 
 
+def half_split_fits(n_neg: int, n_pos: int, keep: int | None = None) -> bool:
+    """Whether the balanced half-and-half draw fits the class sizes.
+
+    A draw keeping `keep` of the n_neg -1 members hands the other -1 labels
+    to original +1 members.  `keep` defaults to n_neg // 2, the fewest a
+    draw keeps, so by default the answer is whether every draw fits.
+    """
+    if keep is None:
+        keep = n_neg // 2
+    return n_neg - keep <= n_pos
+
+
 def derive_stream(seed: int, perm_index: int) -> np.random.Generator:
     """Independent deterministic stream for one permutation.
 
@@ -74,12 +86,11 @@ def permute_labels(labels: np.ndarray, scheme: str,
         k = n_neg // 2
     else:
         k = n_neg // 2 + int(stream.integers(0, 2))
-    m = n_neg - k  # -1 labels handed to original +1 members
-    if m > n_pos:
+    if not half_split_fits(n_neg, n_pos, k):
         # half-and-half is infeasible; fall back to the composition-matched
         # draw so no class-mixture signal survives the relabeling
-        m = min(round(n_neg * n_pos / (n_neg + n_pos)), n_pos)
-        k = n_neg - m
+        k = n_neg - min(round(n_neg * n_pos / (n_neg + n_pos)), n_pos)
+    m = n_neg - k  # -1 labels handed to original +1 members
     keep_neg = stream.choice(neg, size=k, replace=False)
     take_pos = stream.choice(pos, size=m, replace=False)
     out = np.ones(y.size, dtype=np.int64)

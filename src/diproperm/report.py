@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -278,14 +278,7 @@ def emit_result_json(result: DppResult, path) -> None:
     """Serialize the full result (schema_version 1) to a JSON document."""
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "config": {
-            "classifier": result.config.classifier,
-            "statistic": result.config.statistic,
-            "scheme": result.config.scheme,
-            "B": result.config.B,
-            "seed": result.config.seed,
-            "alpha": result.config.alpha,
-        },
+        "config": asdict(result.config),
         "observed_statistic": float(result.observed_statistic),
         "p_value": float(result.p_value),
         "z_score": (
@@ -337,7 +330,10 @@ def load_result_json(path) -> DppResult:
         raise ValidationError(
             f"unsupported schema_version {doc.get('schema_version')!r}"
         )
-    cfg = TestConfig(**doc["config"])
+    try:
+        cfg = TestConfig(**doc["config"])
+    except TypeError as err:  # a config field missing or unknown
+        raise ValidationError(f"invalid config: {err}") from None
     direction = Direction(np.array(doc["direction"]["w"]), doc["direction"]["beta"])
     observed_scores = ProjectionScores(
         np.array(doc["observed_scores"]["scores"]),

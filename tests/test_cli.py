@@ -1,10 +1,17 @@
 """End-to-end CLI tests (subprocess)."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
+
+import diproperm as dp
+from diproperm import cli, engine
+from diproperm.engine import CLASSIFIERS, PANELS
+from diproperm.permute import SCHEMES
+from diproperm.unistat import STATISTICS
 
 
 def run_cli(*args, **kw):
@@ -155,3 +162,43 @@ def test_workers_env_fallback(blob_files, tmp_path):
         "-B", 30, "--seed", 2, "--classifier", "md", env=env,
     )
     assert out.returncode == 0, out.stderr
+
+
+def test_bad_worker_counts_are_errors(blob_files, tmp_path):
+    data, labels = blob_files
+    import os
+    base = ["run", "--data", data, "--labels", labels, "--out", tmp_path / "z",
+            "-B", 30, "--classifier", "md"]
+    for extra, workers in (([], "0"), (["--workers", 0], ""), ([], "two")):
+        out = run_cli(*base, *extra, env={**os.environ, "DPP_WORKERS": workers})
+        assert out.returncode == 2
+        assert "workers" in out.stderr
+
+
+def test_parser_restates_no_library_choice_or_default(monkeypatch, tmp_path):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices
+    choices = {a.dest: a.choices for a in sub["run"]._actions if a.choices}
+    assert choices["classifier"] == CLASSIFIERS
+    assert choices["statistic"] == tuple(STATISTICS)
+    assert choices["scheme"] == SCHEMES
+    panels = next(a for a in sub["report"]._actions if a.dest == "panels")
+    assert tuple(panels.help.split()[-1].split(",")) == PANELS
+
+    # a run given only --data/--out is configured exactly like diproperm()
+    class Captured(Exception):
+        pass
+
+    seen = []
+
+    def spy(X, y, config, C, tol, max_iter):
+        seen.append((config, tol, max_iter))
+        raise Captured
+
+    monkeypatch.setattr(engine, "_fit_and_score", spy)
+    monkeypatch.delenv("DPP_WORKERS", raising=False)
+    with pytest.raises(Captured):
+        dp.diproperm(dp.mushrooms50())
+    with pytest.raises(Captured):
+        cli.main(["run", "--data", "bundled:mushrooms50", "--out", str(tmp_path)])
+    assert seen[0] == seen[1]

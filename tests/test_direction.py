@@ -1,6 +1,7 @@
 """Mean-difference and DWD direction tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,26 @@ def test_penalty_parameter_scaling():
     c1 = dp.penalty_parameter(ds)
     scaled = dp.LabeledDataset(3.0 * ds.features, ds.labels)
     assert dp.penalty_parameter(scaled) == pytest.approx(c1 / 9.0, rel=1e-12)
+
+
+def test_penalty_parameter_matches_tensor_formula_in_small_memory(mushrooms):
+    def tensor_formula(ds):
+        neg, pos = ds.features[ds.labels == -1], ds.features[ds.labels == 1]
+        diffs = pos[:, None, :] - neg[None, :, :]
+        med = np.median(np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs)))
+        return 100.0 / (med * med)
+
+    hdlss = dp.synthetic_blobs(60, 5000, seed=0)
+    for ds in (mushrooms, make_blobs(n=15, p=3, seed=1), hdlss):
+        assert dp.penalty_parameter(ds) == tensor_formula(ds)
+    # the n- x n+ x p difference tensor alone would take 36 MB here
+    tracemalloc.start()
+    try:
+        dp.penalty_parameter(hdlss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_penalty_parameter_degenerate():

@@ -1,11 +1,13 @@
 """Engine orchestration, summary quantities, and determinism tests."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import diproperm as dp
+from diproperm import cli, engine
 from diproperm.errors import (
     EmptyError,
     NonConvergedError,
@@ -39,7 +41,7 @@ def test_cutoff_examples():
         dp.cutoff([1, 2], 1.5)
 
 
-def test_validation_of_engine_arguments():
+def test_validation_of_engine_arguments(tmp_path):
     ds = make_blobs(n=10, seed=0)
     with pytest.raises(ValidationError):
         dp.diproperm(ds, classifier="svm")
@@ -49,6 +51,44 @@ def test_validation_of_engine_arguments():
         dp.diproperm(ds, dp.PermutationPlan("unbalanced", 10, 0), alpha=0.05)
     with pytest.raises(ValidationError):
         dp.diproperm(ds, alpha=0.0)
+    with pytest.raises(ValidationError):
+        dp.diproperm(ds, workers=0)
+    with pytest.raises(ValidationError):
+        dp.TestConfig("dwd", "md", "shuffled", 100, 0, 0.05)
+    # a stored result whose config no run could have produced is refused
+    path = tmp_path / "result.json"
+    dp.emit_result_json(run_small(make_blobs(n=12, seed=2), B=25), path)
+    for key, edit in (("classifier", lambda c: c.update(classifier="svm")),
+                      ("alpha", lambda c: c.update(alpha=2)),
+                      ("missing", lambda c: c.pop("seed"))):
+        doc = json.loads(path.read_text())
+        edit(doc["config"])
+        tampered = tmp_path / f"{key}.json"
+        tampered.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError):
+            dp.load_result_json(tampered)
+        assert cli.main(["report", str(tampered), "--out", str(tmp_path / key)]) == 2
+
+
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one usable core must take the serial path")
+
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+    r = dp.diproperm(make_blobs(n=12, seed=2),
+                     dp.PermutationPlan("unbalanced", 25, 1), classifier="md")
+    assert len(r.perm_statistics) == 25
+
+
+def test_infeasible_balance_warning(caplog):
+    lopsided = dp.LabeledDataset(make_blobs(n=12, seed=3).features,
+                                 [-1] * 9 + [1] * 3)
+    for ds, warned in ((make_blobs(n=12, seed=3), False), (lopsided, True)):
+        caplog.clear()
+        run_small(ds, scheme="balanced", B=25)
+        assert ("infeasible" in caplog.text) is warned
 
 
 def run_small(ds, scheme="unbalanced", B=40, seed=1, classifier="md", **kw):

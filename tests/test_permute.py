@@ -7,7 +7,7 @@ import pytest
 
 from diproperm import derive_stream, permute_labels
 from diproperm.errors import InfeasibleBalanceError, SingleClassError
-from diproperm.permute import PermutationPlan
+from diproperm.permute import PermutationPlan, half_split_fits
 
 
 def counts(y):
@@ -109,6 +109,12 @@ def test_balanced_lopsided_composition_matched():
         new_neg = set(np.flatnonzero(out == -1).tolist())
         assert len(new_neg & {10, 11}) == 2  # both +1 members relabeled
         assert len(new_neg & set(range(10))) == 8
+
+
+def test_half_split_fits():
+    assert half_split_fits(4, 2) and not half_split_fits(10, 2)
+    # 5 vs 2: a draw keeping 3 fits, one keeping 2 does not, so not always
+    assert not half_split_fits(5, 2) and half_split_fits(5, 2, keep=3)
 
 
 def test_balanced_uniform_over_admissible_relabelings():
