@@ -10,7 +10,9 @@ is the slack-eliminated margin loss: convex, strictly decreasing, and
 continuously differentiable at the knot.  The solver is projected
 gradient descent with a spectral (Barzilai-Borwein) trial step and
 monotone Armijo backtracking, stopping when the accepted step length
-falls to `tol`.
+falls to `tol`.  It runs in coefficient space, w = Xᵀc with c in R^n,
+on the Gram matrix K = X Xᵀ: K is computed once per run (relabeling
+only flips signs), an iteration costs O(n²), memory is O(n² + np).
 """
 
 from __future__ import annotations
@@ -135,33 +137,42 @@ def dwd_loss_grad(u, C: float):
     return _loss(np.asarray(u, dtype=np.float64), C, True)[1]
 
 
-def _dwd_arrays(X: np.ndarray, y: np.ndarray, C: float, tol: float,
-                max_iter: int, keep_trace: bool = False) -> DwdModel:
+def _gram(X: np.ndarray) -> np.ndarray:
+    """K = X Xᵀ, shared by every DWD fit on X whatever its labels; one
+    product of X with itself (numpy's syrk), so every caller gets its bits."""
+    return X @ X.T
+
+
+def _dwd_arrays(X: np.ndarray, y: np.ndarray, K: np.ndarray, C: float,
+                tol: float, max_iter: int, keep_trace: bool = False) -> DwdModel:
     if not (np.isfinite(C) and C > 0.0):
         raise DegenerateScaleError(f"penalty C must be positive and finite, got {C!r}")
     if tol <= 0.0 or max_iter < 1:
         raise ValidationError("tol must be > 0 and max_iter >= 1")
 
-    n, p = X.shape
     yf = y.astype(np.float64)
-    Z = X * yf[:, None]
 
-    def value(w, beta):
-        return float(_loss(Z @ w + yf * beta, C, False)[0].sum())
+    # The iterates stay in the row space of X: w = Xᵀc, ||w||² = c.Kc,
+    # margins y(Kc + beta), and the w-gradient Xᵀ(y gu) has coefficients
+    # g = y gu.  Kc and Kg are updated by linearity alongside c and g.
+    def value(Kc, beta):
+        return float(_loss(yf * (Kc + beta), C, False)[0].sum())
 
-    def value_grad(w, beta):
-        v, gu = _loss(Z @ w + yf * beta, C, True)
-        return float(v.sum()), Z.T @ gu, float(gu @ yf)
+    def value_grad(Kc, beta):
+        v, gu = _loss(yf * (Kc + beta), C, True)
+        g = yf * gu
+        return float(v.sum()), g, K @ g, float(gu @ yf)
 
-    # warm start from the mean-difference rule when it exists
-    try:
-        d0 = _md_arrays(X, y)
-        w, beta = d0.w.copy(), d0.beta
-    except ZeroDirectionError:
-        w, beta = np.zeros(p), 0.0
+    # warm start from the mean-difference rule when it exists: w = Xᵀc /
+    # ||Xᵀc|| for c = y / (size of y's class), class-mean midpoint at 0
+    c = yf / np.where(y == 1, np.sum(y == 1), np.sum(y == -1))
+    nrm = float(np.linalg.norm(X.T @ c))
+    c = c / nrm if nrm >= 1e-12 else np.zeros(len(y))  # zero: means coincide
+    Kc = K @ c
+    beta = -0.5 * float(Kc[y == 1].mean() + Kc[y == -1].mean())
 
-    f, gw, gb = value_grad(w, beta)
-    gnorm = math.sqrt(float(gw @ gw) + gb * gb)
+    f, g, Kg, gb = value_grad(Kc, beta)
+    gnorm = math.sqrt(max(float(g @ Kg), 0.0) + gb * gb)
     t = 1.0 / max(1.0, gnorm)
     trace = [f]
     step = math.inf
@@ -170,41 +181,44 @@ def _dwd_arrays(X: np.ndarray, y: np.ndarray, C: float, tol: float,
 
     for iterations in range(1, max_iter + 1):
         while True:
-            w_t = w - t * gw
+            c_t = c - t * g
+            Kc_t = Kc - t * Kg
             b_t = beta - t * gb
-            nw = float(np.linalg.norm(w_t))
+            nw = math.sqrt(max(float(c_t @ Kc_t), 0.0))
             if nw > 1.0:
-                w_t = w_t / nw
-            dw = w_t - w
+                c_t = c_t / nw
+                Kc_t = Kc_t / nw
+            Kdc = Kc_t - Kc
             db = b_t - beta
-            step_sq = float(dw @ dw) + db * db
+            step_sq = max(float((c_t - c) @ Kdc), 0.0) + db * db
             if step_sq == 0.0:
-                f_t, gw_t, gb_t = f, gw, gb
+                f_t, g_t, Kg_t, gb_t = f, g, Kg, gb
                 break
-            f_t = value(w_t, b_t)
-            model = f + float(gw @ dw) + gb * db + step_sq / (2.0 * t)
+            f_t = value(Kc_t, b_t)
+            model = f + float(g @ Kdc) + gb * db + step_sq / (2.0 * t)
             if f_t <= model and f_t <= f:
-                gw_t = gb_t = None
+                g_t = None
                 break
             t *= 0.5
             if t < 1e-20:  # no float-representable descent left
                 step_sq = 0.0
-                f_t, gw_t, gb_t = f, gw, gb
+                f_t, g_t, Kg_t, gb_t = f, g, Kg, gb
                 break
 
         step = math.sqrt(step_sq)
-        if gw_t is None:
-            f_t, gw_t, gb_t = value_grad(w_t, b_t)
+        if g_t is None:
+            f_t, g_t, Kg_t, gb_t = value_grad(Kc_t, b_t)
             # spectral trial step for the next iteration
-            sy = float((gw_t - gw) @ dw) + (gb_t - gb) * db
+            sy = float((g_t - g) @ Kdc) + (gb_t - gb) * db
             t = min(max(step_sq / sy, 1e-16), 1e16) if sy > 0.0 else t * 2.0
-        w, beta, f, gw, gb = w_t, b_t, f_t, gw_t, gb_t
+        c, Kc, beta, f, g, Kg, gb = c_t, Kc_t, b_t, f_t, g_t, Kg_t, gb_t
         if keep_trace:
             trace.append(f)
         if step <= tol:
             converged = True
             break
 
+    w = X.T @ c
     nw = float(np.linalg.norm(w))
     if nw < 1e-12:
         raise ZeroDirectionError("DWD solution collapsed to the zero direction")
@@ -234,7 +248,8 @@ def dwd_direction(ds: LabeledDataset, C: float | None = None,
     """
     if C is None:
         C = penalty_parameter(ds)
-    return _dwd_arrays(ds.features, ds.labels, C, tol, max_iter, keep_trace)
+    X = ds.features
+    return _dwd_arrays(X, ds.labels, _gram(X), C, tol, max_iter, keep_trace)
 
 
 def loadings_of(direction: Direction, loadnum: int | None = None,

@@ -30,6 +30,7 @@ from .direction import (
     DwdModel,
     Loading,
     _dwd_arrays,
+    _gram,
     _md_arrays,
     loadings_of,
     penalty_parameter,
@@ -155,8 +156,8 @@ def cutoff(perm_stats, alpha: float) -> float:
 # Permutations whose scores are always kept: the perm1/perm2 panels.
 _KEEP_SCORES_UPTO = 2
 
-# Worker-side run state (X, y, config, C, tol, max_iter), installed once
-# per process by _init_state.
+# Worker-side run state (X, y, config, C, K, tol, max_iter), installed once
+# per process by _init_state and cleared in the caller when the run ends.
 _STATE: tuple = ()
 
 
@@ -165,12 +166,12 @@ def _init_state(*state):
     _STATE = state
 
 
-def _fit_and_score(X, y, config, C, tol, max_iter):
+def _fit_and_score(X, y, config, C, K, tol, max_iter):
     """Direction (and DWD model) fit to labels y, its scores and statistic."""
     if config.classifier == "md":
         direction, model = _md_arrays(X, y), None
     else:
-        model = _dwd_arrays(X, y, C, tol, max_iter)
+        model = _dwd_arrays(X, y, K, C, tol, max_iter)
         direction = model.direction
     ps = ProjectionScores(X @ direction.w + direction.beta, y)
     return direction, model, ps, STATISTICS[config.statistic](ps)
@@ -178,11 +179,11 @@ def _fit_and_score(X, y, config, C, tol, max_iter):
 
 def _one_permutation(b: int, keep: bool = False):
     """Stat (and, if kept, scores) for permutation b; pure in (state, b)."""
-    X, y, config, C, tol, max_iter = _STATE
+    X, y, config, *fit_args = _STATE
     t0 = time.perf_counter()
     perm_y = permute_labels(y, config.scheme, derive_stream(config.seed, b))
     try:
-        _, model, ps, stat = _fit_and_score(X, perm_y, config, C, tol, max_iter)
+        _, model, ps, stat = _fit_and_score(X, perm_y, config, *fit_args)
     except NonConvergedError as err:
         raise NonConvergedError(
             err.iterations, err.kkt_residual, model=err.model, perm_index=b
@@ -222,25 +223,43 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
             *ds.class_counts(),
         )
     C = penalty_parameter(ds) if classifier == "dwd" else None
-    state = (ds.features, ds.labels, config, C, dwd_tol, dwd_max_iter)
+    K = _gram(ds.features) if classifier == "dwd" else None
+    state = (ds.features, ds.labels, config, C, K, dwd_tol, dwd_max_iter)
     (observed_direction, observed_model, observed_scores,
      observed_statistic) = _fit_and_score(*state)
     loadings = loadings_of(observed_direction, ds.n_features, ds.feature_names)
 
     _init_state(*state)
-    run = partial(_one_permutation, keep=retain_all)
-    indices = range(1, config.B + 1)
-    if workers == 1 or config.B == 1:
-        outputs = [run(b) for b in indices]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_state, initargs=state
-        ) as pool:
-            chunk = max(1, config.B // (workers * 4))
-            outputs = list(pool.map(run, indices, chunksize=chunk))
+    try:
+        run = partial(_one_permutation, keep=retain_all)
+        indices = range(1, config.B + 1)
+        if workers == 1 or config.B == 1:
+            outputs = [run(b) for b in indices]
+        else:
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_state, initargs=state
+            ) as pool:
+                chunk = max(1, config.B // (workers * 4))
+                outputs = list(pool.map(run, indices, chunksize=chunk))
 
-    perm_statistics = np.array([o[0] for o in outputs], dtype=np.float64)
-    perm_statistics.setflags(write=False)
+        perm_statistics = np.array([o[0] for o in outputs], dtype=np.float64)
+        perm_statistics.setflags(write=False)
+
+        # retain diagnostics records: first, second, extremes (or everything);
+        # extreme permutations are recomputed from their streams, so no
+        # per-permutation scores need to be held for the whole run
+        wanted = {*range(1, min(_KEEP_SCORES_UPTO, config.B) + 1),
+                  int(np.argmin(perm_statistics)) + 1,
+                  int(np.argmax(perm_statistics)) + 1}
+        records: dict[int, PermutationRecord] = {}
+        for b in (indices if retain_all else sorted(wanted)):
+            stat_b, scores = outputs[b - 1][:2]
+            if scores is None:
+                stat_b, scores = _one_permutation(b, keep=True)[:2]
+            records[b] = PermutationRecord(b, scores.labels, scores, stat_b)
+    finally:
+        _init_state()  # drop the run's arrays
+
     if log.isEnabledFor(logging.DEBUG):
         for b, out in enumerate(outputs, start=1):
             iters, seconds = out[2]
@@ -255,19 +274,6 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
         config.B, classifier, statistic, config.scheme, iter_total,
         perm_statistics.min(), perm_statistics.max(),
     )
-
-    # retain diagnostics records: first, second, extremes (or everything);
-    # extreme permutations are recomputed from their streams, so no
-    # per-permutation scores need to be held for the whole run
-    wanted = {*range(1, min(_KEEP_SCORES_UPTO, config.B) + 1),
-              int(np.argmin(perm_statistics)) + 1,
-              int(np.argmax(perm_statistics)) + 1}
-    records: dict[int, PermutationRecord] = {}
-    for b in (indices if retain_all else sorted(wanted)):
-        stat_b, scores = outputs[b - 1][:2]
-        if scores is None:
-            stat_b, scores = _one_permutation(b, keep=True)[:2]
-        records[b] = PermutationRecord(b, scores.labels, scores, stat_b)
 
     try:
         z = z_score(perm_statistics, observed_statistic)

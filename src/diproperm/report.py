@@ -324,54 +324,53 @@ def emit_result_json(result: DppResult, path) -> None:
 
 
 def load_result_json(path) -> DppResult:
-    """Rebuild a DppResult from emit_result_json output."""
+    """Rebuild a DppResult from emit_result_json output.
+
+    A missing or malformed field raises ValidationError naming it.
+    """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported schema_version {doc.get('schema_version')!r}"
         )
-    try:
-        cfg = TestConfig(**doc["config"])
-    except TypeError as err:  # a config field missing or unknown
-        raise ValidationError(f"invalid config: {err}") from None
-    direction = Direction(np.array(doc["direction"]["w"]), doc["direction"]["beta"])
-    observed_scores = ProjectionScores(
-        np.array(doc["observed_scores"]["scores"]),
-        np.array(doc["observed_scores"]["labels"]),
-    )
-    records = {}
-    for key, rec in doc["records"].items():
+
+    def field(name, parse):
+        try:
+            return parse(doc[name])
+        except (KeyError, TypeError, ValueError, AttributeError) as err:
+            raise ValidationError(f"result.json field {name!r} missing or "
+                                  f"malformed ({type(err).__name__}: {err})") from None
+
+    def record(key, rec):
         labels = np.array(rec["labels"], dtype=np.int64)
-        records[int(key)] = PermutationRecord(
-            perm_index=int(key),
-            permuted_labels=labels,
-            scores=ProjectionScores(np.array(rec["scores"]), labels),
-            statistic=float(rec["statistic"]),
-        )
+        return PermutationRecord(int(key), labels, ProjectionScores(
+            np.array(rec["scores"]), labels), float(rec["statistic"]))
+
+    direction = field("direction", lambda d: Direction(np.array(d["w"]), d["beta"]))
     model = None
     if doc.get("dwd") is not None:
-        d = doc["dwd"]
-        model = DwdModel(
+        model = field("dwd", lambda d: DwdModel(
             direction=direction, C=d["C"], iterations=d["iterations"],
             objective=d["objective"], kkt_residual=d["kkt_residual"],
             training_error=d["training_error"],
-        )
-    perm_statistics = np.array(doc["perm_statistics"], dtype=np.float64)
+        ))
+    perm_statistics = field("perm_statistics", lambda v: np.array(v, dtype=np.float64))
     perm_statistics.setflags(write=False)
     return DppResult(
-        config=cfg,
+        config=field("config", lambda c: TestConfig(**c)),
         observed_direction=direction,
-        observed_scores=observed_scores,
-        observed_statistic=float(doc["observed_statistic"]),
-        loadings=[
-            Loading(ld["index"], ld["value"], ld.get("name"))
-            for ld in doc["loadings"]
-        ],
+        observed_scores=field("observed_scores", lambda d: ProjectionScores(
+            np.array(d["scores"]), np.array(d["labels"]))),
+        observed_statistic=field("observed_statistic", float),
+        loadings=field("loadings", lambda lds: [
+            Loading(ld["index"], ld["value"], ld.get("name")) for ld in lds
+        ]),
         perm_statistics=perm_statistics,
-        records=records,
-        p_value=float(doc["p_value"]),
-        z_score=math.nan if doc["z_score"] is None else float(doc["z_score"]),
-        cutoff=float(doc["cutoff"]),
+        records=field("records", lambda recs: {
+            int(key): record(key, rec) for key, rec in recs.items()}),
+        p_value=field("p_value", float),
+        z_score=field("z_score", lambda z: math.nan if z is None else float(z)),
+        cutoff=field("cutoff", float),
         observed_model=model,
         feature_names=(
             tuple(doc["feature_names"]) if doc.get("feature_names") else None

@@ -29,6 +29,14 @@ def oracle_objective(X, y, w, beta, C):
     return float(v.sum())
 
 
+def oracle_gradient(X, y, w, beta, C):
+    """Gradient of oracle_objective in w and in beta."""
+    u = y * (X @ w + beta)
+    k = 1.0 / math.sqrt(C)
+    dv = np.where(u >= k, -1.0 / np.where(u >= k, u, k) ** 2, -C)
+    return X.T @ (dv * y), float(dv @ y)
+
+
 def grid_oracle(X, y, C, n_angles=10_000, beta_iters=80):
     """Best objective over a grid of unit directions with beta optimized.
 

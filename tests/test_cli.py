@@ -191,7 +191,7 @@ def test_parser_restates_no_library_choice_or_default(monkeypatch, tmp_path):
 
     seen = []
 
-    def spy(X, y, config, C, tol, max_iter):
+    def spy(X, y, config, C, K, tol, max_iter):
         seen.append((config, tol, max_iter))
         raise Captured
 

@@ -13,7 +13,7 @@ from diproperm.errors import (
     ValidationError,
     ZeroDirectionError,
 )
-from conftest import grid_oracle, make_blobs, oracle_objective
+from conftest import grid_oracle, make_blobs, oracle_gradient, oracle_objective
 
 
 def test_md_unit_difference():
@@ -137,6 +137,25 @@ def test_dwd_matches_grid_oracle_smoke():
         best = grid_oracle(ds.features, ds.labels, C, n_angles=4000)
         assert model.objective <= best + 1e-3
         assert abs(model.objective - best) / best < 1e-3
+
+
+def test_dwd_p_much_greater_than_n_is_certified_optimal():
+    # KKT conditions of min f(w, beta) over ||w|| <= 1 at the returned
+    # unit w: the gradient in w points inward along -w, and f is flat in beta
+    for seed in (0, 1, 2):
+        ds = make_blobs(n=30, p=2000, seed=seed)
+        X, y = ds.features, ds.labels.astype(float)
+        C = dp.penalty_parameter(ds)
+        model = dp.dwd_direction(ds, C=C)
+        w, beta = model.direction.w, model.direction.beta
+        gw, gb = oracle_gradient(X, y, w, beta, C)
+        gnorm = float(np.linalg.norm(gw))
+        assert np.linalg.norm(gw - (gw @ w) * w) <= 1e-4 * gnorm
+        assert gw @ w <= 0.0
+        assert abs(gb) <= 1e-3 * gnorm
+        assert model.objective == pytest.approx(
+            oracle_objective(X, y, w, beta, C), rel=1e-9
+        )
 
 
 def test_dwd_objective_equals_loss_sum():

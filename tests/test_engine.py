@@ -41,7 +41,7 @@ def test_cutoff_examples():
         dp.cutoff([1, 2], 1.5)
 
 
-def test_validation_of_engine_arguments(tmp_path):
+def test_validation_of_engine_arguments(tmp_path, capsys):
     ds = make_blobs(n=10, seed=0)
     with pytest.raises(ValidationError):
         dp.diproperm(ds, classifier="svm")
@@ -55,19 +55,25 @@ def test_validation_of_engine_arguments(tmp_path):
         dp.diproperm(ds, workers=0)
     with pytest.raises(ValidationError):
         dp.TestConfig("dwd", "md", "shuffled", 100, 0, 0.05)
-    # a stored result whose config no run could have produced is refused
+    # a stored result whose config no run could have produced, or with a
+    # field missing or of the wrong type, is refused naming the field
     path = tmp_path / "result.json"
     dp.emit_result_json(run_small(make_blobs(n=12, seed=2), B=25), path)
-    for key, edit in (("classifier", lambda c: c.update(classifier="svm")),
-                      ("alpha", lambda c: c.update(alpha=2)),
-                      ("missing", lambda c: c.pop("seed"))):
+    for key, edit in (("classifier", lambda d: d["config"].update(classifier="svm")),
+                      ("alpha", lambda d: d["config"].update(alpha=2)),
+                      ("seed", lambda d: d["config"].pop("seed")),
+                      ("perm_statistics", lambda d: d.pop("perm_statistics")),
+                      ("records", lambda d: d.update(records=[1, 2]))):
         doc = json.loads(path.read_text())
-        edit(doc["config"])
+        edit(doc)
         tampered = tmp_path / f"{key}.json"
         tampered.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=key):
             dp.load_result_json(tampered)
+        capsys.readouterr()
         assert cli.main(["report", str(tampered), "--out", str(tmp_path / key)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and key in err
 
 
 def test_default_workers_follow_cpu_affinity(monkeypatch):
@@ -198,6 +204,35 @@ def test_permutation_nonconvergence_aborts_with_index():
         )
     assert exc.value.perm_index is not None
     assert 1 <= exc.value.perm_index <= 20
+
+
+def test_run_state_is_released():
+    # the caller's copy of the run state (X, y, K, ...) is dropped when the
+    # run returns or raises
+    ds = make_blobs(n=24, p=2, distance=8.0, std=0.5, seed=10)
+    plan = dp.PermutationPlan("balanced", 20, 1)
+    dp.diproperm(ds, plan, workers=1)
+    assert engine._STATE == ()
+    with pytest.raises(NonConvergedError):
+        dp.diproperm(ds, plan, workers=1, dwd_max_iter=12)
+    assert engine._STATE == ()
+
+
+def test_engine_matches_public_refits_bit_for_bit():
+    # each permutation statistic is what the public per-stage API gives for
+    # that relabeling, at any worker count (p > n: coefficient-space DWD)
+    ds = make_blobs(n=20, p=200, seed=3)
+    plan = dp.PermutationPlan("balanced", 20, 4)
+    C = dp.penalty_parameter(ds)
+    expected = []
+    for b in range(1, plan.B + 1):
+        y_b = dp.permute_labels(ds.labels, plan.scheme, dp.derive_stream(plan.seed, b))
+        ds_b = dp.LabeledDataset(ds.features, y_b)
+        direction = dp.dwd_direction(ds_b, C=C).direction
+        expected.append(dp.stat_md(dp.project(ds_b, direction)))
+    for workers in (1, 2):
+        r = dp.diproperm(ds, plan, workers=workers)
+        assert r.perm_statistics.tolist() == expected
 
 
 def test_dwd_engine_uses_single_penalty(mushrooms):
