@@ -105,22 +105,19 @@ def _parse_label(token: str, row: int | None = None):
     tok = token.strip()
     if tok in _LABEL_TOKENS:
         return _LABEL_TOKENS[tok]
-    raise LabelDomainError(tok)
+    raise LabelDomainError(tok, row)
 
 
 def load_labels(path) -> np.ndarray:
     """Read a labels-only file: one token per line, or one comma-separated row."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    tokens = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        tokens.extend(t for t in line.split(",") if t.strip())
-    if not tokens:
+    labels = [_parse_label(t, row=lineno)
+              for lineno, line in enumerate(text.splitlines(), start=1)
+              for t in line.split(",") if t.strip()]
+    if not labels:
         raise DatasetEmptyError(f"no labels in {path}")
-    return np.array([_parse_label(t) for t in tokens], dtype=np.int64)
+    return np.array(labels, dtype=np.int64)
 
 
 def load_dense(path, has_header: bool = False, label_column=None,

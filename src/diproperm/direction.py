@@ -81,13 +81,6 @@ def _split_classes(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return X[y == -1], X[y == 1]
 
 
-def _oriented(w: np.ndarray, beta: float, X: np.ndarray, y: np.ndarray) -> Direction:
-    scores = X @ w + beta
-    if scores[y == 1].mean() < scores[y == -1].mean():
-        w, beta = -w, -beta
-    return Direction(w, beta)
-
-
 def _md_arrays(X: np.ndarray, y: np.ndarray) -> Direction:
     neg, pos = _split_classes(X, y)
     diff = pos.mean(axis=0) - neg.mean(axis=0)
@@ -222,8 +215,12 @@ def _dwd_arrays(X: np.ndarray, y: np.ndarray, K: np.ndarray, C: float,
     nw = float(np.linalg.norm(w))
     if nw < 1e-12:
         raise ZeroDirectionError("DWD solution collapsed to the zero direction")
-    direction = _oriented(w / nw, beta / nw, X, y)
-    margins = yf * (X @ direction.w + direction.beta)
+    # Kc + beta is X w + beta scaled by nw > 0: it orients the direction
+    # and signs the training margins without an n x p product
+    scores = K @ c + beta
+    sign = -1.0 if scores[y == 1].mean() < scores[y == -1].mean() else 1.0
+    direction = Direction(sign * w / nw, sign * beta / nw)
+    margins = sign * yf * scores
     model = DwdModel(
         direction=direction,
         C=C,

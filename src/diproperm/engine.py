@@ -1,9 +1,11 @@
 """Full direction-projection-permutation test orchestration.
 
 Fits the observed direction, re-fits the classifier on B permuted
-relabelings (in parallel across a worker pool), and summarizes the
-permutation null distribution with a p-value, z-score, and empirical
-critical value.
+relabelings, and summarizes the permutation null distribution with a
+p-value, z-score, and empirical critical value.  Each worker process runs
+one contiguous block of the permutation indices 1..B, and every
+permutation b draws from its own (seed, b) stream, so the answer does
+not depend on the worker count.
 
 Null hypothesis: the two classes are draws from one distribution; it is
 rejected when the observed projected separation is extreme against the
@@ -156,15 +158,6 @@ def cutoff(perm_stats, alpha: float) -> float:
 # Permutations whose scores are always kept: the perm1/perm2 panels.
 _KEEP_SCORES_UPTO = 2
 
-# Worker-side run state (X, y, config, C, K, tol, max_iter), installed once
-# per process by _init_state and cleared in the caller when the run ends.
-_STATE: tuple = ()
-
-
-def _init_state(*state):
-    global _STATE
-    _STATE = state
-
 
 def _fit_and_score(X, y, config, C, K, tol, max_iter):
     """Direction (and DWD model) fit to labels y, its scores and statistic."""
@@ -177,9 +170,12 @@ def _fit_and_score(X, y, config, C, K, tol, max_iter):
     return direction, model, ps, STATISTICS[config.statistic](ps)
 
 
-def _one_permutation(b: int, keep: bool = False):
-    """Stat (and, if kept, scores) for permutation b; pure in (state, b)."""
-    X, y, config, *fit_args = _STATE
+def _one_permutation(state, b: int, keep: bool):
+    """Stat (and, if kept, scores) for permutation b; pure in (state, b).
+
+    `state` is the run's (X, y, config, C, K, tol, max_iter).
+    """
+    X, y, config, *fit_args = state
     t0 = time.perf_counter()
     perm_y = permute_labels(y, config.scheme, derive_stream(config.seed, b))
     try:
@@ -192,6 +188,11 @@ def _one_permutation(b: int, keep: bool = False):
     return stat, ps if keep or b <= _KEEP_SCORES_UPTO else None, telemetry
 
 
+def _permutations(state, indices, keep: bool):
+    """_one_permutation for each index of one block, in order."""
+    return [_one_permutation(state, b, keep) for b in indices]
+
+
 def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
               classifier: str = "dwd", statistic: str = "md",
               alpha: float = 0.05, workers: int | None = None,
@@ -200,10 +201,11 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     """Run the full test and assemble a DppResult.
 
     The DWD penalty C is computed once from the observed data and reused
-    for every permutation re-fit.  Permutations run on `workers`
-    processes (default: the usable cores, per the CPU affinity mask);
-    results are bit-identical for any worker count because each
-    permutation derives its own stream.
+    for every permutation re-fit.  Permutations 1..B are split into
+    min(workers, B) contiguous blocks, one per worker process (default:
+    the usable cores, per the CPU affinity mask); a single block runs in
+    this process.  Results are bit-identical for any worker count because
+    every permutation b draws from its own (seed, b) stream.
     A NonConvergedError on any re-fit aborts the run with that
     permutation's index; no permutation is silently dropped.
     """
@@ -229,36 +231,32 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
      observed_statistic) = _fit_and_score(*state)
     loadings = loadings_of(observed_direction, ds.n_features, ds.feature_names)
 
-    _init_state(*state)
-    try:
-        run = partial(_one_permutation, keep=retain_all)
-        indices = range(1, config.B + 1)
-        if workers == 1 or config.B == 1:
-            outputs = [run(b) for b in indices]
-        else:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_state, initargs=state
-            ) as pool:
-                chunk = max(1, config.B // (workers * 4))
-                outputs = list(pool.map(run, indices, chunksize=chunk))
+    # one contiguous block of indices per worker, in index order
+    n_blocks = min(workers, config.B)
+    bounds = [1 + k * config.B // n_blocks for k in range(n_blocks + 1)]
+    blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    run = partial(_permutations, state, keep=retain_all)
+    if n_blocks == 1:  # in this process: no process start, no state pickle
+        outputs = run(blocks[0])
+    else:
+        with ProcessPoolExecutor(max_workers=n_blocks) as pool:
+            outputs = [out for block in pool.map(run, blocks) for out in block]
 
-        perm_statistics = np.array([o[0] for o in outputs], dtype=np.float64)
-        perm_statistics.setflags(write=False)
+    perm_statistics = np.array([o[0] for o in outputs], dtype=np.float64)
+    perm_statistics.setflags(write=False)
 
-        # retain diagnostics records: first, second, extremes (or everything);
-        # extreme permutations are recomputed from their streams, so no
-        # per-permutation scores need to be held for the whole run
-        wanted = {*range(1, min(_KEEP_SCORES_UPTO, config.B) + 1),
-                  int(np.argmin(perm_statistics)) + 1,
-                  int(np.argmax(perm_statistics)) + 1}
-        records: dict[int, PermutationRecord] = {}
-        for b in (indices if retain_all else sorted(wanted)):
-            stat_b, scores = outputs[b - 1][:2]
-            if scores is None:
-                stat_b, scores = _one_permutation(b, keep=True)[:2]
-            records[b] = PermutationRecord(b, scores.labels, scores, stat_b)
-    finally:
-        _init_state()  # drop the run's arrays
+    # retain diagnostics records: first, second, extremes (or everything);
+    # extreme permutations are recomputed from their streams, so no
+    # per-permutation scores need to be held for the whole run
+    wanted = {*range(1, _KEEP_SCORES_UPTO + 1),
+              int(np.argmin(perm_statistics)) + 1,
+              int(np.argmax(perm_statistics)) + 1}
+    records: dict[int, PermutationRecord] = {}
+    for b in (range(1, config.B + 1) if retain_all else sorted(wanted)):
+        stat_b, scores = outputs[b - 1][:2]
+        if scores is None:
+            stat_b, scores = _one_permutation(state, b, keep=True)[:2]
+        records[b] = PermutationRecord(b, scores.labels, scores, stat_b)
 
     if log.isEnabledFor(logging.DEBUG):
         for b, out in enumerate(outputs, start=1):
@@ -277,7 +275,7 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
 
     try:
         z = z_score(perm_statistics, observed_statistic)
-    except (ZeroVarianceError, EmptyError):
+    except ZeroVarianceError:
         z = math.nan  # degenerate null (constant permutation statistics)
 
     return DppResult(

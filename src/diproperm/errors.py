@@ -30,14 +30,16 @@ class RaggedRowsError(ParseError):
 
 
 class LabelDomainError(ValidationError):
-    """A class label is not -1 or 1."""
+    """A class label is not -1 or 1; carries the 1-based row if from a file."""
 
-    def __init__(self, value):
+    def __init__(self, value, row: int | None = None):
         super().__init__(
             f"class label {value!r} is not in {{-1, 1}}; recode labels to -1/1 "
             "before loading (e.g. map 2 -> -1)"
+            + (f" (row {row})" if row is not None else "")
         )
         self.value = value
+        self.row = row
 
 
 class NonMonotoneIndexError(ParseError):

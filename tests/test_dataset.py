@@ -42,9 +42,17 @@ def test_load_dense_rejects_label_token_2(tmp_path):
     data = tmp_path / "x.csv"
     labels = tmp_path / "y.txt"
     data.write_text("1,0\n0,1\n1,1\n0,0\n")
-    labels.write_text("2\n1\n-1\n1\n")
-    with pytest.raises(LabelDomainError, match="recode"):
+    labels.write_text("-1\n\n1\n2\n1\n")  # line 4: blank lines still count
+    with pytest.raises(LabelDomainError, match=r"recode.*\(row 4\)$") as exc:
         dp.load_dense(data, labels_path=labels)
+    assert exc.value.row == 4
+    labels.write_text("-1, 1, 2, 1\n")  # one comma-separated row
+    with pytest.raises(LabelDomainError, match=r"\(row 1\)$"):
+        dp.load_labels(labels)
+    # a label column: rows are data rows, as for a bad number
+    data.write_text("1,0,-1\n0,1,1\n1,1,2\n0,0,1\n")
+    with pytest.raises(LabelDomainError, match=r"'2' is not in .*\(row 3\)$"):
+        dp.load_dense(data, label_column=2)
 
 
 def test_load_dense_ragged_rows(tmp_path):
@@ -90,8 +98,8 @@ def test_load_sparse_non_monotone(tmp_path):
 
 def test_load_sparse_label_domain(tmp_path):
     f = tmp_path / "x.svm"
-    f.write_text("2 1:1\n")
-    with pytest.raises(LabelDomainError):
+    f.write_text("1 1:1\n2 1:1\n")
+    with pytest.raises(LabelDomainError, match=r"\(row 2\)$"):
         dp.load_sparse(f)
 
 

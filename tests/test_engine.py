@@ -1,7 +1,9 @@
 """Engine orchestration, summary quantities, and determinism tests."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -192,30 +194,48 @@ def test_parallel_determinism_two_workers():
     assert np.array_equal(r1.perm_statistics, r2.perm_statistics)
     assert r1.observed_statistic == r2.observed_statistic
     assert r1.p_value == r2.p_value and r1.cutoff == r2.cutoff
+    # more workers than permutations: one index per block
+    plan = dp.PermutationPlan("unbalanced", 3, 17)
+    r1, r4 = (dp.diproperm(ds, plan, classifier="md", alpha=0.5, workers=w)
+              for w in (1, 4))
+    assert np.array_equal(r1.perm_statistics, r4.perm_statistics)
+    assert r4.records.keys() == r1.records.keys()
+    for b, rec in r4.records.items():
+        assert np.array_equal(rec.permuted_labels, r1.records[b].permuted_labels)
+        assert np.array_equal(rec.scores.scores, r1.records[b].scores.scores)
 
 
 def test_permutation_nonconvergence_aborts_with_index():
-    # observed fit converges from its warm start, permuted re-fits cannot
+    # observed fit converges from its warm start, permuted re-fits cannot;
+    # with 2 workers the error crosses a process boundary
     ds = make_blobs(n=24, p=2, distance=8.0, std=0.5, seed=10)
-    with pytest.raises(NonConvergedError) as exc:
-        dp.diproperm(
-            ds, dp.PermutationPlan("balanced", 20, 1), classifier="dwd",
-            workers=1, dwd_max_iter=12,
-        )
-    assert exc.value.perm_index is not None
-    assert 1 <= exc.value.perm_index <= 20
+    for workers in (1, 2):
+        with pytest.raises(NonConvergedError) as exc:
+            dp.diproperm(
+                ds, dp.PermutationPlan("balanced", 20, 1), classifier="dwd",
+                workers=workers, dwd_max_iter=12,
+            )
+        assert exc.value.perm_index is not None
+        assert 1 <= exc.value.perm_index <= 20
+        assert exc.value.iterations == 12 and exc.value.model is not None
 
 
 def test_run_state_is_released():
-    # the caller's copy of the run state (X, y, K, ...) is dropped when the
-    # run returns or raises
+    # no run's arrays (X, y, K, ...) outlive diproperm(), whether it
+    # returns or raises
     ds = make_blobs(n=24, p=2, distance=8.0, std=0.5, seed=10)
+    features = weakref.ref(ds.features)
     plan = dp.PermutationPlan("balanced", 20, 1)
     dp.diproperm(ds, plan, workers=1)
-    assert engine._STATE == ()
-    with pytest.raises(NonConvergedError):
+    try:  # not pytest.raises: its ExceptionInfo would keep the frames alive
         dp.diproperm(ds, plan, workers=1, dwd_max_iter=12)
-    assert engine._STATE == ()
+    except NonConvergedError:
+        pass
+    else:
+        raise AssertionError("the re-fits were expected not to converge")
+    del ds
+    gc.collect()
+    assert features() is None
 
 
 def test_engine_matches_public_refits_bit_for_bit():
@@ -230,7 +250,7 @@ def test_engine_matches_public_refits_bit_for_bit():
         ds_b = dp.LabeledDataset(ds.features, y_b)
         direction = dp.dwd_direction(ds_b, C=C).direction
         expected.append(dp.stat_md(dp.project(ds_b, direction)))
-    for workers in (1, 2):
+    for workers in (1, 2, 3):  # 3 blocks of 6, 7 and 7
         r = dp.diproperm(ds, plan, workers=workers)
         assert r.perm_statistics.tolist() == expected
 
