@@ -12,7 +12,17 @@ gradient descent with a spectral (Barzilai-Borwein) trial step and
 monotone Armijo backtracking, stopping when the accepted step length
 falls to `tol`.  It runs in coefficient space, w = Xᵀc with c in R^n,
 on the Gram matrix K = X Xᵀ: K is computed once per run (relabeling
-only flips signs), an iteration costs O(n²), memory is O(n² + np).
+only flips signs) and an iteration costs O(n²).
+
+Fits to m label vectors on the same X run as one lockstep batch: each
+round, every unfinished row evaluates its trial point, then accepts it
+or halves its own step.  Rows keep their own step sizes and iteration
+counts, so each row does exactly the iterations it would do alone.  The
+batch is bit-identical to single fits because every per-row reduction
+is a last-axis sum, a stacked dot or a stacked K @ g product, each of
+which gives a row the bits of the single-vector operation; a (m, n) @
+(n, n) matrix product would not.  A single fit is a batch of one.
+Memory is O(n² + np + mn): the rows' w are formed one at a time.
 """
 
 from __future__ import annotations
@@ -136,103 +146,151 @@ def _gram(X: np.ndarray) -> np.ndarray:
     return X @ X.T
 
 
-def _dwd_arrays(X: np.ndarray, y: np.ndarray, K: np.ndarray, C: float,
-                tol: float, max_iter: int, keep_trace: bool = False) -> DwdModel:
+def _mv(K: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """K @ G[i] for each row of G, as a stack of matrix-vector products:
+    row i is bit-identical to K @ G[i], where the GEMM G @ K is not."""
+    return np.matmul(K, G[:, :, None])[:, :, 0]
+
+
+def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A[i] @ B[i] for each row, as a stack of dot products (bit-identical
+    to each single dot, where a summed elementwise product is not)."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
+def _dwd_batch(X: np.ndarray, Y: np.ndarray, K: np.ndarray, C: float,
+               tol: float, max_iter: int, keep_trace: bool = False):
+    """DWD fits of X to each row of the label stack Y (m x n), in lockstep.
+
+    Every row runs the same iteration it would run alone, and its model is
+    bit-identical to a one-row batch.  Yields the DwdModel of each row in
+    row order, raising that row's ZeroDirectionError or NonConvergedError
+    when its turn comes; w is formed only then, so one p-vector is alive
+    at a time.
+    """
     if not (np.isfinite(C) and C > 0.0):
         raise DegenerateScaleError(f"penalty C must be positive and finite, got {C!r}")
     if tol <= 0.0 or max_iter < 1:
         raise ValidationError("tol must be > 0 and max_iter >= 1")
 
-    yf = y.astype(np.float64)
+    Yf = Y.astype(np.float64)
 
     # The iterates stay in the row space of X: w = Xᵀc, ||w||² = c.Kc,
-    # margins y(Kc + beta), and the w-gradient Xᵀ(y gu) has coefficients
-    # g = y gu.  Kc and Kg are updated by linearity alongside c and g.
-    def value(Kc, beta):
-        return float(_loss(yf * (Kc + beta), C, False)[0].sum())
-
-    def value_grad(Kc, beta):
-        v, gu = _loss(yf * (Kc + beta), C, True)
-        g = yf * gu
-        return float(v.sum()), g, K @ g, float(gu @ yf)
+    # margins u = y(Kc + beta), and the w-gradient Xᵀ(y V'(u)) has
+    # coefficients g = y V'(u).  Kc and Kg are updated by linearity
+    # alongside c and g.  All per-row reductions are last-axis sums,
+    # stacked dots and stacked K @ g products, so each row gets the bits
+    # of its single fit.
+    def grad(Ya, gu):  # g = y V'(u), K g and the beta gradient
+        G = Ya * gu
+        return G, _mv(K, G), _dots(gu, Ya)
 
     # warm start from the mean-difference rule when it exists: w = Xᵀc /
     # ||Xᵀc|| for c = y / (size of y's class), class-mean midpoint at 0
-    c = yf / np.where(y == 1, np.sum(y == 1), np.sum(y == -1))
-    nrm = float(np.linalg.norm(X.T @ c))
-    c = c / nrm if nrm >= 1e-12 else np.zeros(len(y))  # zero: means coincide
-    Kc = K @ c
-    beta = -0.5 * float(Kc[y == 1].mean() + Kc[y == -1].mean())
+    c = np.zeros_like(Yf)
+    for c_i, y, yf in zip(c, Y, Yf):
+        c0 = yf / np.where(y == 1, np.sum(y == 1), np.sum(y == -1))
+        nrm = float(np.linalg.norm(X.T @ c0))
+        if nrm >= 1e-12:  # else zero: the class means coincide
+            c_i[:] = c0 / nrm
+    Kc = _mv(K, c)
+    beta = np.array([-0.5 * float(kc[y == 1].mean() + kc[y == -1].mean())
+                     for kc, y in zip(Kc, Y)])
 
-    f, g, Kg, gb = value_grad(Kc, beta)
-    gnorm = math.sqrt(max(float(g @ Kg), 0.0) + gb * gb)
-    t = 1.0 / max(1.0, gnorm)
-    trace = [f]
-    step = math.inf
-    converged = False
-    iterations = 0
+    v, gu = _loss(Yf * (Kc + beta[:, None]), C, True)
+    f = v.sum(axis=1)
+    G, KG, gb = grad(Yf, gu)
+    t = 1.0 / np.maximum(1.0, np.sqrt(np.maximum(_dots(G, KG), 0.0) + gb * gb))
+    traces = [[float(v)] for v in f] if keep_trace else None
+    # each row's c, beta, objective, step length and iterations at its end
+    final = np.empty_like(c), np.empty(len(Y)), np.empty(len(Y)), np.empty(len(Y))
+    final_iters = np.empty(len(Y), dtype=np.int64)
 
-    for iterations in range(1, max_iter + 1):
-        while True:
-            c_t = c - t * g
-            Kc_t = Kc - t * Kg
-            b_t = beta - t * gb
-            nw = math.sqrt(max(float(c_t @ Kc_t), 0.0))
-            if nw > 1.0:
-                c_t = c_t / nw
-                Kc_t = Kc_t / nw
-            Kdc = Kc_t - Kc
-            db = b_t - beta
-            step_sq = max(float((c_t - c) @ Kdc), 0.0) + db * db
-            if step_sq == 0.0:
-                f_t, g_t, Kg_t, gb_t = f, g, Kg, gb
-                break
-            f_t = value(Kc_t, b_t)
-            model = f + float(g @ Kdc) + gb * db + step_sq / (2.0 * t)
-            if f_t <= model and f_t <= f:
-                g_t = None
-                break
-            t *= 0.5
-            if t < 1e-20:  # no float-representable descent left
-                step_sq = 0.0
-                f_t, g_t, Kg_t, gb_t = f, g, Kg, gb
-                break
-
-        step = math.sqrt(step_sq)
-        if g_t is None:
-            f_t, g_t, Kg_t, gb_t = value_grad(Kc_t, b_t)
-            # spectral trial step for the next iteration
-            sy = float((g_t - g) @ Kdc) + (gb_t - gb) * db
-            t = min(max(step_sq / sy, 1e-16), 1e16) if sy > 0.0 else t * 2.0
-        c, Kc, beta, f, g, Kg, gb = c_t, Kc_t, b_t, f_t, g_t, Kg_t, gb_t
+    # Lockstep rounds: each live row evaluates its trial point; accepted
+    # rows take their gradient and spectral (Barzilai-Borwein) step,
+    # rejected rows halve t and retry the same iteration.  A row leaves
+    # when its step length reaches tol or it has run max_iter iterations.
+    rows, Ya = np.arange(len(Y)), Yf
+    iters = np.zeros(len(Y), dtype=np.int64)
+    live = np.ones(len(Y), dtype=bool)
+    while rows.size:
+        tc = t[:, None]
+        c_t = c - tc * G
+        Kc_t = Kc - tc * KG
+        b_t = beta - t * gb
+        nw = np.sqrt(np.maximum(_dots(c_t, Kc_t), 0.0))
+        shrink = np.where(nw > 1.0, nw, 1.0)[:, None]  # x / 1.0 is x
+        c_t /= shrink
+        Kc_t /= shrink
+        Kdc = Kc_t - Kc
+        db = b_t - beta
+        step_sq = np.maximum(_dots(c_t - c, Kdc), 0.0) + db * db
+        v_t, gu_t = _loss(Ya * (Kc_t + b_t[:, None]), C, True)
+        f_t = v_t.sum(axis=1)
+        bound = f + _dots(G, Kdc) + gb * db + step_sq / (2.0 * t)
+        moved = live & (step_sq != 0.0)
+        accept = moved & (f_t <= bound) & (f_t <= f)
+        retry = moved & ~accept
+        t = np.where(retry, t * 0.5, t)
+        stuck = retry & (t < 1e-20)  # no float-representable descent left
+        step_sq[stuck] = 0.0
+        done = (live & ~retry) | stuck  # rows that finish an iteration
+        if not np.count_nonzero(done):
+            continue
+        if np.count_nonzero(accept):
+            G_t, KG_t, gb_t = grad(Ya, gu_t)
+            sy = _dots(G_t - G, Kdc) + (gb_t - gb) * db
+            curved = sy > 0.0
+            spectral = np.minimum(np.maximum(step_sq / np.where(curved, sy, 1.0), 1e-16), 1e16)
+            t = np.where(accept, np.where(curved, spectral, t * 2.0), t)
+            f = np.where(accept, f_t, f)
+            G = np.where(accept[:, None], G_t, G)
+            KG = np.where(accept[:, None], KG_t, KG)
+            gb = np.where(accept, gb_t, gb)
+        c = np.where(done[:, None], c_t, c)
+        Kc = np.where(done[:, None], Kc_t, Kc)
+        beta = np.where(done, b_t, beta)
+        iters += done
+        step = np.sqrt(step_sq)
         if keep_trace:
-            trace.append(f)
-        if step <= tol:
-            converged = True
-            break
+            for r, v in zip(rows[done], f[done]):
+                traces[r].append(float(v))
+        leave = done & ((step <= tol) | (iters == max_iter))
+        if np.count_nonzero(leave):
+            for out, v in zip((*final, final_iters), (c, beta, f, step, iters)):
+                out[rows[leave]] = v[leave]
+            live &= ~leave
+            # finished rows stay, frozen, until half the rows have finished:
+            # O(log m) array sizes instead of m keep the heap from
+            # fragmenting, and frozen rows cost at most what live ones do
+            if 2 * np.count_nonzero(live) <= len(live):
+                rows, Ya, c, Kc, beta, f, G, KG, gb, t, iters, live = (
+                    v[live] for v in (rows, Ya, c, Kc, beta, f, G, KG, gb, t, iters, live))
 
-    w = X.T @ c
-    nw = float(np.linalg.norm(w))
-    if nw < 1e-12:
-        raise ZeroDirectionError("DWD solution collapsed to the zero direction")
-    # Kc + beta is X w + beta scaled by nw > 0: it orients the direction
-    # and signs the training margins without an n x p product
-    scores = K @ c + beta
-    sign = -1.0 if scores[y == 1].mean() < scores[y == -1].mean() else 1.0
-    direction = Direction(sign * w / nw, sign * beta / nw)
-    margins = sign * yf * scores
-    model = DwdModel(
-        direction=direction,
-        C=C,
-        iterations=iterations,
-        objective=f,
-        kkt_residual=step,
-        training_error=float((margins <= 0.0).mean()),
-        objective_trace=tuple(trace) if keep_trace else (),
-    )
-    if not converged:
-        raise NonConvergedError(iterations, step, model=model)
-    return model
+    for i, (y, yf, c, beta, f, step) in enumerate(zip(Y, Yf, *final)):
+        w = X.T @ c
+        nw = float(np.linalg.norm(w))
+        if nw < 1e-12:
+            raise ZeroDirectionError("DWD solution collapsed to the zero direction")
+        # Kc + beta is X w + beta scaled by nw > 0: it orients the direction
+        # and signs the training margins without an n x p product
+        scores = K @ c + beta
+        sign = -1.0 if scores[y == 1].mean() < scores[y == -1].mean() else 1.0
+        direction = Direction(sign * w / nw, sign * beta / nw)
+        del w  # while the row is scored, only direction.w is alive
+        margins = sign * yf * scores
+        model = DwdModel(
+            direction=direction,
+            C=C,
+            iterations=int(final_iters[i]),
+            objective=float(f),
+            kkt_residual=float(step),
+            training_error=float((margins <= 0.0).mean()),
+            objective_trace=tuple(traces[i]) if keep_trace else (),
+        )
+        if not step <= tol:
+            raise NonConvergedError(model.iterations, model.kkt_residual, model=model)
+        yield model
 
 
 def dwd_direction(ds: LabeledDataset, C: float | None = None,
@@ -246,7 +304,8 @@ def dwd_direction(ds: LabeledDataset, C: float | None = None,
     if C is None:
         C = penalty_parameter(ds)
     X = ds.features
-    return _dwd_arrays(X, ds.labels, _gram(X), C, tol, max_iter, keep_trace)
+    return next(_dwd_batch(X, ds.labels[None, :], _gram(X), C, tol, max_iter,
+                           keep_trace))
 
 
 def loadings_of(direction: Direction, loadnum: int | None = None,

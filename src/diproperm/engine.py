@@ -3,9 +3,11 @@
 Fits the observed direction, re-fits the classifier on B permuted
 relabelings, and summarizes the permutation null distribution with a
 p-value, z-score, and empirical critical value.  Each worker process runs
-one contiguous block of the permutation indices 1..B, and every
-permutation b draws from its own (seed, b) stream, so the answer does
-not depend on the worker count.
+one contiguous block of the permutation indices 1..B: it relabels the
+whole block, fits its DWD re-fits as one lockstep batch (direction.
+_dwd_batch, each row bit-identical to a single fit), then scores the
+rows in index order.  Every permutation b draws from its own (seed, b)
+stream, so the answer does not depend on the worker count.
 
 Null hypothesis: the two classes are draws from one distribution; it is
 rejected when the observed projected separation is extreme against the
@@ -31,7 +33,7 @@ from .direction import (
     Direction,
     DwdModel,
     Loading,
-    _dwd_arrays,
+    _dwd_batch,
     _gram,
     _md_arrays,
     loadings_of,
@@ -159,38 +161,44 @@ def cutoff(perm_stats, alpha: float) -> float:
 _KEEP_SCORES_UPTO = 2
 
 
-def _fit_and_score(X, y, config, C, K, tol, max_iter):
-    """Direction (and DWD model) fit to labels y, its scores and statistic."""
+def _fit_and_score(X, labels, config, C, K, tol, max_iter):
+    """(direction, DWD model, scores, statistic) for each label vector in
+    `labels`, in order.  DWD fits them as one lockstep batch and hands
+    them out one at a time, so each is scored before the next w is formed."""
     if config.classifier == "md":
-        direction, model = _md_arrays(X, y), None
+        fits = ((_md_arrays(X, y), None) for y in labels)
     else:
-        model = _dwd_arrays(X, y, K, C, tol, max_iter)
-        direction = model.direction
-    ps = ProjectionScores(X @ direction.w + direction.beta, y)
-    return direction, model, ps, STATISTICS[config.statistic](ps)
-
-
-def _one_permutation(state, b: int, keep: bool):
-    """Stat (and, if kept, scores) for permutation b; pure in (state, b).
-
-    `state` is the run's (X, y, config, C, K, tol, max_iter).
-    """
-    X, y, config, *fit_args = state
-    t0 = time.perf_counter()
-    perm_y = permute_labels(y, config.scheme, derive_stream(config.seed, b))
-    try:
-        _, model, ps, stat = _fit_and_score(X, perm_y, config, *fit_args)
-    except NonConvergedError as err:
-        raise NonConvergedError(
-            err.iterations, err.kkt_residual, model=err.model, perm_index=b
-        ) from None
-    telemetry = (model.iterations if model else 0, time.perf_counter() - t0)
-    return stat, ps if keep or b <= _KEEP_SCORES_UPTO else None, telemetry
+        fits = ((m.direction, m)
+                for m in _dwd_batch(X, np.array(labels), K, C, tol, max_iter))
+    for y, (direction, model) in zip(labels, fits):
+        ps = ProjectionScores(X @ direction.w + direction.beta, y)
+        yield direction, model, ps, STATISTICS[config.statistic](ps)
 
 
 def _permutations(state, indices, keep: bool):
-    """_one_permutation for each index of one block, in order."""
-    return [_one_permutation(state, b, keep) for b in indices]
+    """Statistic, scores (if kept) and solver iterations of each
+    permutation of one block, in index order, and the block's wall time.
+
+    Pure in (state, indices); `state` is the run's (X, y, config, C, K,
+    tol, max_iter).  The block is relabeled at once and re-fit as one
+    batch; a failing re-fit aborts at the lowest failing index.
+    """
+    X, y, config, *fit_args = state
+    t0 = time.perf_counter()
+    labels = [permute_labels(y, config.scheme, derive_stream(config.seed, b))
+              for b in indices]
+    fits = _fit_and_score(X, labels, config, *fit_args)
+    outputs = []
+    for b in indices:
+        try:
+            _, model, ps, stat = next(fits)
+        except NonConvergedError as err:
+            raise NonConvergedError(
+                err.iterations, err.kkt_residual, model=err.model, perm_index=b
+            ) from None
+        outputs.append((stat, ps if keep or b <= _KEEP_SCORES_UPTO else None,
+                        model.iterations if model else 0))
+    return outputs, time.perf_counter() - t0
 
 
 def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
@@ -204,10 +212,12 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     for every permutation re-fit.  Permutations 1..B are split into
     min(workers, B) contiguous blocks, one per worker process (default:
     the usable cores, per the CPU affinity mask); a single block runs in
-    this process.  Results are bit-identical for any worker count because
-    every permutation b draws from its own (seed, b) stream.
-    A NonConvergedError on any re-fit aborts the run with that
-    permutation's index; no permutation is silently dropped.
+    this process.  Each block's DWD re-fits are one lockstep batch whose
+    rows are bit-identical to single fits, and every permutation b draws
+    from its own (seed, b) stream, so results are bit-identical for any
+    worker count.  A NonConvergedError on any re-fit aborts the run with
+    the lowest failing permutation index; no permutation is silently
+    dropped.
     """
     plan = plan or PermutationPlan()
     config = TestConfig(classifier, statistic, plan.scheme, plan.B,
@@ -227,8 +237,8 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     C = penalty_parameter(ds) if classifier == "dwd" else None
     K = _gram(ds.features) if classifier == "dwd" else None
     state = (ds.features, ds.labels, config, C, K, dwd_tol, dwd_max_iter)
-    (observed_direction, observed_model, observed_scores,
-     observed_statistic) = _fit_and_score(*state)
+    (observed_direction, observed_model, observed_scores, observed_statistic) = next(
+        _fit_and_score(ds.features, [ds.labels], *state[2:]))
     loadings = loadings_of(observed_direction, ds.n_features, ds.feature_names)
 
     # one contiguous block of indices per worker, in index order
@@ -237,35 +247,37 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     run = partial(_permutations, state, keep=retain_all)
     if n_blocks == 1:  # in this process: no process start, no state pickle
-        outputs = run(blocks[0])
+        block_outputs = [run(blocks[0])]
     else:
         with ProcessPoolExecutor(max_workers=n_blocks) as pool:
-            outputs = [out for block in pool.map(run, blocks) for out in block]
+            block_outputs = list(pool.map(run, blocks))
+    outputs = [out for block, _ in block_outputs for out in block]
 
     perm_statistics = np.array([o[0] for o in outputs], dtype=np.float64)
     perm_statistics.setflags(write=False)
 
     # retain diagnostics records: first, second, extremes (or everything);
-    # extreme permutations are recomputed from their streams, so no
-    # per-permutation scores need to be held for the whole run
-    wanted = {*range(1, _KEEP_SCORES_UPTO + 1),
-              int(np.argmin(perm_statistics)) + 1,
-              int(np.argmax(perm_statistics)) + 1}
-    records: dict[int, PermutationRecord] = {}
-    for b in (range(1, config.B + 1) if retain_all else sorted(wanted)):
-        stat_b, scores = outputs[b - 1][:2]
-        if scores is None:
-            stat_b, scores = _one_permutation(state, b, keep=True)[:2]
-        records[b] = PermutationRecord(b, scores.labels, scores, stat_b)
+    # extreme permutations are recomputed from their streams (as one
+    # batch), so no per-permutation scores need to be held for the whole run
+    wanted = (range(1, config.B + 1) if retain_all else
+              sorted({*range(1, _KEEP_SCORES_UPTO + 1),
+                      int(np.argmin(perm_statistics)) + 1,
+                      int(np.argmax(perm_statistics)) + 1}))
+    kept = {b: outputs[b - 1][:2] for b in wanted}
+    redo = [b for b, (_, scores) in kept.items() if scores is None]
+    if redo:
+        redone, _ = _permutations(state, redo, keep=True)
+        kept.update((b, out[:2]) for b, out in zip(redo, redone))
+    records = {b: PermutationRecord(b, scores.labels, scores, stat_b)
+               for b, (stat_b, scores) in kept.items()}
 
     if log.isEnabledFor(logging.DEBUG):
-        for b, out in enumerate(outputs, start=1):
-            iters, seconds = out[2]
-            log.debug(
-                "perm %d: statistic=%.6g iterations=%d time=%.4fs",
-                b, out[0], iters, seconds,
-            )
-    iter_total = sum(o[2][0] for o in outputs)
+        for block, (_, seconds) in zip(blocks, block_outputs):
+            log.debug("perms %d-%d: relabeled, re-fit and scored in %.4fs",
+                      block[0], block[-1], seconds)
+        for b, (stat_b, _, iters) in enumerate(outputs, start=1):
+            log.debug("perm %d: statistic=%.6g iterations=%d", b, stat_b, iters)
+    iter_total = sum(o[2] for o in outputs)
     log.info(
         "ran B=%d permutations (%s/%s, scheme=%s): solver iterations "
         "total=%d, statistic range [%.4g, %.4g]",

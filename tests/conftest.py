@@ -75,3 +75,72 @@ def mushrooms():
     from diproperm import mushrooms50
 
     return mushrooms50()
+
+
+# --- the single-problem DWD iteration ---------------------------------------
+# The package fits many label vectors in lockstep.  This is the iteration
+# each of them must follow, written for one problem with scalar step
+# control, so a batched row can be compared with it bit for bit.
+
+def reference_dwd(X, y, C, tol=1e-5, max_iter=5000):
+    """Projected gradient with Barzilai-Borwein trial steps and Armijo
+    backtracking on w = Xᵀc.  Returns the oriented unit w, beta,
+    iterations, objective, final step length, objective trace and
+    whether the step length reached tol."""
+    K = X @ X.T
+    yf = y.astype(np.float64)
+    sqrt_c = math.sqrt(C)
+
+    def loss(Kc, beta):
+        u = yf * (Kc + beta)
+        recip = 1.0 / np.maximum(u, 1.0 / sqrt_c)
+        hi = u >= 1.0 / sqrt_c
+        return np.where(hi, recip, 2.0 * sqrt_c - C * u), np.where(hi, -recip * recip, -C)
+
+    def value_grad(Kc, beta):
+        v, gu = loss(Kc, beta)
+        g = yf * gu
+        return float(v.sum()), g, K @ g, float(gu @ yf)
+
+    c = yf / np.where(y == 1, np.sum(y == 1), np.sum(y == -1))
+    nrm = float(np.linalg.norm(X.T @ c))
+    c = c / nrm if nrm >= 1e-12 else np.zeros(len(y))
+    Kc = K @ c
+    beta = -0.5 * float(Kc[y == 1].mean() + Kc[y == -1].mean())
+    f, g, Kg, gb = value_grad(Kc, beta)
+    t = 1.0 / max(1.0, math.sqrt(max(float(g @ Kg), 0.0) + gb * gb))
+    trace, step, converged = [f], math.inf, False
+    for iterations in range(1, max_iter + 1):
+        while True:
+            c_t, Kc_t, b_t = c - t * g, Kc - t * Kg, beta - t * gb
+            nw = math.sqrt(max(float(c_t @ Kc_t), 0.0))
+            if nw > 1.0:
+                c_t, Kc_t = c_t / nw, Kc_t / nw
+            Kdc, db = Kc_t - Kc, b_t - beta
+            step_sq = max(float((c_t - c) @ Kdc), 0.0) + db * db
+            if step_sq == 0.0:
+                new = f, g, Kg, gb
+                break
+            f_t = float(loss(Kc_t, b_t)[0].sum())
+            if f_t <= f + float(g @ Kdc) + gb * db + step_sq / (2.0 * t) and f_t <= f:
+                new = value_grad(Kc_t, b_t)
+                sy = float((new[1] - g) @ Kdc) + (new[3] - gb) * db
+                t = min(max(step_sq / sy, 1e-16), 1e16) if sy > 0.0 else t * 2.0
+                break
+            t *= 0.5
+            if t < 1e-20:
+                step_sq, new = 0.0, (f, g, Kg, gb)
+                break
+        step = math.sqrt(step_sq)
+        c, Kc, beta = c_t, Kc_t, b_t
+        f, g, Kg, gb = new
+        trace.append(f)
+        if step <= tol:
+            converged = True
+            break
+    w = X.T @ c
+    nw = float(np.linalg.norm(w))
+    scores = K @ c + beta
+    sign = -1.0 if scores[y == 1].mean() < scores[y == -1].mean() else 1.0
+    return (sign * w / nw, sign * beta / nw, iterations, f, step, tuple(trace),
+            converged)

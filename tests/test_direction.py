@@ -13,7 +13,14 @@ from diproperm.errors import (
     ValidationError,
     ZeroDirectionError,
 )
-from conftest import grid_oracle, make_blobs, oracle_gradient, oracle_objective
+from diproperm.direction import _dwd_batch, _gram
+from conftest import (
+    grid_oracle,
+    make_blobs,
+    oracle_gradient,
+    oracle_objective,
+    reference_dwd,
+)
 
 
 def test_md_unit_difference():
@@ -191,6 +198,73 @@ def test_dwd_non_converged_carries_model():
     assert exc.value.iterations == 2
     assert exc.value.model is not None
     assert exc.value.model.direction.w.shape == (2,)
+
+
+def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms):
+    # each row of a lockstep batch is the single-problem iteration, bit for
+    # bit, whether its neighbours stop far earlier or far later than it
+    cases = [
+        (make_blobs(n=12, p=3, distance=1.0, seed=1), 1),
+        (mushrooms, 2),  # its relabelings take ~100 to ~1000 iterations
+        (dp.synthetic_blobs(60, 500, seed=0), 3),
+        (make_blobs(n=100, p=2, distance=3.0, seed=4), 4),
+        (make_blobs(n=200, p=20, distance=2.0, seed=5), 5),
+    ]
+    for ds, seed in cases:
+        X, C = ds.features, dp.penalty_parameter(ds)
+        Y = np.array([ds.labels] + [
+            dp.permute_labels(ds.labels, "unbalanced", dp.derive_stream(seed, b))
+            for b in range(1, 7)])
+        batch = list(_dwd_batch(X, Y, _gram(X), C, 1e-5, 5000, keep_trace=True))
+        iterations = [m.iterations for m in batch]
+        assert max(iterations) >= 2 * min(iterations)
+        for y, m in zip(Y, batch):
+            single = dp.dwd_direction(dp.LabeledDataset(X, y), C=C, keep_trace=True)
+            w, beta, iters, objective, step, trace, converged = reference_dwd(X, y, C)
+            assert converged
+            for fit in (m, single):
+                assert np.array_equal(fit.direction.w, w)
+                assert fit.direction.beta == beta
+                assert fit.iterations == iters and isinstance(fit.iterations, int)
+                assert fit.objective == objective and fit.kkt_residual == step
+                assert fit.objective_trace == trace
+            assert m.training_error == single.training_error
+        # without a trace the fit is the same
+        for m, plain in zip(batch, _dwd_batch(X, Y, _gram(X), C, 1e-5, 5000)):
+            assert plain.objective_trace == ()
+            assert np.array_equal(plain.direction.w, m.direction.w)
+            assert plain.iterations == m.iterations
+
+
+def test_dwd_batch_failures_in_row_order():
+    # rows are handed out in order; the first failing row raises, and its
+    # NonConvergedError carries the single fit's iterations and model
+    A = np.array([[0.1, -0.1], [0.6, 0.1], [-0.5, 0.4], [1.3, 0.9]])
+    X = np.vstack([A, -A])
+    fast = np.array([1, 1, 1, 1, -1, -1, -1, -1])  # converges in 4 iterations
+    slow = np.array([1, 1, 1, -1, -1, -1, -1, 1])  # needs 9
+    no_w = np.array([1, 1, -1, -1, 1, 1, -1, -1])  # symmetric classes: w = 0
+
+    def single(y):
+        return dp.dwd_direction(dp.LabeledDataset(X, y), C=1.0, max_iter=5)
+
+    with pytest.raises(NonConvergedError) as expected:
+        single(slow)
+    with pytest.raises(ZeroDirectionError):
+        single(no_w)
+    raised = []
+    for Y, error in (((fast, slow, no_w), NonConvergedError),
+                     ((fast, no_w, slow), ZeroDirectionError)):
+        rows = _dwd_batch(X, np.array(Y), _gram(X), 1.0, 1e-5, 5)
+        assert np.array_equal(next(rows).direction.w, single(fast).direction.w)
+        with pytest.raises(error) as exc:
+            next(rows)
+        raised.append(exc.value)
+    err, ref = raised[0], expected.value
+    assert err.iterations == ref.iterations == 5
+    assert err.kkt_residual == ref.kkt_residual
+    assert np.array_equal(err.model.direction.w, ref.model.direction.w)
+    assert err.model.objective == ref.model.objective
 
 
 def test_dwd_invalid_parameters():

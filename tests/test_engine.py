@@ -2,7 +2,9 @@
 
 import gc
 import json
+import logging
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -97,6 +99,24 @@ def test_infeasible_balance_warning(caplog):
         caplog.clear()
         run_small(ds, scheme="balanced", B=25)
         assert ("infeasible" in caplog.text) is warned
+
+
+def test_debug_log_times_blocks_and_counts_iterations(caplog):
+    # a block's re-fits run as one batch: one wall time per block, solver
+    # iterations per permutation
+    ds = make_blobs(n=12, seed=3)
+    with caplog.at_level(logging.DEBUG, logger="diproperm.engine"):
+        r = dp.diproperm(ds, dp.PermutationPlan("balanced", 6, 1), alpha=0.5,
+                         workers=2)
+    blocks = [m for m in caplog.messages if m.startswith("perms ")]
+    assert [m.split(":")[0] for m in blocks] == ["perms 1-3", "perms 4-6"]
+    perms = [m for m in caplog.messages if m.startswith("perm ")]
+    assert len(perms) == 6 and "time" not in " ".join(perms)
+    for b, m in enumerate(perms, start=1):
+        y_b = dp.permute_labels(ds.labels, "balanced", dp.derive_stream(1, b))
+        fit = dp.dwd_direction(dp.LabeledDataset(ds.features, y_b),
+                               C=r.observed_model.C)
+        assert m.endswith(f"iterations={fit.iterations}")
 
 
 def run_small(ds, scheme="unbalanced", B=40, seed=1, classifier="md", **kw):
@@ -207,17 +227,34 @@ def test_parallel_determinism_two_workers():
 
 def test_permutation_nonconvergence_aborts_with_index():
     # observed fit converges from its warm start, permuted re-fits cannot;
-    # with 2 workers the error crosses a process boundary
-    ds = make_blobs(n=24, p=2, distance=8.0, std=0.5, seed=10)
-    for workers in (1, 2):
-        with pytest.raises(NonConvergedError) as exc:
-            dp.diproperm(
-                ds, dp.PermutationPlan("balanced", 20, 1), classifier="dwd",
-                workers=workers, dwd_max_iter=12,
-            )
-        assert exc.value.perm_index is not None
-        assert 1 <= exc.value.perm_index <= 20
-        assert exc.value.iterations == 12 and exc.value.model is not None
+    # the run aborts at the lowest failing index with that re-fit's own
+    # error, whatever block (and process) the index falls in: all re-fits
+    # fail at max_iter 12; at 40 only 11, 12, 14 and 20 do, so 11 is in
+    # the second block at 2 and at 3 workers (1-10 | 11-20, 1-6 | 7-13 | 14-20)
+    plan = dp.PermutationPlan("balanced", 20, 1)
+    for seed, max_iter, lowest in ((10, 12, 1), (12, 40, 11)):
+        ds = make_blobs(n=24, p=2, distance=8.0, std=0.5, seed=seed)
+        C = dp.penalty_parameter(ds)
+        for b in range(1, plan.B + 1):  # the first single re-fit that fails
+            y_b = dp.permute_labels(ds.labels, plan.scheme, dp.derive_stream(plan.seed, b))
+            try:
+                dp.dwd_direction(dp.LabeledDataset(ds.features, y_b), C=C,
+                                 max_iter=max_iter)
+            except NonConvergedError as err:
+                expected = b, err
+                break
+        assert expected[0] == lowest
+        for workers in (1, 2, 3):
+            with pytest.raises(NonConvergedError) as exc:
+                dp.diproperm(ds, plan, classifier="dwd", workers=workers,
+                             dwd_max_iter=max_iter)
+            got, (b, ref) = exc.value, expected
+            assert got.perm_index == b
+            assert got.iterations == ref.iterations == max_iter
+            assert got.kkt_residual == ref.kkt_residual
+            assert np.array_equal(got.model.direction.w, ref.model.direction.w)
+            assert got.model.direction.beta == ref.model.direction.beta
+            assert got.model.objective == ref.model.objective
 
 
 def test_run_state_is_released():
@@ -253,6 +290,22 @@ def test_engine_matches_public_refits_bit_for_bit():
     for workers in (1, 2, 3):  # 3 blocks of 6, 7 and 7
         r = dp.diproperm(ds, plan, workers=workers)
         assert r.perm_statistics.tolist() == expected
+
+
+def test_dwd_run_memory_stays_small():
+    # re-fits are batched but handed out one at a time: each w is scored
+    # and dropped before the next is formed, so no per-permutation p-vector
+    # is held for the run (200 of them would take 8 MB here)
+    ds = dp.synthetic_blobs(60, 5000, seed=0)
+    tracemalloc.start()
+    try:
+        dp.diproperm(ds, dp.PermutationPlan("balanced", 200, 0), workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 4.81 MB is the peak of the one-fit-at-a-time engine, set by the
+    # penalty's class copies; the margin is 0.5 MB
+    assert peak <= 4.81e6 + 0.5e6
 
 
 def test_dwd_engine_uses_single_penalty(mushrooms):
