@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--retain-all", action="store_true",
                      help="retain every permutation's scores in the result")
-    run.add_argument("--dwd-tol", type=float, default=lib)
+    run.add_argument("--dwd-tol", type=float, default=lib, help="DWD stopping KKT residual")
     run.add_argument("--dwd-max-iter", type=int, default=lib)
     run.add_argument("--bins", type=int, default=None,
                      help="histogram bin count (default: Freedman-Diaconis)")

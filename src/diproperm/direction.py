@@ -7,22 +7,24 @@ unit ball ||w|| <= 1, where
     V_C(u) = 2 sqrt(C) - C u   for u <  1/sqrt(C)
 
 is the slack-eliminated margin loss: convex, strictly decreasing, and
-continuously differentiable at the knot.  The solver is projected
-gradient descent with a spectral (Barzilai-Borwein) trial step and
-monotone Armijo backtracking, stopping when the accepted step length
-falls to `tol`.  It runs in coefficient space, w = Xᵀc with c in R^n,
-on the Gram matrix K = X Xᵀ: K is computed once per run (relabeling
-only flips signs) and an iteration costs O(n²).
+continuously differentiable at the knot.  K = X Xᵀ = Z Zᵀ is factored
+once per run (pivoted Cholesky to the rank r of X; relabeling only flips
+signs); with w = Xᵀ P a, X w = Z a and ||w|| = ||a||, so a fit has
+r + 1 <= n + 1 unknowns (a, beta) whatever p.  The solver is semismooth
+Newton on them (V_C'' = 2/u³ above the knot, 0 below): the bordered KKT
+system on the sphere ||a|| = 1 while its multiplier is positive, else
+the plain Newton system, then an Armijo step rescaled into the ball.  It
+stops when the KKT residual (tangential gradient, d/d beta and
+complementarity, for the problem rescaled to C = 1) falls to `tol`.
 
 Fits to m label vectors on the same X run as one lockstep batch: each
-round, every unfinished row evaluates its trial point, then accepts it
-or halves its own step.  Rows keep their own step sizes and iteration
-counts, so each row does exactly the iterations it would do alone.  The
-batch is bit-identical to single fits because every per-row reduction
-is a last-axis sum, a stacked dot or a stacked K @ g product, each of
-which gives a row the bits of the single-vector operation; a (m, n) @
-(n, n) matrix product would not.  A single fit is a batch of one.
-Memory is O(n² + np + mn): the rows' w are formed one at a time.
+round, every unfinished row takes its own Newton step, so each row does
+exactly the iterations it would do alone.  The batch is bit-identical to
+single fits because every per-row product is a stacked np.matmul or
+np.linalg.solve and every per-row reduction a last-axis sum, each of
+which gives a row the bits of its single operation.  A single fit is a
+batch of one.  Memory is O(n² + np + mn): the Newton systems are built a
+bounded chunk of rows at a time, and the rows' w one at a time.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import (
     ZeroDirectionError,
 )
 
-DEFAULT_TOL = 1e-5
+DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 5000
 
 
@@ -87,12 +89,8 @@ class Loading(NamedTuple):
     name: str | None = None
 
 
-def _split_classes(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return X[y == -1], X[y == 1]
-
-
 def _md_arrays(X: np.ndarray, y: np.ndarray) -> Direction:
-    neg, pos = _split_classes(X, y)
+    neg, pos = X[y == -1], X[y == 1]
     diff = pos.mean(axis=0) - neg.mean(axis=0)
     nrm = float(np.linalg.norm(diff))
     if nrm < 1e-12:
@@ -109,11 +107,12 @@ def md_direction(ds: LabeledDataset) -> Direction:
 
 def penalty_parameter(ds: LabeledDataset) -> float:
     """Scale-adaptive DWD penalty: C = 100 / median between-class distance^2."""
-    neg, pos = _split_classes(ds.features, ds.labels)
+    X, y = ds.features, ds.labels
+    pos, neg = X[y == 1], np.flatnonzero(y == -1)  # only one class copied
     sq = np.empty((len(neg), len(pos)))
-    for i, a in enumerate(neg):  # one row at a time: O(n- n+ + n+ p) memory
-        d = pos - a
-        sq[i] = np.einsum("jk,jk->j", d, d)
+    for k, i in enumerate(neg):  # one row at a time: O(n- n+ + n+ p) memory
+        d = pos - X[i]
+        sq[k] = np.einsum("jk,jk->j", d, d)
     med = float(np.median(np.sqrt(sq)))
     if med < 1e-12:
         raise DegenerateScaleError("all between-class distances are ~0")
@@ -140,155 +139,153 @@ def dwd_loss_grad(u, C: float):
     return _loss(np.asarray(u, dtype=np.float64), C, True)[1]
 
 
-def _gram(X: np.ndarray) -> np.ndarray:
-    """K = X Xᵀ, shared by every DWD fit on X whatever its labels; one
-    product of X with itself (numpy's syrk), so every caller gets its bits."""
-    return X @ X.T
+def _factor(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K = X Xᵀ = Z Zᵀ by Cholesky with diagonal pivoting, stopped at the
+    numerical rank r: Z is n x r, and P (n x r, nonzero on the r pivot
+    rows) makes w = Xᵀ P a satisfy X w = Z a and ||w|| = ||a||.  Shared by
+    every DWD fit on X whatever its labels."""
+    K = X @ X.T
+    d, Z, piv = K.diagonal().copy(), np.zeros_like(K), []
+    floor = len(K) * np.finfo(np.float64).eps * d.max()
+    while d.max() > floor:
+        i, j = int(np.argmax(d)), len(piv)
+        Z[:, j] = (K[:, i] - Z[:, :j] @ Z[i, :j]) / math.sqrt(d[i])
+        d -= Z[:, j] * Z[:, j]
+        piv.append(i)
+        d[piv] = 0.0
+    Z = Z[:, :len(piv)].copy()  # C order, as in any process it is sent to
+    P = np.zeros_like(Z)
+    P[piv] = np.linalg.inv(Z[piv]).T
+    return Z, P
 
 
-def _mv(K: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """K @ G[i] for each row of G, as a stack of matrix-vector products:
-    row i is bit-identical to K @ G[i], where the GEMM G @ K is not."""
-    return np.matmul(K, G[:, :, None])[:, :, 0]
-
-
-def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A[i] @ B[i] for each row, as a stack of dot products (bit-identical
-    to each single dot, where a summed elementwise product is not)."""
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
-
-
-def _dwd_batch(X: np.ndarray, Y: np.ndarray, K: np.ndarray, C: float,
+def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
                tol: float, max_iter: int, keep_trace: bool = False):
     """DWD fits of X to each row of the label stack Y (m x n), in lockstep.
 
-    Every row runs the same iteration it would run alone, and its model is
-    bit-identical to a one-row batch.  Yields the DwdModel of each row in
-    row order, raising that row's ZeroDirectionError or NonConvergedError
-    when its turn comes; w is formed only then, so one p-vector is alive
-    at a time.
+    `factors` is _factor(X).  Each row's model is bit-identical to a
+    one-row batch.  Yields the DwdModel of each row in row order, raising
+    that row's ZeroDirectionError or NonConvergedError when its turn
+    comes; w is formed only then, so one p-vector is alive at a time.
     """
     if not (np.isfinite(C) and C > 0.0):
         raise DegenerateScaleError(f"penalty C must be positive and finite, got {C!r}")
     if tol <= 0.0 or max_iter < 1:
         raise ValidationError("tol must be > 0 and max_iter >= 1")
 
+    Z, P = factors
+    n, r = Z.shape
+    root_c = math.sqrt(C)
+    # Iterate on x = (a, b), w = Xᵀ P a, beta = b / sqrt(C): the margins
+    # are y Z1 x / sqrt(C) for Z1 = [sqrt(C) Z, 1], and since
+    # V_C(u) = sqrt(C) V_1(sqrt(C) u) the problem is the C = 1 one on Z1
+    # over ||a|| <= 1, which no rescaling of X changes.
+    Z1 = np.hstack([root_c * Z, np.ones((n, 1))])
     Yf = Y.astype(np.float64)
+    # rows whose Newton systems are built and solved at once: ~256 kB of
+    # stacked matrices, so solver memory does not grow with the batch
+    chunk = max(1, (1 << 18) // (8 * (r + 2) * (n + r + 2)))
 
-    # The iterates stay in the row space of X: w = Xᵀc, ||w||² = c.Kc,
-    # margins u = y(Kc + beta), and the w-gradient Xᵀ(y V'(u)) has
-    # coefficients g = y V'(u).  Kc and Kg are updated by linearity
-    # alongside c and g.  All per-row reductions are last-axis sums,
-    # stacked dots and stacked K @ g products, so each row gets the bits
-    # of its single fit.
-    def grad(Ya, gu):  # g = y V'(u), K g and the beta gradient
-        G = Ya * gu
-        return G, _mv(K, G), _dots(gu, Ya)
+    def scores(x):  # Z1 x of each row
+        return np.matmul(Z1, x[:, :, None])[:, :, 0]
 
-    # warm start from the mean-difference rule when it exists: w = Xᵀc /
-    # ||Xᵀc|| for c = y / (size of y's class), class-mean midpoint at 0
-    c = np.zeros_like(Yf)
-    for c_i, y, yf in zip(c, Y, Yf):
-        c0 = yf / np.where(y == 1, np.sum(y == 1), np.sum(y == -1))
-        nrm = float(np.linalg.norm(X.T @ c0))
-        if nrm >= 1e-12:  # else zero: the class means coincide
-            c_i[:] = c0 / nrm
-    Kc = _mv(K, c)
-    beta = np.array([-0.5 * float(kc[y == 1].mean() + kc[y == -1].mean())
-                     for kc, y in zip(Kc, Y)])
+    def at(x, Ya):  # objective, gradient, V_1'' and KKT residual
+        u = Ya * scores(x)
+        v, gu = _loss(u, 1.0, True)
+        hi = u >= 1.0
+        curv = np.where(hi, -2.0 * gu / np.maximum(u, 1.0), 0.0)  # 2/u³
+        G = np.matmul((Ya * gu)[:, None, :], Z1)[:, 0, :]
+        a, ga, gb = x[:, :r], G[:, :r], G[:, r]
+        lam = np.maximum(-(a * ga).sum(axis=1), 0.0)  # multiplier of the ball
+        na = np.sqrt((a * a).sum(axis=1))
+        tangent = ga + lam[:, None] * a
+        res = np.sqrt((tangent * tangent).sum(axis=1) + gb * gb
+                      + (lam * (1.0 - na)) ** 2)
+        return v.sum(axis=1), G, curv, lam, na, res
 
-    v, gu = _loss(Yf * (Kc + beta[:, None]), C, True)
-    f = v.sum(axis=1)
-    G, KG, gb = grad(Yf, gu)
-    t = 1.0 / np.maximum(1.0, np.sqrt(np.maximum(_dots(G, KG), 0.0) + gb * gb))
-    traces = [[float(v)] for v in f] if keep_trace else None
-    # each row's c, beta, objective, step length and iterations at its end
-    final = np.empty_like(c), np.empty(len(Y)), np.empty(len(Y)), np.empty(len(Y))
-    final_iters = np.empty(len(Y), dtype=np.int64)
+    def newton(x, G, curv, lam, na, res):
+        # rows on the sphere with lam > 0 solve the bordered KKT system
+        # [[H + lam I, a], [aᵀ, 0]] (H the Hessian in x), the others the
+        # plain Newton system; both shifted by res on the diagonal, so a
+        # direction of zero curvature (linear loss) still has a bounded step
+        on = (na > 1.0 - 1e-9) & (lam > 0.0)
+        M = np.zeros((len(x), r + 2, r + 2))
+        M[:, :r + 1, :r + 1] = np.matmul(Z1.T * curv[:, None, :], Z1)
+        i = np.arange(r + 1)
+        M[:, i, i] += res[:, None]
+        M[:, i[:r], i[:r]] += np.where(on, lam, 0.0)[:, None]
+        M[:, :r, r + 1] = M[:, r + 1, :r] = np.where(on[:, None], x[:, :r], 0.0)
+        M[:, r + 1, r + 1] = np.where(on, 0.0, 1.0)
+        rhs = np.concatenate([-G, np.zeros((len(x), 1))], axis=1)[:, :, None]
+        return np.linalg.solve(M, rhs)[:, :r + 1, 0]
 
-    # Lockstep rounds: each live row evaluates its trial point; accepted
-    # rows take their gradient and spectral (Barzilai-Borwein) step,
-    # rejected rows halve t and retry the same iteration.  A row leaves
-    # when its step length reaches tol or it has run max_iter iterations.
-    rows, Ya = np.arange(len(Y)), Yf
+    # warm start from the mean-difference rule when it exists: a = Zᵀc /
+    # ||Zᵀc|| for c = y / (size of y's class), class-mean midpoint at 0
+    pos = Y == 1
+    n_pos, n_neg = pos.sum(axis=1), (~pos).sum(axis=1)
+    c = Yf / np.where(pos, n_pos[:, None], n_neg[:, None])
+    A = np.matmul(c[:, None, :], Z)[:, 0, :]
+    nrm = np.sqrt((A * A).sum(axis=1, keepdims=True))
+    x = np.zeros((len(Y), r + 1))
+    x[:, :r] = A / np.where(nrm >= 1e-12, nrm, np.inf)  # a = 0 if the means coincide
+    s = scores(x)
+    x[:, r] = -0.5 * ((s * pos).sum(axis=1) / n_pos + (s * ~pos).sum(axis=1) / n_neg)
+
+    # Lockstep rounds: each live row takes a Newton direction, then an
+    # Armijo step along it (halving from 1), with a rescaled into the ball
+    # (on the sphere, a retraction).  A row leaves when its KKT residual
+    # reaches tol, after max_iter iterations, or when no step decreases f.
+    state = [x, *at(x, Yf)]  # x, f, G, curv, lam, na, res of every row
+    traces = [[root_c * float(v)] for v in state[1]] if keep_trace else None
     iters = np.zeros(len(Y), dtype=np.int64)
-    live = np.ones(len(Y), dtype=bool)
-    while rows.size:
-        tc = t[:, None]
-        c_t = c - tc * G
-        Kc_t = Kc - tc * KG
-        b_t = beta - t * gb
-        nw = np.sqrt(np.maximum(_dots(c_t, Kc_t), 0.0))
-        shrink = np.where(nw > 1.0, nw, 1.0)[:, None]  # x / 1.0 is x
-        c_t /= shrink
-        Kc_t /= shrink
-        Kdc = Kc_t - Kc
-        db = b_t - beta
-        step_sq = np.maximum(_dots(c_t - c, Kdc), 0.0) + db * db
-        v_t, gu_t = _loss(Ya * (Kc_t + b_t[:, None]), C, True)
-        f_t = v_t.sum(axis=1)
-        bound = f + _dots(G, Kdc) + gb * db + step_sq / (2.0 * t)
-        moved = live & (step_sq != 0.0)
-        accept = moved & (f_t <= bound) & (f_t <= f)
-        retry = moved & ~accept
-        t = np.where(retry, t * 0.5, t)
-        stuck = retry & (t < 1e-20)  # no float-representable descent left
-        step_sq[stuck] = 0.0
-        done = (live & ~retry) | stuck  # rows that finish an iteration
-        if not np.count_nonzero(done):
-            continue
-        if np.count_nonzero(accept):
-            G_t, KG_t, gb_t = grad(Ya, gu_t)
-            sy = _dots(G_t - G, Kdc) + (gb_t - gb) * db
-            curved = sy > 0.0
-            spectral = np.minimum(np.maximum(step_sq / np.where(curved, sy, 1.0), 1e-16), 1e16)
-            t = np.where(accept, np.where(curved, spectral, t * 2.0), t)
-            f = np.where(accept, f_t, f)
-            G = np.where(accept[:, None], G_t, G)
-            KG = np.where(accept[:, None], KG_t, KG)
-            gb = np.where(accept, gb_t, gb)
-        c = np.where(done[:, None], c_t, c)
-        Kc = np.where(done[:, None], Kc_t, Kc)
-        beta = np.where(done, b_t, beta)
-        iters += done
-        step = np.sqrt(step_sq)
+    stuck = np.zeros(len(Y), dtype=bool)
+    live = np.arange(len(Y))
+    while True:
+        live = live[(state[-1][live] > tol) & (iters[live] < max_iter) & ~stuck[live]]
+        if not live.size:
+            break
+        now = [v[live] for v in state]
+        x, f, G = now[:3]
+        D = np.concatenate([newton(*(v[k:k + chunk] for v in now[:1] + now[2:]))
+                            for k in range(0, live.size, chunk)])
+        slope = (G * D).sum(axis=1)
+        t = np.ones(live.size)
+        todo = np.arange(live.size)
+        while todo.size:
+            x_t = x[todo] + t[todo, None] * D[todo]
+            a_t = x_t[:, :r]
+            a_t /= np.maximum(np.sqrt((a_t * a_t).sum(axis=1)), 1.0)[:, None]
+            trial = (x_t, *at(x_t, Yf[live[todo]]))
+            # Armijo up to rounding in f: near the optimum a Newton step
+            # lowers f by less than f's own rounding error
+            ok = trial[1] <= f[todo] * (1.0 + 1e-13) + 1e-4 * t[todo] * slope[todo]
+            for out, v in zip(state, trial):
+                out[live[todo[ok]]] = v[ok]
+            todo = todo[~ok]
+            t[todo] *= 0.5
+            stuck[live[todo]] = t[todo] < 1e-12  # no representable descent left
+            todo = todo[t[todo] >= 1e-12]
+        moved = live[~stuck[live]]
+        iters[moved] += 1
         if keep_trace:
-            for r, v in zip(rows[done], f[done]):
-                traces[r].append(float(v))
-        leave = done & ((step <= tol) | (iters == max_iter))
-        if np.count_nonzero(leave):
-            for out, v in zip((*final, final_iters), (c, beta, f, step, iters)):
-                out[rows[leave]] = v[leave]
-            live &= ~leave
-            # finished rows stay, frozen, until half the rows have finished:
-            # O(log m) array sizes instead of m keep the heap from
-            # fragmenting, and frozen rows cost at most what live ones do
-            if 2 * np.count_nonzero(live) <= len(live):
-                rows, Ya, c, Kc, beta, f, G, KG, gb, t, iters, live = (
-                    v[live] for v in (rows, Ya, c, Kc, beta, f, G, KG, gb, t, iters, live))
+            for row in moved:
+                traces[row].append(root_c * float(state[1][row]))
 
-    for i, (y, yf, c, beta, f, step) in enumerate(zip(Y, Yf, *final)):
-        w = X.T @ c
+    for i, (y, yf, x, f, res) in enumerate(zip(Y, Yf, state[0], state[1], state[-1])):
+        w = X.T @ (P @ x[:r])
         nw = float(np.linalg.norm(w))
         if nw < 1e-12:
             raise ZeroDirectionError("DWD solution collapsed to the zero direction")
-        # Kc + beta is X w + beta scaled by nw > 0: it orients the direction
+        # Z1 x is X w + beta scaled by sqrt(C) > 0: it orients the direction
         # and signs the training margins without an n x p product
-        scores = K @ c + beta
-        sign = -1.0 if scores[y == 1].mean() < scores[y == -1].mean() else 1.0
-        direction = Direction(sign * w / nw, sign * beta / nw)
+        s = Z1 @ x
+        sign = -1.0 if s[y == 1].mean() < s[y == -1].mean() else 1.0
+        direction = Direction(sign * w / nw, sign * (x[r] / root_c) / nw)
         del w  # while the row is scored, only direction.w is alive
-        margins = sign * yf * scores
-        model = DwdModel(
-            direction=direction,
-            C=C,
-            iterations=int(final_iters[i]),
-            objective=float(f),
-            kkt_residual=float(step),
-            training_error=float((margins <= 0.0).mean()),
-            objective_trace=tuple(traces[i]) if keep_trace else (),
-        )
-        if not step <= tol:
+        model = DwdModel(direction, C, int(iters[i]), root_c * float(f), float(res),
+                         training_error=float((sign * yf * s <= 0.0).mean()),
+                         objective_trace=tuple(traces[i]) if keep_trace else ())
+        if not res <= tol:
             raise NonConvergedError(model.iterations, model.kkt_residual, model=model)
         yield model
 
@@ -298,13 +295,13 @@ def dwd_direction(ds: LabeledDataset, C: float | None = None,
                   keep_trace: bool = False) -> DwdModel:
     """Fit the DWD classifier; C defaults to penalty_parameter(ds).
 
-    Raises NonConvergedError (with the partial model attached) if the
-    step-length tolerance is not reached within max_iter iterations.
+    Raises NonConvergedError (with the partial model attached) if the KKT
+    residual does not reach `tol` within max_iter iterations.
     """
     if C is None:
         C = penalty_parameter(ds)
     X = ds.features
-    return next(_dwd_batch(X, ds.labels[None, :], _gram(X), C, tol, max_iter,
+    return next(_dwd_batch(X, ds.labels[None, :], _factor(X), C, tol, max_iter,
                            keep_trace))
 
 

@@ -4,10 +4,12 @@ Fits the observed direction, re-fits the classifier on B permuted
 relabelings, and summarizes the permutation null distribution with a
 p-value, z-score, and empirical critical value.  Each worker process runs
 one contiguous block of the permutation indices 1..B: it relabels the
-whole block, fits its DWD re-fits as one lockstep batch (direction.
-_dwd_batch, each row bit-identical to a single fit), then scores the
-rows in index order.  Every permutation b draws from its own (seed, b)
-stream, so the answer does not depend on the worker count.
+whole block, fits its DWD re-fits as one lockstep batch of Newton solves
+(direction._dwd_batch, each row bit-identical to a single fit), then
+scores the rows in index order, keeping the scores of its first minimum
+and maximum statistic for the run's extreme records.  Every permutation
+b draws from its own (seed, b) stream, so the answer does not depend on
+the worker count.
 
 Null hypothesis: the two classes are draws from one distribution; it is
 rejected when the observed projected separation is extreme against the
@@ -34,7 +36,7 @@ from .direction import (
     DwdModel,
     Loading,
     _dwd_batch,
-    _gram,
+    _factor,
     _md_arrays,
     loadings_of,
     penalty_parameter,
@@ -161,7 +163,7 @@ def cutoff(perm_stats, alpha: float) -> float:
 _KEEP_SCORES_UPTO = 2
 
 
-def _fit_and_score(X, labels, config, C, K, tol, max_iter):
+def _fit_and_score(X, labels, config, C, factors, tol, max_iter):
     """(direction, DWD model, scores, statistic) for each label vector in
     `labels`, in order.  DWD fits them as one lockstep batch and hands
     them out one at a time, so each is scored before the next w is formed."""
@@ -169,27 +171,28 @@ def _fit_and_score(X, labels, config, C, K, tol, max_iter):
         fits = ((_md_arrays(X, y), None) for y in labels)
     else:
         fits = ((m.direction, m)
-                for m in _dwd_batch(X, np.array(labels), K, C, tol, max_iter))
+                for m in _dwd_batch(X, np.array(labels), factors, C, tol, max_iter))
     for y, (direction, model) in zip(labels, fits):
         ps = ProjectionScores(X @ direction.w + direction.beta, y)
         yield direction, model, ps, STATISTICS[config.statistic](ps)
 
 
 def _permutations(state, indices, keep: bool):
-    """Statistic, scores (if kept) and solver iterations of each
-    permutation of one block, in index order, and the block's wall time.
+    """Statistic, scores and solver iterations of each permutation of one
+    block, in index order, and the block's wall time.  Scores are kept if
+    `keep`, for perm1/perm2, and for the block's first minimum and maximum.
 
-    Pure in (state, indices); `state` is the run's (X, y, config, C, K,
-    tol, max_iter).  The block is relabeled at once and re-fit as one
-    batch; a failing re-fit aborts at the lowest failing index.
+    Pure in (state, indices); `state` is the run's (X, y, config, C,
+    factors, tol, max_iter).  The block is relabeled at once and re-fit as
+    one batch; a failing re-fit aborts at the lowest failing index.
     """
     X, y, config, *fit_args = state
     t0 = time.perf_counter()
     labels = [permute_labels(y, config.scheme, derive_stream(config.seed, b))
               for b in indices]
     fits = _fit_and_score(X, labels, config, *fit_args)
-    outputs = []
-    for b in indices:
+    outputs, lo, hi = [], None, None
+    for i, b in enumerate(indices):
         try:
             _, model, ps, stat = next(fits)
         except NonConvergedError as err:
@@ -198,6 +201,10 @@ def _permutations(state, indices, keep: bool):
             ) from None
         outputs.append((stat, ps if keep or b <= _KEEP_SCORES_UPTO else None,
                         model.iterations if model else 0))
+        lo = lo if lo and lo[0] <= stat else (stat, ps, i)  # first minimum
+        hi = hi if hi and hi[0] >= stat else (stat, ps, i)  # first maximum
+    for stat, ps, i in (lo, hi):
+        outputs[i] = stat, ps, outputs[i][2]
     return outputs, time.perf_counter() - t0
 
 
@@ -235,8 +242,8 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
             *ds.class_counts(),
         )
     C = penalty_parameter(ds) if classifier == "dwd" else None
-    K = _gram(ds.features) if classifier == "dwd" else None
-    state = (ds.features, ds.labels, config, C, K, dwd_tol, dwd_max_iter)
+    factors = _factor(ds.features) if classifier == "dwd" else None
+    state = (ds.features, ds.labels, config, C, factors, dwd_tol, dwd_max_iter)
     (observed_direction, observed_model, observed_scores, observed_statistic) = next(
         _fit_and_score(ds.features, [ds.labels], *state[2:]))
     loadings = loadings_of(observed_direction, ds.n_features, ds.feature_names)
@@ -257,19 +264,13 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     perm_statistics.setflags(write=False)
 
     # retain diagnostics records: first, second, extremes (or everything);
-    # extreme permutations are recomputed from their streams (as one
-    # batch), so no per-permutation scores need to be held for the whole run
+    # each global extreme is its block's first one, whose scores it kept
     wanted = (range(1, config.B + 1) if retain_all else
               sorted({*range(1, _KEEP_SCORES_UPTO + 1),
                       int(np.argmin(perm_statistics)) + 1,
                       int(np.argmax(perm_statistics)) + 1}))
-    kept = {b: outputs[b - 1][:2] for b in wanted}
-    redo = [b for b, (_, scores) in kept.items() if scores is None]
-    if redo:
-        redone, _ = _permutations(state, redo, keep=True)
-        kept.update((b, out[:2]) for b, out in zip(redo, redone))
-    records = {b: PermutationRecord(b, scores.labels, scores, stat_b)
-               for b, (stat_b, scores) in kept.items()}
+    records = {b: PermutationRecord(b, outputs[b - 1][1].labels, outputs[b - 1][1],
+                                    outputs[b - 1][0]) for b in wanted}
 
     if log.isEnabledFor(logging.DEBUG):
         for block, (_, seconds) in zip(blocks, block_outputs):

@@ -83,7 +83,7 @@ class PanelUnavailableError(DppError):
 
 
 class NonConvergedError(DppError):
-    """Solver hit its iteration cap before reaching the tolerance.
+    """Solver stopped (iteration cap, no descent left) short of its tolerance.
 
     The partially-converged model is attached for inspection; engines
     propagate the failing permutation index when a re-fit fails.

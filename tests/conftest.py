@@ -82,65 +82,92 @@ def mushrooms():
 # each of them must follow, written for one problem with scalar step
 # control, so a batched row can be compared with it bit for bit.
 
-def reference_dwd(X, y, C, tol=1e-5, max_iter=5000):
-    """Projected gradient with Barzilai-Borwein trial steps and Armijo
-    backtracking on w = Xᵀc.  Returns the oriented unit w, beta,
-    iterations, objective, final step length, objective trace and
-    whether the step length reached tol."""
-    K = X @ X.T
+def reference_dwd(X, y, C, tol, max_iter=5000):
+    """Newton's method on the coefficients (a, b) of a factor K = Z Zᵀ:
+    bordered KKT steps on the sphere ||a|| = 1 while its multiplier is
+    positive, plain Newton steps otherwise, an Armijo step rescaled into
+    the ball, stopping on the KKT residual.  Returns the oriented unit w,
+    beta, iterations, objective, KKT residual, objective trace, whether
+    the residual reached tol, and ||w|| at the solution (1 on the sphere;
+    w and beta are the solution's divided by it)."""
+    K = X @ X.T  # = Z Zᵀ, by Cholesky with diagonal pivoting to the rank r
+    n, d, piv = len(K), K.diagonal().copy(), []
+    Z = np.zeros((n, n))
+    for j in range(n):
+        i = int(np.argmax(d))
+        if d[i] <= n * np.finfo(np.float64).eps * K.diagonal().max():
+            break
+        Z[:, j] = (K[:, i] - Z[:, :j] @ Z[i, :j]) / math.sqrt(d[i])
+        d -= Z[:, j] * Z[:, j]
+        piv.append(i)
+        d[piv] = 0.0
+    r = len(piv)
+    Z = Z[:, :r].copy()
+    P = np.zeros((n, r))
+    P[piv] = np.linalg.inv(Z[piv]).T  # w = Xᵀ P a: X w = Z a, ||w|| = ||a||
+    root_c = math.sqrt(C)
+    Z1 = np.hstack([root_c * Z, np.ones((n, 1))])
     yf = y.astype(np.float64)
-    sqrt_c = math.sqrt(C)
 
-    def loss(Kc, beta):
-        u = yf * (Kc + beta)
-        recip = 1.0 / np.maximum(u, 1.0 / sqrt_c)
-        hi = u >= 1.0 / sqrt_c
-        return np.where(hi, recip, 2.0 * sqrt_c - C * u), np.where(hi, -recip * recip, -C)
+    def at(x):  # f, gradient, V_1'', ball multiplier, ||a||, KKT residual
+        u = yf * (Z1 @ x)
+        hi = u >= 1.0
+        recip = 1.0 / np.maximum(u, 1.0)
+        gu = np.where(hi, -recip * recip, -1.0)
+        v = np.where(hi, recip, 2.0 - u)
+        curv = np.where(hi, -2.0 * gu / np.maximum(u, 1.0), 0.0)
+        g = (yf * gu) @ Z1
+        lam = max(-float((x[:r] * g[:r]).sum()), 0.0)
+        na = math.sqrt(float((x[:r] * x[:r]).sum()))
+        tangent = g[:r] + lam * x[:r]
+        comp = lam * (1.0 - na)
+        res = math.sqrt(float((tangent * tangent).sum()) + g[r] * g[r] + comp * comp)
+        return float(v.sum()), g, curv, lam, na, res
 
-    def value_grad(Kc, beta):
-        v, gu = loss(Kc, beta)
-        g = yf * gu
-        return float(v.sum()), g, K @ g, float(gu @ yf)
-
-    c = yf / np.where(y == 1, np.sum(y == 1), np.sum(y == -1))
-    nrm = float(np.linalg.norm(X.T @ c))
-    c = c / nrm if nrm >= 1e-12 else np.zeros(len(y))
-    Kc = K @ c
-    beta = -0.5 * float(Kc[y == 1].mean() + Kc[y == -1].mean())
-    f, g, Kg, gb = value_grad(Kc, beta)
-    t = 1.0 / max(1.0, math.sqrt(max(float(g @ Kg), 0.0) + gb * gb))
-    trace, step, converged = [f], math.inf, False
-    for iterations in range(1, max_iter + 1):
+    pos = y == 1
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    a0 = (yf / np.where(pos, n_pos, n_neg)) @ Z
+    nrm = math.sqrt(float((a0 * a0).sum()))
+    x = np.zeros(r + 1)
+    if nrm >= 1e-12:
+        x[:r] = a0 / nrm
+    s = Z1 @ x
+    x[r] = -0.5 * (float((s * pos).sum()) / n_pos + float((s * ~pos).sum()) / n_neg)
+    f, g, curv, lam, na, res = at(x)
+    trace, iterations = [root_c * f], 0
+    while res > tol and iterations < max_iter:
+        on = na > 1.0 - 1e-9 and lam > 0.0
+        M = np.zeros((r + 2, r + 2))
+        M[:r + 1, :r + 1] = (Z1.T * curv) @ Z1
+        for i in range(r + 1):
+            M[i, i] += res
+            if on and i < r:
+                M[i, i] += lam
+        if on:
+            M[:r, r + 1] = M[r + 1, :r] = x[:r]
+        else:
+            M[r + 1, r + 1] = 1.0
+        d = np.linalg.solve(M, np.r_[-g, 0.0][:, None])[:r + 1, 0]
+        slope = float((g * d).sum())
+        t = 1.0
         while True:
-            c_t, Kc_t, b_t = c - t * g, Kc - t * Kg, beta - t * gb
-            nw = math.sqrt(max(float(c_t @ Kc_t), 0.0))
-            if nw > 1.0:
-                c_t, Kc_t = c_t / nw, Kc_t / nw
-            Kdc, db = Kc_t - Kc, b_t - beta
-            step_sq = max(float((c_t - c) @ Kdc), 0.0) + db * db
-            if step_sq == 0.0:
-                new = f, g, Kg, gb
-                break
-            f_t = float(loss(Kc_t, b_t)[0].sum())
-            if f_t <= f + float(g @ Kdc) + gb * db + step_sq / (2.0 * t) and f_t <= f:
-                new = value_grad(Kc_t, b_t)
-                sy = float((new[1] - g) @ Kdc) + (new[3] - gb) * db
-                t = min(max(step_sq / sy, 1e-16), 1e16) if sy > 0.0 else t * 2.0
+            x_t = x + t * d
+            x_t[:r] /= max(math.sqrt(float((x_t[:r] * x_t[:r]).sum())), 1.0)
+            new = at(x_t)
+            if new[0] <= f * (1.0 + 1e-13) + 1e-4 * t * slope:
                 break
             t *= 0.5
-            if t < 1e-20:
-                step_sq, new = 0.0, (f, g, Kg, gb)
+            if t < 1e-12:
+                new = None
                 break
-        step = math.sqrt(step_sq)
-        c, Kc, beta = c_t, Kc_t, b_t
-        f, g, Kg, gb = new
-        trace.append(f)
-        if step <= tol:
-            converged = True
+        if new is None:  # no step decreases f
             break
-    w = X.T @ c
+        x, (f, g, curv, lam, na, res) = x_t, new
+        iterations += 1
+        trace.append(root_c * f)
+    w = X.T @ (P @ x[:r])
     nw = float(np.linalg.norm(w))
-    scores = K @ c + beta
-    sign = -1.0 if scores[y == 1].mean() < scores[y == -1].mean() else 1.0
-    return (sign * w / nw, sign * beta / nw, iterations, f, step, tuple(trace),
-            converged)
+    s = Z1 @ x
+    sign = -1.0 if s[y == 1].mean() < s[y == -1].mean() else 1.0
+    return (sign * w / nw, sign * (x[r] / root_c) / nw, iterations, root_c * f,
+            res, tuple(trace), res <= tol, nw)

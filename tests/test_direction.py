@@ -13,7 +13,7 @@ from diproperm.errors import (
     ValidationError,
     ZeroDirectionError,
 )
-from diproperm.direction import _dwd_batch, _gram
+from diproperm.direction import DEFAULT_TOL, _dwd_batch, _factor
 from conftest import (
     grid_oracle,
     make_blobs,
@@ -205,35 +205,85 @@ def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms):
     # bit, whether its neighbours stop far earlier or far later than it
     cases = [
         (make_blobs(n=12, p=3, distance=1.0, seed=1), 1),
-        (mushrooms, 2),  # its relabelings take ~100 to ~1000 iterations
+        (mushrooms, 2),
         (dp.synthetic_blobs(60, 500, seed=0), 3),
         (make_blobs(n=100, p=2, distance=3.0, seed=4), 4),
         (make_blobs(n=200, p=20, distance=2.0, seed=5), 5),
     ]
+    interior = 0  # rows whose optimum is inside the ball
     for ds, seed in cases:
         X, C = ds.features, dp.penalty_parameter(ds)
+        # a sample alone against the rest takes 2-4x the Newton iterations
+        # of a relabeling
+        alone = [np.where(np.arange(len(X)) == i, 1, -1) for i in range(min(len(X), 60))]
         Y = np.array([ds.labels] + [
             dp.permute_labels(ds.labels, "unbalanced", dp.derive_stream(seed, b))
-            for b in range(1, 7)])
-        batch = list(_dwd_batch(X, Y, _gram(X), C, 1e-5, 5000, keep_trace=True))
+            for b in range(1, 7)] + alone)
+        batch = list(_dwd_batch(X, Y, _factor(X), C, DEFAULT_TOL, 5000,
+                                keep_trace=True))
         iterations = [m.iterations for m in batch]
         assert max(iterations) >= 2 * min(iterations)
         for y, m in zip(Y, batch):
             single = dp.dwd_direction(dp.LabeledDataset(X, y), C=C, keep_trace=True)
-            w, beta, iters, objective, step, trace, converged = reference_dwd(X, y, C)
+            w, beta, iters, objective, res, trace, converged, nw = reference_dwd(
+                X, y, C, DEFAULT_TOL)
             assert converged
+            # KKT of min f over ||w|| <= 1 at the solution (nw w, nw beta):
+            # on the sphere the w-gradient is -lam w with lam >= 0, inside
+            # the ball it is zero; f is flat in beta
+            yf = y.astype(float)
+            gw, gb = oracle_gradient(X, yf, nw * w, nw * beta, C)
+            if nw > 1.0 - 1e-9:
+                lam = -float(gw @ w)
+                assert lam >= 0.0
+                assert np.linalg.norm(gw + lam * w) <= 1e-7 * lam
+                assert abs(gb) <= 1e-6 * lam
+            else:  # against the gradient's terms before they cancel
+                dv = np.abs(dp.dwd_loss_grad(yf * (X @ (nw * w) + nw * beta), C))
+                interior += 1
+                assert np.linalg.norm(gw) <= 1e-7 * np.linalg.norm(np.abs(X).T @ dv)
+                assert abs(gb) <= 1e-7 * dv.sum()
             for fit in (m, single):
                 assert np.array_equal(fit.direction.w, w)
                 assert fit.direction.beta == beta
                 assert fit.iterations == iters and isinstance(fit.iterations, int)
-                assert fit.objective == objective and fit.kkt_residual == step
+                assert fit.objective == objective and fit.kkt_residual == res
                 assert fit.objective_trace == trace
             assert m.training_error == single.training_error
         # without a trace the fit is the same
-        for m, plain in zip(batch, _dwd_batch(X, Y, _gram(X), C, 1e-5, 5000)):
+        for m, plain in zip(batch, _dwd_batch(X, Y, _factor(X), C, DEFAULT_TOL, 5000)):
             assert plain.objective_trace == ()
             assert np.array_equal(plain.direction.w, m.direction.w)
             assert plain.iterations == m.iterations
+    assert interior > 0
+
+
+def test_stacked_kernels_give_each_row_its_single_bits():
+    # the premise of batch rows = single fits, on whatever numpy runs this:
+    # every stacked kernel the solver calls gives a row of a k-row stack
+    # the bits of a one-row stack and of the plain single call
+    rng = np.random.default_rng(0)
+    n = 100
+    for r in (2, 25, 60):
+        Z = rng.normal(size=(n, r + 1))
+        for k in (1, 2, 50, 101):
+            x, q = rng.normal(size=(k, r + 1)), rng.normal(size=(k, n))
+            d = rng.uniform(0.0, 2.0, size=(k, n))
+            M = np.matmul(Z.T * d[:, None, :], Z) + np.eye(r + 1)
+            b = rng.normal(size=(k, r + 1, 1))
+            kernels = [  # (stacked, single)
+                (lambda i: np.matmul(Z, x[i, :, None])[:, :, 0], lambda i: Z @ x[i]),
+                (lambda i: np.matmul(q[i, None, :], Z)[:, 0, :], lambda i: q[i] @ Z),
+                (lambda i: np.matmul(Z.T * d[i, None, :], Z), lambda i: (Z.T * d[i]) @ Z),
+                (lambda i: np.linalg.solve(M[i], b[i]), lambda i: np.linalg.solve(M[i], b[i])),
+                (lambda i: (q[i] * q[i]).sum(axis=1), lambda i: (q[i] * q[i]).sum()),
+            ]
+            rows = np.arange(k)
+            for stacked, single in kernels:
+                whole = stacked(rows)
+                for i in rows:
+                    assert whole[i].tobytes() == stacked([i])[0].tobytes()
+                    assert whole[i].tobytes() == np.asarray(single(i)).tobytes()
 
 
 def test_dwd_batch_failures_in_row_order():
@@ -241,12 +291,12 @@ def test_dwd_batch_failures_in_row_order():
     # NonConvergedError carries the single fit's iterations and model
     A = np.array([[0.1, -0.1], [0.6, 0.1], [-0.5, 0.4], [1.3, 0.9]])
     X = np.vstack([A, -A])
-    fast = np.array([1, 1, 1, 1, -1, -1, -1, -1])  # converges in 4 iterations
-    slow = np.array([1, 1, 1, -1, -1, -1, -1, 1])  # needs 9
+    fast = np.array([1, 1, 1, 1, -1, -1, -1, -1])  # converges in 3 iterations
+    slow = np.array([1, 1, 1, -1, -1, -1, -1, 1])  # needs 4
     no_w = np.array([1, 1, -1, -1, 1, 1, -1, -1])  # symmetric classes: w = 0
 
     def single(y):
-        return dp.dwd_direction(dp.LabeledDataset(X, y), C=1.0, max_iter=5)
+        return dp.dwd_direction(dp.LabeledDataset(X, y), C=1.0, max_iter=3)
 
     with pytest.raises(NonConvergedError) as expected:
         single(slow)
@@ -255,13 +305,13 @@ def test_dwd_batch_failures_in_row_order():
     raised = []
     for Y, error in (((fast, slow, no_w), NonConvergedError),
                      ((fast, no_w, slow), ZeroDirectionError)):
-        rows = _dwd_batch(X, np.array(Y), _gram(X), 1.0, 1e-5, 5)
+        rows = _dwd_batch(X, np.array(Y), _factor(X), 1.0, DEFAULT_TOL, 3)
         assert np.array_equal(next(rows).direction.w, single(fast).direction.w)
         with pytest.raises(error) as exc:
             next(rows)
         raised.append(exc.value)
     err, ref = raised[0], expected.value
-    assert err.iterations == ref.iterations == 5
+    assert err.iterations == ref.iterations == 3
     assert err.kkt_residual == ref.kkt_residual
     assert np.array_equal(err.model.direction.w, ref.model.direction.w)
     assert err.model.objective == ref.model.objective
