@@ -138,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=lib)
     run.add_argument("--alpha", type=float, default=lib)
     run.add_argument("--workers", type=int,  # type=int parses the env value too
-                     default=os.environ.get("DPP_WORKERS") or None)
+                     default=os.environ.get("DPP_WORKERS") or None,
+                     help="at most this many processes (default: usable cores)")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--retain-all", action="store_true",
                      help="retain every permutation's scores in the result")

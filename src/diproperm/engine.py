@@ -2,14 +2,15 @@
 
 Fits the observed direction, re-fits the classifier on B permuted
 relabelings, and summarizes the permutation null distribution with a
-p-value, z-score, and empirical critical value.  Each worker process runs
-one contiguous block of the permutation indices 1..B: it relabels the
-whole block, fits its DWD re-fits as one lockstep batch of Newton solves
-(direction._dwd_batch, each row bit-identical to a single fit), then
-scores the rows in index order, keeping the scores of its first minimum
-and maximum statistic for the run's extreme records.  Every permutation
-b draws from its own (seed, b) stream, so the answer does not depend on
-the worker count.
+p-value, z-score, and empirical critical value.  The permutation indices
+1..B run in at most `workers` contiguous blocks of at least _MIN_BLOCK
+re-fits (or one block); the caller runs the first, a process pool the
+rest.  Each block is relabeled whole, its DWD re-fits fit as one lockstep
+batch of Newton solves (direction._dwd_batch, each row bit-identical to a
+single fit), then its rows scored in index order, keeping the scores of
+its first minimum and maximum statistic for the run's extreme records.
+Every permutation b draws from its own (seed, b) stream, so the answer
+does not depend on the worker count.
 
 Null hypothesis: the two classes are draws from one distribution; it is
 rejected when the observed projected separation is extreme against the
@@ -162,6 +163,11 @@ def cutoff(perm_stats, alpha: float) -> float:
 # Permutations whose scores are always kept: the perm1/perm2 panels.
 _KEEP_SCORES_UPTO = 2
 
+# Fewest re-fits a block needs to pay for a worker process (fork, pickled
+# run state, BLAS thread wake-up): on 2 cores two blocks of 75 DWD re-fits
+# tied with one process, two of 100 won (mushrooms50 and 60 x 5000).
+_MIN_BLOCK = 100
+
 
 def _fit_and_score(X, labels, config, C, factors, tol, max_iter):
     """(direction, DWD model, scores, statistic) for each label vector in
@@ -216,15 +222,16 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     """Run the full test and assemble a DppResult.
 
     The DWD penalty C is computed once from the observed data and reused
-    for every permutation re-fit.  Permutations 1..B are split into
-    min(workers, B) contiguous blocks, one per worker process (default:
-    the usable cores, per the CPU affinity mask); a single block runs in
-    this process.  Each block's DWD re-fits are one lockstep batch whose
-    rows are bit-identical to single fits, and every permutation b draws
-    from its own (seed, b) stream, so results are bit-identical for any
-    worker count.  A NonConvergedError on any re-fit aborts the run with
-    the lowest failing permutation index; no permutation is silently
-    dropped.
+    for every permutation re-fit.  `workers` is an upper bound (default:
+    the usable cores, per the CPU affinity mask): 1..B is split into
+    max(1, min(workers, B // _MIN_BLOCK)) contiguous blocks, so blocks of
+    fewer than _MIN_BLOCK re-fits are not forked; this process runs the
+    first block and a pool the rest.  Each block's DWD re-fits are one
+    lockstep batch whose rows are bit-identical to single fits, and every
+    permutation b draws from its own (seed, b) stream, so results are
+    bit-identical for any worker count.  A NonConvergedError on any re-fit
+    aborts the run with the lowest failing permutation index; no
+    permutation is silently dropped.
     """
     plan = plan or PermutationPlan()
     config = TestConfig(classifier, statistic, plan.scheme, plan.B,
@@ -248,16 +255,17 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
         _fit_and_score(ds.features, [ds.labels], *state[2:]))
     loadings = loadings_of(observed_direction, ds.n_features, ds.feature_names)
 
-    # one contiguous block of indices per worker, in index order
-    n_blocks = min(workers, config.B)
+    # contiguous blocks of indices in index order, each worth a process
+    n_blocks = max(1, min(workers, config.B // _MIN_BLOCK))
     bounds = [1 + k * config.B // n_blocks for k in range(n_blocks + 1)]
     blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     run = partial(_permutations, state, keep=retain_all)
     if n_blocks == 1:  # in this process: no process start, no state pickle
         block_outputs = [run(blocks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=n_blocks) as pool:
-            block_outputs = list(pool.map(run, blocks))
+    else:  # this process runs the first block while the pool runs the rest
+        with ProcessPoolExecutor(max_workers=n_blocks - 1) as pool:
+            rest = [pool.submit(run, block) for block in blocks[1:]]
+            block_outputs = [run(blocks[0])] + [f.result() for f in rest]
     outputs = [out for block, _ in block_outputs for out in block]
 
     perm_statistics = np.array([o[0] for o in outputs], dtype=np.float64)

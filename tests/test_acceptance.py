@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import diproperm as dp
+from diproperm import engine
 from conftest import grid_oracle, make_blobs
 
 WORKERS = min(4, os.cpu_count() or 1)
@@ -161,7 +162,8 @@ def test_criterion_5_dwd_solver_correctness():
     )
 
 
-def test_criterion_6_parallel_determinism(tmp_path):
+def test_criterion_6_parallel_determinism(tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)  # fork blocks of B=60 too
     ds = make_blobs(n=24, p=6, distance=2.5, std=1.0, seed=21)
     plan = dp.PermutationPlan(scheme="balanced", B=60, seed=9)
     outputs = {}

@@ -4,6 +4,7 @@ import gc
 import json
 import logging
 import math
+import multiprocessing
 import tracemalloc
 import weakref
 
@@ -81,6 +82,8 @@ def test_validation_of_engine_arguments(tmp_path, capsys):
 
 
 def test_default_workers_follow_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)  # only the mask keeps B=25 serial
+
     def no_pool(*args, **kwargs):
         raise AssertionError("one usable core must take the serial path")
 
@@ -101,9 +104,10 @@ def test_infeasible_balance_warning(caplog):
         assert ("infeasible" in caplog.text) is warned
 
 
-def test_debug_log_times_blocks_and_counts_iterations(caplog):
+def test_debug_log_times_blocks_and_counts_iterations(caplog, monkeypatch):
     # a block's re-fits run as one batch: one wall time per block, solver
     # iterations per permutation
+    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)  # blocks of 3 re-fits
     ds = make_blobs(n=12, seed=3)
     with caplog.at_level(logging.DEBUG, logger="diproperm.engine"):
         r = dp.diproperm(ds, dp.PermutationPlan("balanced", 6, 1), alpha=0.5,
@@ -205,7 +209,8 @@ def test_label_swap_symmetry_unbalanced():
     assert np.array_equal(r1.perm_statistics, r2.perm_statistics)
 
 
-def test_parallel_determinism_two_workers():
+def test_parallel_determinism_two_workers(monkeypatch):
+    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)  # fork even for tiny blocks
     ds = make_blobs(n=20, p=4, distance=2.0, seed=6)
     kw = dict(classifier="dwd", statistic="md", alpha=0.05)
     plan = dp.PermutationPlan("balanced", 30, 17)
@@ -225,9 +230,10 @@ def test_parallel_determinism_two_workers():
         assert np.array_equal(rec.scores.scores, r1.records[b].scores.scores)
 
 
-def test_records_byte_identical_for_any_worker_count(mushrooms):
+def test_records_byte_identical_for_any_worker_count(mushrooms, monkeypatch):
     # each block keeps the scores of its first minimum and maximum; the
     # run's extreme records come from the blocks holding the global ones
+    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)  # split B=100 and 200 too
     cases = [(mushrooms, 100, 5), (dp.synthetic_blobs(100, 2), 200, 3),
              (dp.synthetic_blobs(60, 5000), 100, 0)]
     for ds, B, seed in cases:
@@ -245,13 +251,14 @@ def test_records_byte_identical_for_any_worker_count(mushrooms):
                 assert rec.scores.scores.tobytes() == ref.scores.scores.tobytes()
 
 
-def test_permutation_nonconvergence_aborts_with_index():
+def test_permutation_nonconvergence_aborts_with_index(monkeypatch):
     # observed fit converges from its warm start, permuted re-fits cannot;
     # the run aborts at the lowest failing index with that re-fit's own
     # error, whatever block (and process) the index falls in: on seed 10
     # all re-fits fail at max_iter 5; on seed 24 only 11 does at 10, so it
     # is in the second block at 2 and at 3 workers (1-10 | 11-20,
-    # 1-6 | 7-13 | 14-20)
+    # 1-6 | 7-13 | 14-20), and crosses a process boundary
+    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
     plan = dp.PermutationPlan("balanced", 20, 1)
     for seed, max_iter, lowest in ((10, 5, 1), (24, 10, 11)):
         ds = make_blobs(n=24, p=2, distance=8.0, std=0.5, seed=seed)
@@ -278,6 +285,58 @@ def test_permutation_nonconvergence_aborts_with_index():
             assert got.model.objective == ref.model.objective
 
 
+def test_pool_only_for_blocks_worth_a_process(monkeypatch):
+    # `workers` is an upper bound: a block of fewer than _MIN_BLOCK
+    # re-fits is not forked, and the calling process runs block 1 beside
+    # a pool of the other blocks; the answer is the same on every path
+    pools = []
+
+    class SpyPool(engine.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.max_workers, self.blocks = max_workers, []
+            pools.append(self)
+
+        def submit(self, fn, block):
+            self.blocks.append(block)
+            return super().submit(fn, block)
+
+    def answer(r):
+        return (r.perm_statistics.tobytes(), r.p_value, r.z_score, r.cutoff,
+                [(b, rec.statistic, rec.permuted_labels.tobytes(),
+                  rec.scores.scores.tobytes()) for b, rec in r.records.items()])
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", SpyPool)
+    ds = make_blobs(n=20, p=4, distance=2.0, seed=6)
+    for B, min_block, split in ((100, None, {1: [], 2: [], 3: []}),
+                                (384, None, {2: [range(193, 385)],
+                                             3: [range(129, 257), range(257, 385)]}),
+                                (20, 1, {2: [range(11, 21)],
+                                         3: [range(7, 14), range(14, 21)]})):
+        if min_block:
+            monkeypatch.setattr(engine, "_MIN_BLOCK", min_block)
+        plan = dp.PermutationPlan("balanced", B, 3)
+        one = dp.diproperm(ds, plan, workers=1)
+        for workers, blocks in split.items():
+            pools.clear()
+            r = dp.diproperm(ds, plan, workers=workers)
+            assert [(p.max_workers, p.blocks) for p in pools] == (
+                [(len(blocks), blocks)] if blocks else [])
+            assert answer(r) == answer(one)
+
+
+def test_abort_in_callers_block_leaves_no_worker_behind(monkeypatch):
+    # every re-fit fails (seed 10, max_iter 5): the caller's own block 1
+    # raises while the pool runs blocks 2 and 3, and no worker outlives it
+    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
+    ds = make_blobs(n=24, p=2, distance=8.0, std=0.5, seed=10)
+    with pytest.raises(NonConvergedError) as exc:
+        dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 1), workers=3,
+                     dwd_max_iter=5)
+    assert exc.value.perm_index == 1
+    assert multiprocessing.active_children() == []
+
+
 def test_run_state_is_released():
     # no run's arrays (X, y, K, ...) outlive diproperm(), whether it
     # returns or raises
@@ -296,9 +355,10 @@ def test_run_state_is_released():
     assert features() is None
 
 
-def test_engine_matches_public_refits_bit_for_bit():
+def test_engine_matches_public_refits_bit_for_bit(monkeypatch):
     # each permutation statistic is what the public per-stage API gives for
     # that relabeling, at any worker count (p > n: coefficient-space DWD)
+    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
     ds = make_blobs(n=20, p=200, seed=3)
     plan = dp.PermutationPlan("balanced", 20, 4)
     C = dp.penalty_parameter(ds)
