@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import dataset as ds_mod
 from .dataset import load_dense, load_sparse, mushrooms50, synthetic_blobs
+from .direction import loadings_of
 from .engine import CLASSIFIERS, PANELS, diproperm
 from .errors import (
     DppError,
@@ -77,13 +78,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_loadings(args) -> int:
     result = load_result_json(args.result)
-    loadings = result.loadings
-    loadnum = args.loadnum if args.loadnum is not None else len(loadings)
-    if not 1 <= loadnum <= len(loadings):
-        raise ValidationError(
-            f"loadnum must be in 1..{len(loadings)}, got {loadnum}"
-        )
-    for ld in loadings[:loadnum]:
+    for ld in loadings_of(result.observed_direction, args.loadnum,
+                          result.feature_names):
         suffix = f"  {ld.name}" if ld.name else ""
         print(f"{ld.index}  {ld.value!r}{suffix}")
     return 0

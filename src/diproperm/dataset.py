@@ -271,10 +271,7 @@ def subset_rows(ds: LabeledDataset, rows) -> LabeledDataset:
         raise IndexError(f"row index out of range 0..{ds.n_samples - 1}")
     if np.unique(idx).size != idx.size:
         raise IndexError("duplicate row indices")
-    labels = ds.labels[idx]
-    if not ((labels == -1).any() and (labels == 1).any()):
-        raise SingleClassError("subset drops one of the classes")
-    return LabeledDataset(ds.features[idx], labels, ds.feature_names)
+    return LabeledDataset(ds.features[idx], ds.labels[idx], ds.feature_names)
 
 
 def mushrooms50() -> LabeledDataset:

@@ -170,8 +170,8 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
     """
     if not (np.isfinite(C) and C > 0.0):
         raise DegenerateScaleError(f"penalty C must be positive and finite, got {C!r}")
-    if tol <= 0.0 or max_iter < 1:
-        raise ValidationError("tol must be > 0 and max_iter >= 1")
+    if not 0.0 < tol < math.inf or max_iter < 1:
+        raise ValidationError(f"need 0 < tol < inf and max_iter >= 1, got {tol!r}, {max_iter!r}")
 
     Z, P = factors
     n, r = Z.shape

@@ -98,7 +98,6 @@ class DppResult:
     observed_direction: Direction
     observed_scores: ProjectionScores
     observed_statistic: float
-    loadings: list[Loading]
     perm_statistics: np.ndarray
     records: dict[int, PermutationRecord]
     p_value: float
@@ -106,6 +105,12 @@ class DppResult:
     cutoff: float
     observed_model: DwdModel | None = None
     feature_names: tuple[str, ...] | None = None
+
+    @property
+    def loadings(self) -> list[Loading]:
+        """All variable loadings of the observed direction, sorted by
+        |value| descending (see loadings_of); computed on each access."""
+        return loadings_of(self.observed_direction, names=self.feature_names)
 
     @property
     def min_index(self) -> int:
@@ -239,8 +244,8 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     if workers is None:  # the cores this process may run on
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
 
     if config.scheme == "balanced" and not half_split_fits(*ds.class_counts()):
         log.warning(
@@ -253,7 +258,6 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     state = (ds.features, ds.labels, config, C, factors, dwd_tol, dwd_max_iter)
     (observed_direction, observed_model, observed_scores, observed_statistic) = next(
         _fit_and_score(ds.features, [ds.labels], *state[2:]))
-    loadings = loadings_of(observed_direction, ds.n_features, ds.feature_names)
 
     # contiguous blocks of indices in index order, each worth a process
     n_blocks = max(1, min(workers, config.B // _MIN_BLOCK))
@@ -304,7 +308,6 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
         observed_direction=observed_direction,
         observed_scores=observed_scores,
         observed_statistic=observed_statistic,
-        loadings=loadings,
         perm_statistics=perm_statistics,
         records=records,
         p_value=p_value(perm_statistics, observed_statistic),

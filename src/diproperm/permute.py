@@ -25,10 +25,10 @@ class PermutationPlan:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValidationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.B < 1:
-            raise ValidationError(f"B must be >= 1, got {self.B}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValidationError("seed must fit in an unsigned 64-bit integer")
+        if not isinstance(self.B, (int, np.integer)) or self.B < 1:
+            raise ValidationError(f"B must be an integer >= 1, got {self.B!r}")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= int(self.seed) < 2**64):
+            raise ValidationError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
 
 def half_split_fits(n_neg: int, n_pos: int, keep: int | None = None) -> bool:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .direction import Direction, DwdModel, Loading
+from .direction import Direction, DwdModel
 from .engine import (
     PANELS,
     SCORE_PANELS,
@@ -327,6 +327,7 @@ def load_result_json(path) -> DppResult:
     """Rebuild a DppResult from emit_result_json output.
 
     A missing or malformed field raises ValidationError naming it.
+    `loadings` is not read: DppResult derives it from the direction.
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -362,9 +363,6 @@ def load_result_json(path) -> DppResult:
         observed_scores=field("observed_scores", lambda d: ProjectionScores(
             np.array(d["scores"]), np.array(d["labels"]))),
         observed_statistic=field("observed_statistic", float),
-        loadings=field("loadings", lambda lds: [
-            Loading(ld["index"], ld["value"], ld.get("name")) for ld in lds
-        ]),
         perm_statistics=perm_statistics,
         records=field("records", lambda recs: {
             int(key): record(key, rec) for key, rec in recs.items()}),

@@ -85,6 +85,18 @@ def test_run_rejects_bad_b(blob_files, tmp_path):
     assert "B" in out.stderr
 
 
+def test_run_rejects_non_finite_dwd_tol(blob_files, tmp_path, capsys):
+    # inf would return the warm start as a converged fit, nan would read
+    # as non-convergence (exit 3): both are bad arguments
+    data, labels = blob_files
+    for tol in ("inf", "nan"):
+        code = cli.main(["run", "--data", str(data), "--labels", str(labels),
+                         "-B", "40", "--dwd-tol", tol, "--out", str(tmp_path / tol)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1 and "tol" in err
+
+
 def test_run_missing_file(tmp_path):
     out = run_cli("run", "--data", tmp_path / "nope.csv",
                   "--labels", tmp_path / "nope2.txt", "--out", tmp_path / "o")

@@ -321,8 +321,9 @@ def test_dwd_invalid_parameters():
     ds = make_blobs(n=10, seed=0)
     with pytest.raises(DegenerateScaleError):
         dp.dwd_direction(ds, C=-1.0)
-    with pytest.raises(ValidationError):
-        dp.dwd_direction(ds, C=1.0, tol=-1.0)
+    for tol in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="tol"):
+            dp.dwd_direction(ds, C=1.0, tol=tol)
 
 
 def test_direction_requires_unit_norm():

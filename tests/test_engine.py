@@ -56,8 +56,9 @@ def test_validation_of_engine_arguments(tmp_path, capsys):
         dp.diproperm(ds, dp.PermutationPlan("unbalanced", 10, 0), alpha=0.05)
     with pytest.raises(ValidationError):
         dp.diproperm(ds, alpha=0.0)
-    with pytest.raises(ValidationError):
-        dp.diproperm(ds, workers=0)
+    for workers in (0, 2.5):
+        with pytest.raises(ValidationError, match="workers"):
+            dp.diproperm(ds, workers=workers)
     with pytest.raises(ValidationError):
         dp.TestConfig("dwd", "md", "shuffled", 100, 0, 0.05)
     # a stored result whose config no run could have produced, or with a
@@ -66,6 +67,7 @@ def test_validation_of_engine_arguments(tmp_path, capsys):
     dp.emit_result_json(run_small(make_blobs(n=12, seed=2), B=25), path)
     for key, edit in (("classifier", lambda d: d["config"].update(classifier="svm")),
                       ("alpha", lambda d: d["config"].update(alpha=2)),
+                      ("B", lambda d: d["config"].update(B=100.5)),
                       ("seed", lambda d: d["config"].pop("seed")),
                       ("perm_statistics", lambda d: d.pop("perm_statistics")),
                       ("records", lambda d: d.update(records=[1, 2]))):
@@ -398,9 +400,18 @@ def test_dwd_engine_uses_single_penalty(mushrooms):
     assert r.observed_model.training_error == 0.0
 
 
-def test_loadings_cover_all_features():
-    ds = make_blobs(n=12, p=5, seed=4)
-    r = run_small(ds, B=30)
-    assert len(r.loadings) == 5
-    mags = [abs(ld.value) for ld in r.loadings]
-    assert mags == sorted(mags, reverse=True)
+def test_loadings_cover_all_features(mushrooms, monkeypatch):
+    # a result derives its loadings from the observed direction on access;
+    # diproperm() itself builds none
+    real, calls = engine.loadings_of, []
+    monkeypatch.setattr(engine, "loadings_of",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    for ds, classifier in ((mushrooms, "dwd"), (make_blobs(n=12, p=5, seed=4), "md")):
+        calls.clear()
+        r = run_small(ds, B=30, classifier=classifier)
+        assert calls == []
+        assert r.loadings == real(r.observed_direction, names=ds.feature_names)
+        assert len(r.loadings) == ds.n_features
+        assert (r.loadings[0].name is None) == (ds.feature_names is None)
+        mags = [abs(ld.value) for ld in r.loadings]
+        assert mags == sorted(mags, reverse=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from diproperm import derive_stream, permute_labels
-from diproperm.errors import InfeasibleBalanceError, SingleClassError
+from diproperm.errors import InfeasibleBalanceError, SingleClassError, ValidationError
 from diproperm.permute import PermutationPlan, half_split_fits
 
 
@@ -20,6 +20,12 @@ def test_plan_validation():
         PermutationPlan("bogus", 10, 0)
     with pytest.raises(Exception):
         PermutationPlan("balanced", 0, 0)
+    PermutationPlan("balanced", np.int64(100), np.uint64(2**64 - 1))
+    # a float is refused even when integral: range() would fail on it later
+    for B, seed, name in ((100.0, 0, "B"), (100.5, 0, "B"), (100, 0.5, "seed"),
+                          (100, 2**64, "seed")):
+        with pytest.raises(ValidationError, match=name):
+            PermutationPlan("balanced", B, seed)
 
 
 def test_stream_determinism_and_distinctness():

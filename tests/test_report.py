@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import diproperm as dp
+from diproperm import cli
 from diproperm.errors import PanelUnavailableError, ValidationError
 from conftest import make_blobs
 
@@ -113,7 +114,7 @@ def test_score_panel_svg_deterministic(result, tmp_path):
     assert len(circles) == 20
 
 
-def test_result_json_roundtrip(result, tmp_path):
+def test_result_json_roundtrip(result, tmp_path, capsys):
     path = tmp_path / "result.json"
     dp.emit_result_json(result, path)
     doc = json.loads(path.read_text())
@@ -133,7 +134,27 @@ def test_result_json_roundtrip(result, tmp_path):
             again.records[b].scores.scores, result.records[b].scores.scores
         )
     assert again.observed_model.training_error == result.observed_model.training_error
-    assert [lr[:2] for lr in again.loadings] == [lr[:2] for lr in result.loadings]
+    assert again.loadings == result.loadings
+
+    # the loadings are derived from direction.w and feature_names: a
+    # document without them loads, prints the same loadings and re-emits
+    # the original bytes, with and without feature names
+    named = dp.DppResult(**{**result.__dict__, "feature_names": ("a", "b", "c")})
+    for res in (result, named):
+        dp.emit_result_json(res, path)
+        doc = json.loads(path.read_text())
+        del doc["loadings"]
+        stripped = tmp_path / "stripped.json"
+        stripped.write_text(json.dumps(doc))
+        printed = []
+        for source in (path, stripped):
+            loaded = dp.load_result_json(source)
+            assert loaded.loadings == res.loadings
+            dp.emit_result_json(loaded, tmp_path / "again.json")
+            assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+            assert cli.main(["loadings", str(source)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and printed[0].count("\n") == 3
 
 
 def test_result_json_loadings_sorted(result, tmp_path):
