@@ -13,9 +13,11 @@ signs); with w = Xᵀ P a, X w = Z a and ||w|| = ||a||, so a fit has
 r + 1 <= n + 1 unknowns (a, beta) whatever p.  The solver is semismooth
 Newton on them (V_C'' = 2/u³ above the knot, 0 below): the bordered KKT
 system on the sphere ||a|| = 1 while its multiplier is positive, else
-the plain Newton system, then an Armijo step rescaled into the ball.  It
-stops when the KKT residual (tangential gradient, d/d beta and
-complementarity, for the problem rescaled to C = 1) falls to `tol`.
+the plain Newton system, either shifted on the diagonal by min(res, res²)
+for the KKT residual res (Levenberg-Marquardt with mu = ||F||² near the
+optimum; Yamashita & Fukushima 2001), then an Armijo step rescaled into
+the ball.  It stops when the KKT residual (tangential gradient, d/d beta
+and complementarity, for the problem rescaled to C = 1) falls to `tol`.
 
 Fits to m label vectors on the same X run as one lockstep batch: each
 round, every unfinished row takes its own Newton step, so each row does
@@ -24,7 +26,8 @@ single fits because every per-row product is a stacked np.matmul or
 np.linalg.solve and every per-row reduction a last-axis sum, each of
 which gives a row the bits of its single operation.  A single fit is a
 batch of one.  Memory is O(n² + np + mn): the Newton systems are built a
-bounded chunk of rows at a time, and the rows' w one at a time.
+chunk of rows at a time (~512 kB of stacked matrices), and the rows' w
+one at a time.
 """
 
 from __future__ import annotations
@@ -170,8 +173,10 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
     """
     if not (np.isfinite(C) and C > 0.0):
         raise DegenerateScaleError(f"penalty C must be positive and finite, got {C!r}")
-    if not 0.0 < tol < math.inf or max_iter < 1:
-        raise ValidationError(f"need 0 < tol < inf and max_iter >= 1, got {tol!r}, {max_iter!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be in (0, inf), got {tol!r}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
     Z, P = factors
     n, r = Z.shape
@@ -181,10 +186,11 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
     # V_C(u) = sqrt(C) V_1(sqrt(C) u) the problem is the C = 1 one on Z1
     # over ||a|| <= 1, which no rescaling of X changes.
     Z1 = np.hstack([root_c * Z, np.ones((n, 1))])
+    Z2 = np.hstack([Z1, np.zeros((n, 1))])  # Z2ᵀ diag(c) Z2: a bordered system
     Yf = Y.astype(np.float64)
-    # rows whose Newton systems are built and solved at once: ~256 kB of
+    # rows whose Newton systems are built and solved at once: ~512 kB of
     # stacked matrices, so solver memory does not grow with the batch
-    chunk = max(1, (1 << 18) // (8 * (r + 2) * (n + r + 2)))
+    chunk = max(1, (1 << 19) // (8 * (r + 2) * (n + r + 2)))
 
     def scores(x):  # Z1 x of each row
         return np.matmul(Z1, x[:, :, None])[:, :, 0]
@@ -203,33 +209,37 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
                       + (lam * (1.0 - na)) ** 2)
         return v.sum(axis=1), G, curv, lam, na, res
 
-    def newton(x, G, curv, lam, na, res):
+    def newton(x, curv, lam, na, res, rhs):
         # rows on the sphere with lam > 0 solve the bordered KKT system
         # [[H + lam I, a], [aᵀ, 0]] (H the Hessian in x), the others the
-        # plain Newton system; both shifted by res on the diagonal, so a
-        # direction of zero curvature (linear loss) still has a bounded step
+        # plain Newton system; both shifted on the diagonal by min(res, res²)
+        # (Levenberg-Marquardt with mu = ||F||² near the optimum, so the
+        # steps turn quadratic), which still bounds a step along a
+        # direction of zero curvature (linear loss)
         on = (na > 1.0 - 1e-9) & (lam > 0.0)
-        M = np.zeros((len(x), r + 2, r + 2))
-        M[:, :r + 1, :r + 1] = np.matmul(Z1.T * curv[:, None, :], Z1)
-        i = np.arange(r + 1)
-        M[:, i, i] += res[:, None]
-        M[:, i[:r], i[:r]] += np.where(on, lam, 0.0)[:, None]
+        M = np.matmul(Z2.T * curv[:, None, :], Z2)
+        diag = M.reshape(len(x), -1)[:, ::r + 3]  # a view of each diagonal
+        diag[:, :r + 1] += np.minimum(res, res * res)[:, None]
+        diag[:, :r] += np.where(on, lam, 0.0)[:, None]
+        diag[:, r + 1] = np.where(on, 0.0, 1.0)
         M[:, :r, r + 1] = M[:, r + 1, :r] = np.where(on[:, None], x[:, :r], 0.0)
-        M[:, r + 1, r + 1] = np.where(on, 0.0, 1.0)
-        rhs = np.concatenate([-G, np.zeros((len(x), 1))], axis=1)[:, :, None]
         return np.linalg.solve(M, rhs)[:, :r + 1, 0]
 
     # warm start from the mean-difference rule when it exists: a = Zᵀc /
     # ||Zᵀc|| for c = y / (size of y's class), class-mean midpoint at 0
     pos = Y == 1
     n_pos, n_neg = pos.sum(axis=1), (~pos).sum(axis=1)
+
+    def class_means(s):  # of each row's scores over its +1 and its -1 samples
+        return (s * pos).sum(axis=1) / n_pos, (s * ~pos).sum(axis=1) / n_neg
+
     c = Yf / np.where(pos, n_pos[:, None], n_neg[:, None])
     A = np.matmul(c[:, None, :], Z)[:, 0, :]
     nrm = np.sqrt((A * A).sum(axis=1, keepdims=True))
     x = np.zeros((len(Y), r + 1))
     x[:, :r] = A / np.where(nrm >= 1e-12, nrm, np.inf)  # a = 0 if the means coincide
-    s = scores(x)
-    x[:, r] = -0.5 * ((s * pos).sum(axis=1) / n_pos + (s * ~pos).sum(axis=1) / n_neg)
+    mean_pos, mean_neg = class_means(scores(x))
+    x[:, r] = -0.5 * (mean_pos + mean_neg)
 
     # Lockstep rounds: each live row takes a Newton direction, then an
     # Armijo step along it (halving from 1), with a rescaled into the ball
@@ -246,7 +256,9 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
             break
         now = [v[live] for v in state]
         x, f, G = now[:3]
-        D = np.concatenate([newton(*(v[k:k + chunk] for v in now[:1] + now[2:]))
+        rhs = np.zeros((live.size, r + 2, 1))
+        rhs[:, :r + 1, 0] = -G
+        D = np.concatenate([newton(*(v[k:k + chunk] for v in now[:1] + now[3:] + [rhs]))
                             for k in range(0, live.size, chunk)])
         slope = (G * D).sum(axis=1)
         t = np.ones(live.size)
@@ -271,19 +283,21 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
             for row in moved:
                 traces[row].append(root_c * float(state[1][row]))
 
-    for i, (y, yf, x, f, res) in enumerate(zip(Y, Yf, state[0], state[1], state[-1])):
+    # Z1 x is X w + beta scaled by sqrt(C) > 0: it orients each direction
+    # and signs its training margins without an n x p product
+    s = scores(state[0])
+    mean_pos, mean_neg = class_means(s)
+    signs = np.where(mean_pos < mean_neg, -1.0, 1.0)
+    errors = (signs[:, None] * Yf * s <= 0.0).sum(axis=1)
+    for i, (sign, x, f, res) in enumerate(zip(signs, state[0], state[1], state[-1])):
         w = X.T @ (P @ x[:r])
         nw = float(np.linalg.norm(w))
         if nw < 1e-12:
             raise ZeroDirectionError("DWD solution collapsed to the zero direction")
-        # Z1 x is X w + beta scaled by sqrt(C) > 0: it orients the direction
-        # and signs the training margins without an n x p product
-        s = Z1 @ x
-        sign = -1.0 if s[y == 1].mean() < s[y == -1].mean() else 1.0
         direction = Direction(sign * w / nw, sign * (x[r] / root_c) / nw)
         del w  # while the row is scored, only direction.w is alive
         model = DwdModel(direction, C, int(iters[i]), root_c * float(f), float(res),
-                         training_error=float((sign * yf * s <= 0.0).mean()),
+                         training_error=float(errors[i] / n),
                          objective_trace=tuple(traces[i]) if keep_trace else ())
         if not res <= tol:
             raise NonConvergedError(model.iterations, model.kkt_residual, model=model)

@@ -5,10 +5,11 @@ relabelings, and summarizes the permutation null distribution with a
 p-value, z-score, and empirical critical value.  The permutation indices
 1..B run in at most `workers` contiguous blocks of at least _MIN_BLOCK
 re-fits (or one block); the caller runs the first, a process pool the
-rest.  Each block is relabeled whole, its DWD re-fits fit as one lockstep
+rest.  Each block is relabeled whole, its DWD fits run as one lockstep
 batch of Newton solves (direction._dwd_batch, each row bit-identical to a
-single fit), then its rows scored in index order, keeping the scores of
-its first minimum and maximum statistic for the run's extreme records.
+single fit; the observed labels are row 0 of block 1's batch), then its
+rows scored in index order, keeping the scores of its first minimum and
+maximum statistic for the run's extreme records.
 Every permutation b draws from its own (seed, b) stream, so the answer
 does not depend on the worker count.
 
@@ -188,20 +189,24 @@ def _fit_and_score(X, labels, config, C, factors, tol, max_iter):
         yield direction, model, ps, STATISTICS[config.statistic](ps)
 
 
-def _permutations(state, indices, keep: bool):
-    """Statistic, scores and solver iterations of each permutation of one
-    block, in index order, and the block's wall time.  Scores are kept if
-    `keep`, for perm1/perm2, and for the block's first minimum and maximum.
+def _permutations(state, indices, keep: bool, observed: bool = False):
+    """The observed fit if `observed` (else None), the statistic, scores
+    and solver iterations of each permutation of one block, in index
+    order, and the block's wall time.  Scores are kept if `keep`, for
+    perm1/perm2, and for the block's first minimum and maximum.
 
     Pure in (state, indices); `state` is the run's (X, y, config, C,
-    factors, tol, max_iter).  The block is relabeled at once and re-fit as
-    one batch; a failing re-fit aborts at the lowest failing index.
+    factors, tol, max_iter).  The block is relabeled at once and fit as
+    one batch, the observed labels y first if `observed`; a failing
+    observed fit raises as it is, a failing re-fit aborts at the lowest
+    failing index.
     """
     X, y, config, *fit_args = state
     t0 = time.perf_counter()
     labels = [permute_labels(y, config.scheme, derive_stream(config.seed, b))
               for b in indices]
-    fits = _fit_and_score(X, labels, config, *fit_args)
+    fits = _fit_and_score(X, ([y] if observed else []) + labels, config, *fit_args)
+    first = next(fits) if observed else None
     outputs, lo, hi = [], None, None
     for i, b in enumerate(indices):
         try:
@@ -216,7 +221,7 @@ def _permutations(state, indices, keep: bool):
         hi = hi if hi and hi[0] >= stat else (stat, ps, i)  # first maximum
     for stat, ps, i in (lo, hi):
         outputs[i] = stat, ps, outputs[i][2]
-    return outputs, time.perf_counter() - t0
+    return first, outputs, time.perf_counter() - t0
 
 
 def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
@@ -232,11 +237,13 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     max(1, min(workers, B // _MIN_BLOCK)) contiguous blocks, so blocks of
     fewer than _MIN_BLOCK re-fits are not forked; this process runs the
     first block and a pool the rest.  Each block's DWD re-fits are one
-    lockstep batch whose rows are bit-identical to single fits, and every
-    permutation b draws from its own (seed, b) stream, so results are
-    bit-identical for any worker count.  A NonConvergedError on any re-fit
-    aborts the run with the lowest failing permutation index; no
-    permutation is silently dropped.
+    lockstep batch whose rows are bit-identical to single fits; the
+    observed fit is row 0 of block 1's batch, so the DEBUG wall time of
+    block 1 includes it.  Every permutation b draws from its own (seed, b)
+    stream, so results are bit-identical for any worker count.  A
+    NonConvergedError on the observed fit has no perm_index; on any
+    re-fit it aborts the run with the lowest failing permutation index;
+    no permutation is silently dropped.
     """
     plan = plan or PermutationPlan()
     config = TestConfig(classifier, statistic, plan.scheme, plan.B,
@@ -256,21 +263,22 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     C = penalty_parameter(ds) if classifier == "dwd" else None
     factors = _factor(ds.features) if classifier == "dwd" else None
     state = (ds.features, ds.labels, config, C, factors, dwd_tol, dwd_max_iter)
-    (observed_direction, observed_model, observed_scores, observed_statistic) = next(
-        _fit_and_score(ds.features, [ds.labels], *state[2:]))
 
-    # contiguous blocks of indices in index order, each worth a process
+    # contiguous blocks of indices in index order, each worth a process;
+    # block 1 fits the observed labels too, in the same batch
     n_blocks = max(1, min(workers, config.B // _MIN_BLOCK))
     bounds = [1 + k * config.B // n_blocks for k in range(n_blocks + 1)]
     blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     run = partial(_permutations, state, keep=retain_all)
     if n_blocks == 1:  # in this process: no process start, no state pickle
-        block_outputs = [run(blocks[0])]
+        block_outputs = [run(blocks[0], observed=True)]
     else:  # this process runs the first block while the pool runs the rest
         with ProcessPoolExecutor(max_workers=n_blocks - 1) as pool:
             rest = [pool.submit(run, block) for block in blocks[1:]]
-            block_outputs = [run(blocks[0])] + [f.result() for f in rest]
-    outputs = [out for block, _ in block_outputs for out in block]
+            block_outputs = [run(blocks[0], observed=True)] + [f.result() for f in rest]
+    (observed_direction, observed_model, observed_scores,
+     observed_statistic) = block_outputs[0][0]
+    outputs = [out for _, block, _ in block_outputs for out in block]
 
     perm_statistics = np.array([o[0] for o in outputs], dtype=np.float64)
     perm_statistics.setflags(write=False)
@@ -285,7 +293,7 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
                                     outputs[b - 1][0]) for b in wanted}
 
     if log.isEnabledFor(logging.DEBUG):
-        for block, (_, seconds) in zip(blocks, block_outputs):
+        for block, (*_, seconds) in zip(blocks, block_outputs):
             log.debug("perms %d-%d: relabeled, re-fit and scored in %.4fs",
                       block[0], block[-1], seconds)
         for b, (stat_b, _, iters) in enumerate(outputs, start=1):

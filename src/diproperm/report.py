@@ -357,6 +357,12 @@ def load_result_json(path) -> DppResult:
         ))
     perm_statistics = field("perm_statistics", lambda v: np.array(v, dtype=np.float64))
     perm_statistics.setflags(write=False)
+
+    def names(v):  # one per variable of the direction
+        if len(v) != direction.w.size:
+            raise ValueError(f"{len(v)} names for {direction.w.size} variables")
+        return tuple(v)
+
     return DppResult(
         config=field("config", lambda c: TestConfig(**c)),
         observed_direction=direction,
@@ -370,7 +376,6 @@ def load_result_json(path) -> DppResult:
         z_score=field("z_score", lambda z: math.nan if z is None else float(z)),
         cutoff=field("cutoff", float),
         observed_model=model,
-        feature_names=(
-            tuple(doc["feature_names"]) if doc.get("feature_names") else None
-        ),
+        feature_names=(field("feature_names", names) if doc.get("feature_names")
+                       else None),
     )

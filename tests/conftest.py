@@ -85,7 +85,8 @@ def mushrooms():
 def reference_dwd(X, y, C, tol, max_iter=5000):
     """Newton's method on the coefficients (a, b) of a factor K = Z Zᵀ:
     bordered KKT steps on the sphere ||a|| = 1 while its multiplier is
-    positive, plain Newton steps otherwise, an Armijo step rescaled into
+    positive, plain Newton steps otherwise, both shifted on the diagonal
+    by min(res, res²) for the KKT residual res, an Armijo step rescaled into
     the ball, stopping on the KKT residual.  Returns the oriented unit w,
     beta, iterations, objective, KKT residual, objective trace, whether
     the residual reached tol, and ||w|| at the solution (1 on the sphere;
@@ -107,6 +108,7 @@ def reference_dwd(X, y, C, tol, max_iter=5000):
     P[piv] = np.linalg.inv(Z[piv]).T  # w = Xᵀ P a: X w = Z a, ||w|| = ||a||
     root_c = math.sqrt(C)
     Z1 = np.hstack([root_c * Z, np.ones((n, 1))])
+    Z2 = np.hstack([Z1, np.zeros((n, 1))])
     yf = y.astype(np.float64)
 
     def at(x):  # f, gradient, V_1'', ball multiplier, ||a||, KKT residual
@@ -126,21 +128,24 @@ def reference_dwd(X, y, C, tol, max_iter=5000):
 
     pos = y == 1
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+
+    def class_means(s):
+        return float((s * pos).sum()) / n_pos, float((s * ~pos).sum()) / n_neg
+
     a0 = (yf / np.where(pos, n_pos, n_neg)) @ Z
     nrm = math.sqrt(float((a0 * a0).sum()))
     x = np.zeros(r + 1)
     if nrm >= 1e-12:
         x[:r] = a0 / nrm
-    s = Z1 @ x
-    x[r] = -0.5 * (float((s * pos).sum()) / n_pos + float((s * ~pos).sum()) / n_neg)
+    mean_pos, mean_neg = class_means(Z1 @ x)
+    x[r] = -0.5 * (mean_pos + mean_neg)
     f, g, curv, lam, na, res = at(x)
     trace, iterations = [root_c * f], 0
     while res > tol and iterations < max_iter:
         on = na > 1.0 - 1e-9 and lam > 0.0
-        M = np.zeros((r + 2, r + 2))
-        M[:r + 1, :r + 1] = (Z1.T * curv) @ Z1
+        M = (Z2.T * curv) @ Z2  # zero in the border row and column
         for i in range(r + 1):
-            M[i, i] += res
+            M[i, i] += min(res, res * res)
             if on and i < r:
                 M[i, i] += lam
         if on:
@@ -167,7 +172,7 @@ def reference_dwd(X, y, C, tol, max_iter=5000):
         trace.append(root_c * f)
     w = X.T @ (P @ x[:r])
     nw = float(np.linalg.norm(w))
-    s = Z1 @ x
-    sign = -1.0 if s[y == 1].mean() < s[y == -1].mean() else 1.0
+    mean_pos, mean_neg = class_means(Z1 @ x)
+    sign = -1.0 if mean_pos < mean_neg else 1.0
     return (sign * w / nw, sign * (x[r] / root_c) / nw, iterations, root_c * f,
             res, tuple(trace), res <= tol, nw)

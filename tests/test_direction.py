@@ -214,11 +214,12 @@ def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms):
     for ds, seed in cases:
         X, C = ds.features, dp.penalty_parameter(ds)
         # a sample alone against the rest takes 2-4x the Newton iterations
-        # of a relabeling
+        # of a relabeling; on the 12 x 3 blobs it takes 9-14, and the
+        # relabelings 1-15 include one of 5
         alone = [np.where(np.arange(len(X)) == i, 1, -1) for i in range(min(len(X), 60))]
         Y = np.array([ds.labels] + [
             dp.permute_labels(ds.labels, "unbalanced", dp.derive_stream(seed, b))
-            for b in range(1, 7)] + alone)
+            for b in range(1, 16)] + alone)
         batch = list(_dwd_batch(X, Y, _factor(X), C, DEFAULT_TOL, 5000,
                                 keep_trace=True))
         iterations = [m.iterations for m in batch]
@@ -261,7 +262,9 @@ def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms):
 def test_stacked_kernels_give_each_row_its_single_bits():
     # the premise of batch rows = single fits, on whatever numpy runs this:
     # every stacked kernel the solver calls gives a row of a k-row stack
-    # the bits of a one-row stack and of the plain single call
+    # the bits of a one-row stack and of the plain single call (the
+    # bordered Newton system, its diagonal shifted in place through a
+    # strided view, and the masked class means among them)
     rng = np.random.default_rng(0)
     n = 100
     for r in (2, 25, 60):
@@ -271,12 +274,23 @@ def test_stacked_kernels_give_each_row_its_single_bits():
             d = rng.uniform(0.0, 2.0, size=(k, n))
             M = np.matmul(Z.T * d[:, None, :], Z) + np.eye(r + 1)
             b = rng.normal(size=(k, r + 1, 1))
+            Z2 = np.hstack([Z, np.zeros((n, 1))])  # the bordered system
+            mask, shift = q > 0.0, rng.uniform(0.0, 1.0, size=k)
+
+            def shifted(i):  # a diagonal updated in place through a strided view
+                S = np.matmul(Z2.T * d[i, None, :], Z2)
+                S.reshape(len(S), -1)[:, ::r + 3][:, :r + 1] += shift[i, None]
+                return S
             kernels = [  # (stacked, single)
                 (lambda i: np.matmul(Z, x[i, :, None])[:, :, 0], lambda i: Z @ x[i]),
                 (lambda i: np.matmul(q[i, None, :], Z)[:, 0, :], lambda i: q[i] @ Z),
                 (lambda i: np.matmul(Z.T * d[i, None, :], Z), lambda i: (Z.T * d[i]) @ Z),
                 (lambda i: np.linalg.solve(M[i], b[i]), lambda i: np.linalg.solve(M[i], b[i])),
                 (lambda i: (q[i] * q[i]).sum(axis=1), lambda i: (q[i] * q[i]).sum()),
+                (lambda i: np.matmul(Z2.T * d[i, None, :], Z2), lambda i: (Z2.T * d[i]) @ Z2),
+                (shifted, lambda i: (Z2.T * d[i]) @ Z2 + np.diag(np.r_[np.full(r + 1, shift[i]), 0.0])),
+                (lambda i: (q[i] * mask[i]).sum(axis=1) / mask[i].sum(axis=1),
+                 lambda i: float((q[i] * mask[i]).sum()) / int(mask[i].sum())),
             ]
             rows = np.arange(k)
             for stacked, single in kernels:
@@ -324,6 +338,12 @@ def test_dwd_invalid_parameters():
     for tol in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValidationError, match="tol"):
             dp.dwd_direction(ds, C=1.0, tol=tol)
+    # max_iter follows PermutationPlan.B's rule: 2.5 used to run 3
+    # iterations and end in a NonConvergedError
+    for max_iter in (0, 2.5, 3.0, "3", None):
+        with pytest.raises(ValidationError, match="max_iter"):
+            dp.dwd_direction(ds, C=1.0, max_iter=max_iter)
+    assert dp.dwd_direction(ds, C=1.0, max_iter=np.int64(50)).iterations <= 50
 
 
 def test_direction_requires_unit_norm():

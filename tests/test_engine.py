@@ -59,6 +59,8 @@ def test_validation_of_engine_arguments(tmp_path, capsys):
     for workers in (0, 2.5):
         with pytest.raises(ValidationError, match="workers"):
             dp.diproperm(ds, workers=workers)
+    with pytest.raises(ValidationError, match="max_iter"):
+        dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 5), dwd_max_iter=2.5)
     with pytest.raises(ValidationError):
         dp.TestConfig("dwd", "md", "shuffled", 100, 0, 0.05)
     # a stored result whose config no run could have produced, or with a
@@ -337,6 +339,42 @@ def test_abort_in_callers_block_leaves_no_worker_behind(monkeypatch):
                      dwd_max_iter=5)
     assert exc.value.perm_index == 1
     assert multiprocessing.active_children() == []
+
+
+def test_observed_fit_is_row_0_of_block_1(monkeypatch, tmp_path):
+    # one _dwd_batch per block, block 1's with the observed labels first;
+    # the observed model is dwd_direction's bit for bit at any worker count
+    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
+    calls, real = tmp_path / "calls", engine._dwd_batch
+
+    def spy(X, Y, *args):  # pool workers append to the same file
+        with open(calls, "a") as f:
+            f.write(f"{len(Y)} {int(np.array_equal(Y[0], ds.labels))}\n")
+        return real(X, Y, *args)
+
+    monkeypatch.setattr(engine, "_dwd_batch", spy)
+    ds = make_blobs(n=20, p=4, distance=2.0, seed=6)
+    single = dp.dwd_direction(ds, C=dp.penalty_parameter(ds))
+    plan = dp.PermutationPlan("balanced", 20, 3)
+    for workers, sizes in ((1, [20]), (2, [10, 10]), (3, [6, 7, 7])):
+        calls.write_text("")
+        m = dp.diproperm(ds, plan, workers=workers).observed_model
+        batches = sorted(line.split() for line in calls.read_text().splitlines())
+        assert batches == sorted([[str(sizes[0] + 1), "1"]]
+                                 + [[str(k), "0"] for k in sizes[1:]])
+        assert m.direction.w.tobytes() == single.direction.w.tobytes()
+        assert m.direction.beta == single.direction.beta
+        assert (m.iterations, m.objective, m.kkt_residual, m.training_error) == (
+            single.iterations, single.objective, single.kkt_residual, single.training_error)
+    # an observed fit that fails raises its own error, with no perm_index
+    with pytest.raises(NonConvergedError) as expected:
+        dp.dwd_direction(ds, C=dp.penalty_parameter(ds), max_iter=1)
+    for workers in (1, 3):
+        with pytest.raises(NonConvergedError) as exc:
+            dp.diproperm(ds, plan, workers=workers, dwd_max_iter=1)
+        assert exc.value.perm_index is None
+        assert (exc.value.iterations, exc.value.kkt_residual) == (
+            expected.value.iterations, expected.value.kkt_residual)
 
 
 def test_run_state_is_released():

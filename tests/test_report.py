@@ -157,6 +157,27 @@ def test_result_json_roundtrip(result, tmp_path, capsys):
         assert printed[0] == printed[1] and printed[0].count("\n") == 3
 
 
+def test_result_json_feature_names_match_direction(result, tmp_path, capsys):
+    # one name too few (or too many) is refused on load, naming the field
+    named = dp.DppResult(**{**result.__dict__, "feature_names": ("a", "b", "c")})
+    path = tmp_path / "result.json"
+    dp.emit_result_json(named, path)
+    for names in (["a", "b"], ["a", "b", "c", "d"]):
+        doc = json.loads(path.read_text())
+        doc["feature_names"] = names
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="feature_names"):
+            dp.load_result_json(tampered)
+        capsys.readouterr()
+        for command in (["report", str(tampered), "--out", str(tmp_path / "out")],
+                        ["loadings", str(tampered)]):
+            assert cli.main(command) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "feature_names" in err
+
+
 def test_result_json_loadings_sorted(result, tmp_path):
     path = tmp_path / "result.json"
     dp.emit_result_json(result, path)
