@@ -6,8 +6,9 @@ the top variable loadings from a result file, `report` re-emits panels
 from a result file, and `synth` generates the two-cluster Gaussian
 example data.
 
-Exit codes: 0 success, 1 I/O error, 2 validation error, 3 solver
-non-convergence.  Every failure prints one "error: ..." line to stderr.
+Exit codes: 0 success, 1 I/O error or a lost worker process, 2
+validation error, 3 solver non-convergence.  Every failure prints one
+"error: ..." line to stderr.
 """
 
 from __future__ import annotations

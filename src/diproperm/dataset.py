@@ -240,11 +240,9 @@ def load_sparse(path, n_features: int | None = None,
     return LabeledDataset(X, y, feature_names)
 
 
-def write_dense(ds: LabeledDataset, path, include_header: bool = False) -> None:
+def write_dense(ds: LabeledDataset, path) -> None:
     """Write features as CSV using shortest round-trip float formatting."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if include_header:
-            fh.write(",".join(ds.names) + "\n")
         for row in ds.features:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 

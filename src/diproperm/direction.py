@@ -83,7 +83,6 @@ class DwdModel:
     objective: float
     kkt_residual: float
     training_error: float
-    objective_trace: tuple[float, ...] = ()
 
 
 class Loading(NamedTuple):
@@ -162,8 +161,16 @@ def _factor(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Z, P
 
 
+def _check_stopping(tol, max_iter) -> None:
+    """The one check of a DWD stopping rule, for every fit and TestConfig."""
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be in (0, inf), got {tol!r}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+
+
 def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
-               tol: float, max_iter: int, keep_trace: bool = False):
+               tol: float, max_iter: int):
     """DWD fits of X to each row of the label stack Y (m x n), in lockstep.
 
     `factors` is _factor(X).  Each row's model is bit-identical to a
@@ -173,10 +180,7 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
     """
     if not (np.isfinite(C) and C > 0.0):
         raise DegenerateScaleError(f"penalty C must be positive and finite, got {C!r}")
-    if not 0.0 < tol < math.inf:
-        raise ValidationError(f"tol must be in (0, inf), got {tol!r}")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    _check_stopping(tol, max_iter)
 
     Z, P = factors
     n, r = Z.shape
@@ -246,7 +250,6 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
     # (on the sphere, a retraction).  A row leaves when its KKT residual
     # reaches tol, after max_iter iterations, or when no step decreases f.
     state = [x, *at(x, Yf)]  # x, f, G, curv, lam, na, res of every row
-    traces = [[root_c * float(v)] for v in state[1]] if keep_trace else None
     iters = np.zeros(len(Y), dtype=np.int64)
     stuck = np.zeros(len(Y), dtype=bool)
     live = np.arange(len(Y))
@@ -279,9 +282,6 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
             todo = todo[t[todo] >= 1e-12]
         moved = live[~stuck[live]]
         iters[moved] += 1
-        if keep_trace:
-            for row in moved:
-                traces[row].append(root_c * float(state[1][row]))
 
     # Z1 x is X w + beta scaled by sqrt(C) > 0: it orients each direction
     # and signs its training margins without an n x p product
@@ -297,26 +297,24 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
         direction = Direction(sign * w / nw, sign * (x[r] / root_c) / nw)
         del w  # while the row is scored, only direction.w is alive
         model = DwdModel(direction, C, int(iters[i]), root_c * float(f), float(res),
-                         training_error=float(errors[i] / n),
-                         objective_trace=tuple(traces[i]) if keep_trace else ())
+                         training_error=float(errors[i] / n))
         if not res <= tol:
             raise NonConvergedError(model.iterations, model.kkt_residual, model=model)
         yield model
 
 
 def dwd_direction(ds: LabeledDataset, C: float | None = None,
-                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                  keep_trace: bool = False) -> DwdModel:
+                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> DwdModel:
     """Fit the DWD classifier; C defaults to penalty_parameter(ds).
 
-    Raises NonConvergedError (with the partial model attached) if the KKT
-    residual does not reach `tol` within max_iter iterations.
+    Raises ValidationError unless `tol` is in (0, inf) and `max_iter` an
+    integer >= 1, and NonConvergedError (with the partial model attached)
+    if the KKT residual does not reach `tol` within max_iter iterations.
     """
     if C is None:
         C = penalty_parameter(ds)
     X = ds.features
-    return next(_dwd_batch(X, ds.labels[None, :], _factor(X), C, tol, max_iter,
-                           keep_trace))
+    return next(_dwd_batch(X, ds.labels[None, :], _factor(X), C, tol, max_iter))
 
 
 def loadings_of(direction: Direction, loadnum: int | None = None,

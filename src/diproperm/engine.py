@@ -25,6 +25,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 
@@ -37,13 +38,14 @@ from .direction import (
     Direction,
     DwdModel,
     Loading,
+    _check_stopping,
     _dwd_batch,
     _factor,
     _md_arrays,
     loadings_of,
     penalty_parameter,
 )
-from .errors import EmptyError, NonConvergedError, ValidationError, ZeroVarianceError
+from .errors import DppError, EmptyError, ValidationError, WorkerLostError, ZeroVarianceError
 from .permute import PermutationPlan, derive_stream, half_split_fits, permute_labels
 from .unistat import STATISTICS, ProjectionScores
 
@@ -60,7 +62,8 @@ class TestConfig:
 
     Validated on construction: an instance always describes a run that
     diproperm() accepts.  Scheme, B and seed are checked by the
-    PermutationPlan they make up.
+    PermutationPlan they make up, the DWD stopping rule dwd_tol and
+    dwd_max_iter (which md runs ignore) as every DWD fit checks it.
     """
 
     classifier: str
@@ -69,6 +72,8 @@ class TestConfig:
     B: int
     seed: int
     alpha: float
+    dwd_tol: float
+    dwd_max_iter: int
 
     def __post_init__(self):
         if self.classifier not in CLASSIFIERS:
@@ -76,6 +81,7 @@ class TestConfig:
         if self.statistic not in STATISTICS:
             raise ValidationError(f"statistic must be one of {tuple(STATISTICS)}, got {self.statistic!r}")
         PermutationPlan(self.scheme, self.B, self.seed)
+        _check_stopping(self.dwd_tol, self.dwd_max_iter)
         _check_alpha(self.alpha)
         if self.alpha * self.B < 1.0:
             raise ValidationError(
@@ -175,15 +181,15 @@ _KEEP_SCORES_UPTO = 2
 _MIN_BLOCK = 100
 
 
-def _fit_and_score(X, labels, config, C, factors, tol, max_iter):
+def _fit_and_score(X, labels, config, C, factors):
     """(direction, DWD model, scores, statistic) for each label vector in
     `labels`, in order.  DWD fits them as one lockstep batch and hands
     them out one at a time, so each is scored before the next w is formed."""
     if config.classifier == "md":
         fits = ((_md_arrays(X, y), None) for y in labels)
     else:
-        fits = ((m.direction, m)
-                for m in _dwd_batch(X, np.array(labels), factors, C, tol, max_iter))
+        fits = ((m.direction, m) for m in _dwd_batch(
+            X, np.array(labels), factors, C, config.dwd_tol, config.dwd_max_iter))
     for y, (direction, model) in zip(labels, fits):
         ps = ProjectionScores(X @ direction.w + direction.beta, y)
         yield direction, model, ps, STATISTICS[config.statistic](ps)
@@ -196,25 +202,24 @@ def _permutations(state, indices, keep: bool, observed: bool = False):
     perm1/perm2, and for the block's first minimum and maximum.
 
     Pure in (state, indices); `state` is the run's (X, y, config, C,
-    factors, tol, max_iter).  The block is relabeled at once and fit as
-    one batch, the observed labels y first if `observed`; a failing
-    observed fit raises as it is, a failing re-fit aborts at the lowest
-    failing index.
+    factors).  The block is relabeled at once and fit as one batch, the
+    observed labels y first if `observed`; a failing observed fit raises
+    as it is, a failing re-fit or scoring aborts at the lowest failing
+    index, which the error carries as perm_index.
     """
-    X, y, config, *fit_args = state
+    X, y, config, C, factors = state
     t0 = time.perf_counter()
     labels = [permute_labels(y, config.scheme, derive_stream(config.seed, b))
               for b in indices]
-    fits = _fit_and_score(X, ([y] if observed else []) + labels, config, *fit_args)
+    fits = _fit_and_score(X, ([y] if observed else []) + labels, config, C, factors)
     first = next(fits) if observed else None
     outputs, lo, hi = [], None, None
     for i, b in enumerate(indices):
         try:
             _, model, ps, stat = next(fits)
-        except NonConvergedError as err:
-            raise NonConvergedError(
-                err.iterations, err.kkt_residual, model=err.model, perm_index=b
-            ) from None
+        except DppError as err:  # b's re-fit or scoring failed
+            err.perm_index = b
+            raise
         outputs.append((stat, ps if keep or b <= _KEEP_SCORES_UPTO else None,
                         model.iterations if model else 0))
         lo = lo if lo and lo[0] <= stat else (stat, ps, i)  # first minimum
@@ -240,14 +245,16 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     lockstep batch whose rows are bit-identical to single fits; the
     observed fit is row 0 of block 1's batch, so the DEBUG wall time of
     block 1 includes it.  Every permutation b draws from its own (seed, b)
-    stream, so results are bit-identical for any worker count.  A
-    NonConvergedError on the observed fit has no perm_index; on any
-    re-fit it aborts the run with the lowest failing permutation index;
-    no permutation is silently dropped.
+    stream, so results are bit-identical for any worker count.  An error
+    in the observed fit has no perm_index; one in re-fitting or scoring
+    permutation b (NonConvergedError, ZeroDirectionError, ...) aborts the
+    run with perm_index the lowest failing b; a pool worker that dies
+    raises WorkerLostError naming its block; no permutation is silently
+    dropped.
     """
     plan = plan or PermutationPlan()
     config = TestConfig(classifier, statistic, plan.scheme, plan.B,
-                        plan.seed, alpha)
+                        plan.seed, alpha, dwd_tol, dwd_max_iter)
     if workers is None:  # the cores this process may run on
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
@@ -262,7 +269,7 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
         )
     C = penalty_parameter(ds) if classifier == "dwd" else None
     factors = _factor(ds.features) if classifier == "dwd" else None
-    state = (ds.features, ds.labels, config, C, factors, dwd_tol, dwd_max_iter)
+    state = (ds.features, ds.labels, config, C, factors)
 
     # contiguous blocks of indices in index order, each worth a process;
     # block 1 fits the observed labels too, in the same batch
@@ -275,7 +282,13 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     else:  # this process runs the first block while the pool runs the rest
         with ProcessPoolExecutor(max_workers=n_blocks - 1) as pool:
             rest = [pool.submit(run, block) for block in blocks[1:]]
-            block_outputs = [run(blocks[0], observed=True)] + [f.result() for f in rest]
+            block_outputs = [run(blocks[0], observed=True)]
+            for block, future in zip(blocks[1:], rest):
+                try:
+                    block_outputs.append(future.result())
+                except BrokenProcessPool as err:
+                    raise WorkerLostError(f"a worker process died before permutations "
+                                          f"{block[0]}-{block[-1]} were done") from err
     (observed_direction, observed_model, observed_scores,
      observed_statistic) = block_outputs[0][0]
     outputs = [out for _, block, _ in block_outputs for out in block]

@@ -6,7 +6,17 @@ failures with one handler; the CLI maps subfamilies to exit codes.
 
 
 class DppError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    An error raised while permutation b is re-fit or scored carries
+    perm_index = b, and its message ends with "(permutation b)".
+    """
+
+    perm_index: int | None = None
+
+    def __str__(self):
+        where = "" if self.perm_index is None else f" (permutation {self.perm_index})"
+        return super().__str__() + where
 
 
 class ValidationError(DppError, ValueError):
@@ -82,27 +92,29 @@ class PanelUnavailableError(DppError):
     """The requested diagnostic panel was not retained in the result."""
 
 
+class WorkerLostError(DppError):
+    """A pool worker process died (killed, say, or out of memory) before
+    its block of permutations was done."""
+
+
 class NonConvergedError(DppError):
     """Solver stopped (iteration cap, no descent left) short of its tolerance.
 
-    The partially-converged model is attached for inspection; engines
-    propagate the failing permutation index when a re-fit fails.
+    The partially-converged model is attached for inspection.
     """
 
-    def __init__(self, iterations: int, kkt_residual: float, model=None,
-                 perm_index: int | None = None):
-        where = f" (permutation {perm_index})" if perm_index is not None else ""
+    def __init__(self, iterations: int, kkt_residual: float, model=None):
         super().__init__(
-            f"solver did not converge{where}: {iterations} iterations, "
+            f"solver did not converge: {iterations} iterations, "
             f"residual {kkt_residual:.3e}"
         )
         self.iterations = iterations
         self.kkt_residual = kkt_residual
         self.model = model
-        self.perm_index = perm_index
 
-    def __reduce__(self):  # keep custom args across process boundaries
+    def __reduce__(self):  # custom args and perm_index across processes
         return (
             self.__class__,
-            (self.iterations, self.kkt_residual, self.model, self.perm_index),
+            (self.iterations, self.kkt_residual, self.model),
+            self.__dict__,
         )

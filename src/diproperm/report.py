@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .direction import Direction, DwdModel
+from .direction import DEFAULT_MAX_ITER, DEFAULT_TOL, Direction, DwdModel
 from .engine import (
     PANELS,
     SCORE_PANELS,
@@ -328,6 +328,8 @@ def load_result_json(path) -> DppResult:
 
     A missing or malformed field raises ValidationError naming it.
     `loadings` is not read: DppResult derives it from the direction.
+    Files written before the config held `dwd_tol` and `dwd_max_iter`
+    load with DEFAULT_TOL and DEFAULT_MAX_ITER.
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -364,7 +366,8 @@ def load_result_json(path) -> DppResult:
         return tuple(v)
 
     return DppResult(
-        config=field("config", lambda c: TestConfig(**c)),
+        config=field("config", lambda c: TestConfig(**{
+            "dwd_tol": DEFAULT_TOL, "dwd_max_iter": DEFAULT_MAX_ITER, **c})),
         observed_direction=direction,
         observed_scores=field("observed_scores", lambda d: ProjectionScores(
             np.array(d["scores"]), np.array(d["labels"]))),

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import diproperm as dp
@@ -95,6 +96,23 @@ def test_run_rejects_non_finite_dwd_tol(blob_files, tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1 and "tol" in err
+
+
+def test_result_json_reproduces_its_run(tmp_path, capsys):
+    # the stored config holds the DWD stopping rule too, so diproperm()
+    # given the file's config gives the file's statistics, bit for bit
+    out = tmp_path / "run"
+    assert cli.main(["run", "--data", "bundled:mushrooms50", "-B", "20", "--seed", "5",
+                     "--alpha", "0.1", "--dwd-tol", "1e-6", "--dwd-max-iter", "50",
+                     "--workers", "1", "--out", str(out)]) == 0
+    stored = json.loads((out / "result.json").read_text())["perm_statistics"]
+    c = dp.load_result_json(out / "result.json").config
+    assert (c.dwd_tol, c.dwd_max_iter) == (1e-6, 50)
+    again = dp.diproperm(dp.mushrooms50(), dp.PermutationPlan(c.scheme, c.B, c.seed),
+                         classifier=c.classifier, statistic=c.statistic, alpha=c.alpha,
+                         workers=1, dwd_tol=c.dwd_tol, dwd_max_iter=c.dwd_max_iter)
+    assert again.config == c
+    assert again.perm_statistics.tobytes() == np.array(stored).tobytes()
 
 
 def test_run_missing_file(tmp_path):
@@ -203,8 +221,8 @@ def test_parser_restates_no_library_choice_or_default(monkeypatch, tmp_path):
 
     seen = []
 
-    def spy(X, y, config, C, K, tol, max_iter):
-        seen.append((config, tol, max_iter))
+    def spy(X, y, config, C, factors):
+        seen.append(config)
         raise Captured
 
     monkeypatch.setattr(engine, "_fit_and_score", spy)

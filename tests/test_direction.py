@@ -177,10 +177,18 @@ def test_dwd_objective_equals_loss_sum():
 
 
 def test_dwd_trace_monotone():
+    # the objective after each iteration of the single-problem reference,
+    # whose every step the package's fit takes bit for bit
     ds = make_blobs(n=24, p=6, distance=1.0, seed=9)
-    model = dp.dwd_direction(ds, keep_trace=True)
-    trace = np.array(model.objective_trace)
-    assert len(trace) == model.iterations + 1
+    C = dp.penalty_parameter(ds)
+    model = dp.dwd_direction(ds, C=C)
+    w, beta, iters, objective, res, trace, converged, _ = reference_dwd(
+        ds.features, ds.labels, C, DEFAULT_TOL)
+    assert converged and np.array_equal(model.direction.w, w)
+    assert (model.direction.beta, model.iterations, model.objective,
+            model.kkt_residual) == (beta, iters, objective, res)
+    assert len(trace) == iters + 1 and trace[-1] == objective
+    trace = np.array(trace)
     assert np.all(np.diff(trace) <= 1e-9 * max(1.0, trace[0]))
 
 
@@ -220,13 +228,12 @@ def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms):
         Y = np.array([ds.labels] + [
             dp.permute_labels(ds.labels, "unbalanced", dp.derive_stream(seed, b))
             for b in range(1, 16)] + alone)
-        batch = list(_dwd_batch(X, Y, _factor(X), C, DEFAULT_TOL, 5000,
-                                keep_trace=True))
+        batch = list(_dwd_batch(X, Y, _factor(X), C, DEFAULT_TOL, 5000))
         iterations = [m.iterations for m in batch]
         assert max(iterations) >= 2 * min(iterations)
         for y, m in zip(Y, batch):
-            single = dp.dwd_direction(dp.LabeledDataset(X, y), C=C, keep_trace=True)
-            w, beta, iters, objective, res, trace, converged, nw = reference_dwd(
+            single = dp.dwd_direction(dp.LabeledDataset(X, y), C=C)
+            w, beta, iters, objective, res, _, converged, nw = reference_dwd(
                 X, y, C, DEFAULT_TOL)
             assert converged
             # KKT of min f over ||w|| <= 1 at the solution (nw w, nw beta):
@@ -249,13 +256,7 @@ def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms):
                 assert fit.direction.beta == beta
                 assert fit.iterations == iters and isinstance(fit.iterations, int)
                 assert fit.objective == objective and fit.kkt_residual == res
-                assert fit.objective_trace == trace
             assert m.training_error == single.training_error
-        # without a trace the fit is the same
-        for m, plain in zip(batch, _dwd_batch(X, Y, _factor(X), C, DEFAULT_TOL, 5000)):
-            assert plain.objective_trace == ()
-            assert np.array_equal(plain.direction.w, m.direction.w)
-            assert plain.iterations == m.iterations
     assert interior > 0
 
 

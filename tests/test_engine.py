@@ -5,6 +5,8 @@ import json
 import logging
 import math
 import multiprocessing
+import os
+import pickle
 import tracemalloc
 import weakref
 
@@ -17,6 +19,8 @@ from diproperm.errors import (
     EmptyError,
     NonConvergedError,
     ValidationError,
+    WorkerLostError,
+    ZeroDirectionError,
     ZeroVarianceError,
 )
 from conftest import make_blobs
@@ -61,8 +65,11 @@ def test_validation_of_engine_arguments(tmp_path, capsys):
             dp.diproperm(ds, workers=workers)
     with pytest.raises(ValidationError, match="max_iter"):
         dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 5), dwd_max_iter=2.5)
+    # the stopping rule is part of every config, so md refuses a bad one too
+    with pytest.raises(ValidationError, match="tol"):
+        dp.diproperm(ds, classifier="md", dwd_tol=0)
     with pytest.raises(ValidationError):
-        dp.TestConfig("dwd", "md", "shuffled", 100, 0, 0.05)
+        dp.TestConfig("dwd", "md", "shuffled", 100, 0, 0.05, 1e-8, 5000)
     # a stored result whose config no run could have produced, or with a
     # field missing or of the wrong type, is refused naming the field
     path = tmp_path / "result.json"
@@ -287,6 +294,60 @@ def test_permutation_nonconvergence_aborts_with_index(monkeypatch):
             assert np.array_equal(got.model.direction.w, ref.model.direction.w)
             assert got.model.direction.beta == ref.model.direction.beta
             assert got.model.objective == ref.model.objective
+
+
+def test_any_refit_failure_names_its_permutation(monkeypatch, tmp_path, capsys):
+    # the observed fit is fine, but every balanced relabeling gives both
+    # classes the same rows, so no re-fit has a direction: the error is
+    # the lowest index's, names it, keeps it across a pickle (the way a
+    # pool worker's error travels) and reaches the CLI as one line
+    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
+    ds = dp.LabeledDataset([[0, 1], [0, 1], [1, 0], [1, 0]], [-1, -1, 1, 1])
+    data, labels = tmp_path / "x.csv", tmp_path / "y.txt"
+    dp.write_dense(ds, data)
+    dp.write_labels(ds, labels)
+    for classifier in ("md", "dwd"):
+        for workers in (1, 3):
+            with pytest.raises(ZeroDirectionError) as exc:
+                dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 1), alpha=0.1,
+                             classifier=classifier, workers=workers)
+            err = exc.value
+            assert err.perm_index == 1 and str(err).endswith(" (permutation 1)")
+            again = pickle.loads(pickle.dumps(err))
+            assert (type(again), again.perm_index, str(again)) == (type(err), 1, str(err))
+            code = cli.main(["run", "--data", str(data), "--labels", str(labels),
+                             "-B", "20", "--seed", "1", "--alpha", "0.1",
+                             "--classifier", classifier, "--workers", str(workers),
+                             "--out", str(tmp_path / "out")])
+            assert (code, capsys.readouterr().err) == (2, f"error: {err}\n")
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patch reaches pool workers only through fork")
+def test_dead_worker_is_a_typed_error(monkeypatch, tmp_path, capsys):
+    # a pool worker that dies (here by os._exit; a kill for memory looks
+    # the same) fails the run naming its block, and leaves no child behind
+    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
+    caller, real = os.getpid(), engine._fit_and_score
+
+    def dying(*args):
+        if os.getpid() != caller:
+            os._exit(9)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_fit_and_score", dying)
+    ds = make_blobs(n=20, p=4, distance=2.0, seed=6)
+    with pytest.raises(WorkerLostError, match="permutations 11-20"):
+        dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 3), workers=2)
+    assert multiprocessing.active_children() == []
+    data, labels = tmp_path / "x.csv", tmp_path / "y.txt"
+    dp.write_dense(ds, data)
+    dp.write_labels(ds, labels)
+    assert cli.main(["run", "--data", str(data), "--labels", str(labels), "-B", "20",
+                     "--seed", "3", "--workers", "2", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "11-20" in err
+    assert multiprocessing.active_children() == []
 
 
 def test_pool_only_for_blocks_worth_a_process(monkeypatch):

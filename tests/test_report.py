@@ -9,6 +9,8 @@ import pytest
 
 import diproperm as dp
 from diproperm import cli
+from diproperm.direction import DEFAULT_MAX_ITER, DEFAULT_TOL
+from diproperm.engine import PANELS
 from diproperm.errors import PanelUnavailableError, ValidationError
 from conftest import make_blobs
 
@@ -176,6 +178,38 @@ def test_result_json_feature_names_match_direction(result, tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1
             assert "feature_names" in err
+
+
+def test_result_json_dwd_stopping_rule(result, tmp_path, capsys):
+    # the config holds the DWD stopping rule; one no fit accepts is refused
+    # on load, and a config without it (as in files written before the
+    # config held it) loads with the defaults and re-emits the same panels
+    path = tmp_path / "result.json"
+    dp.emit_result_json(result, path)
+    doc = json.loads(path.read_text())
+    assert doc["config"]["dwd_tol"] == DEFAULT_TOL
+    assert doc["config"]["dwd_max_iter"] == DEFAULT_MAX_ITER
+    for key, value in (("dwd_tol", 0), ("dwd_tol", -1), ("dwd_tol", math.nan),
+                       ("dwd_max_iter", 2.5)):
+        name = key.removeprefix("dwd_")
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps({**doc, "config": {**doc["config"], key: value}}))
+        with pytest.raises(ValidationError, match=name):
+            dp.load_result_json(tampered)
+        capsys.readouterr()
+        assert cli.main(["report", str(tampered), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and name in err
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({**doc, "config": {
+        k: v for k, v in doc["config"].items() if not k.startswith("dwd_")}}))
+    assert dp.load_result_json(old).config == result.config
+    for source in (path, old):
+        assert cli.main(["report", str(source), "--panels", ",".join(PANELS),
+                         "--out", str(tmp_path / source.stem)]) == 0
+    for name in (f"{panel}.{ext}" for panel in PANELS for ext in ("csv", "svg")):
+        assert (tmp_path / "old" / name).read_bytes() == (
+            tmp_path / "result" / name).read_bytes()
 
 
 def test_result_json_loadings_sorted(result, tmp_path):
