@@ -44,6 +44,7 @@ from .errors import (
     NonConvergedError,
     ValidationError,
     ZeroDirectionError,
+    is_integer,
 )
 
 DEFAULT_TOL = 1e-8
@@ -163,9 +164,9 @@ def _factor(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_stopping(tol, max_iter) -> None:
     """The one check of a DWD stopping rule, for every fit and TestConfig."""
-    if not 0.0 < tol < math.inf:
+    if isinstance(tol, bool) or not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be in (0, inf), got {tol!r}")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+    if not is_integer(max_iter) or max_iter < 1:
         raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
 

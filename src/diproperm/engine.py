@@ -8,8 +8,8 @@ re-fits (or one block); the caller runs the first, a process pool the
 rest.  Each block is relabeled whole, its DWD fits run as one lockstep
 batch of Newton solves (direction._dwd_batch, each row bit-identical to a
 single fit; the observed labels are row 0 of block 1's batch), then its
-rows scored in index order, keeping the scores of its first minimum and
-maximum statistic for the run's extreme records.
+rows scored in index order; one rule (_retained) picks the permutations
+whose scores a block sends back and whose records the run keeps.
 Every permutation b draws from its own (seed, b) stream, so the answer
 does not depend on the worker count.
 
@@ -26,6 +26,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -45,7 +46,14 @@ from .direction import (
     loadings_of,
     penalty_parameter,
 )
-from .errors import DppError, EmptyError, ValidationError, WorkerLostError, ZeroVarianceError
+from .errors import (
+    DppError,
+    EmptyError,
+    ValidationError,
+    WorkerLostError,
+    ZeroVarianceError,
+    is_integer,
+)
 from .permute import PermutationPlan, derive_stream, half_split_fits, permute_labels
 from .unistat import STATISTICS, ProjectionScores
 
@@ -172,9 +180,6 @@ def cutoff(perm_stats, alpha: float) -> float:
     return float(np.sort(stats)[rank - 1])
 
 
-# Permutations whose scores are always kept: the perm1/perm2 panels.
-_KEEP_SCORES_UPTO = 2
-
 # Fewest re-fits a block needs to pay for a worker process (fork, pickled
 # run state, BLAS thread wake-up): on 2 cores two blocks of 75 DWD re-fits
 # tied with one process, two of 100 won (mushrooms50 and 60 x 5000).
@@ -195,11 +200,23 @@ def _fit_and_score(X, labels, config, C, factors):
         yield direction, model, ps, STATISTICS[config.statistic](ps)
 
 
+def _retained(indices, stats, keep: bool):
+    """The permutations whose scores are kept: all `indices` if `keep`, else
+    the first two (perm1/perm2) and the first argmin and argmax of `stats`.
+    Exact at block and run level: the run's first two are block 1's, and
+    each first extreme of the run is its block's first.  The price of one
+    rule: a later block also returns its own first two (2n floats), unused."""
+    if keep:
+        return list(indices)
+    return sorted({*indices[:2], indices[int(np.argmin(stats))],
+                   indices[int(np.argmax(stats))]})
+
+
 def _permutations(state, indices, keep: bool, observed: bool = False):
-    """The observed fit if `observed` (else None), the statistic, scores
-    and solver iterations of each permutation of one block, in index
-    order, and the block's wall time.  Scores are kept if `keep`, for
-    perm1/perm2, and for the block's first minimum and maximum.
+    """One block's columns: the observed fit if `observed` (else None),
+    the statistic and solver iterations of each permutation in index
+    order, {b: scores} of its _retained permutations, and the block's
+    wall time.  Every row's scores are held until the block returns.
 
     Pure in (state, indices); `state` is the run's (X, y, config, C,
     factors).  The block is relabeled at once and fit as one batch, the
@@ -213,20 +230,17 @@ def _permutations(state, indices, keep: bool, observed: bool = False):
               for b in indices]
     fits = _fit_and_score(X, ([y] if observed else []) + labels, config, C, factors)
     first = next(fits) if observed else None
-    outputs, lo, hi = [], None, None
-    for i, b in enumerate(indices):
+    stats, iterations, scores = [], [], {}
+    for b in indices:
         try:
-            _, model, ps, stat = next(fits)
+            _, model, scores[b], stat = next(fits)
         except DppError as err:  # b's re-fit or scoring failed
             err.perm_index = b
             raise
-        outputs.append((stat, ps if keep or b <= _KEEP_SCORES_UPTO else None,
-                        model.iterations if model else 0))
-        lo = lo if lo and lo[0] <= stat else (stat, ps, i)  # first minimum
-        hi = hi if hi and hi[0] >= stat else (stat, ps, i)  # first maximum
-    for stat, ps, i in (lo, hi):
-        outputs[i] = stat, ps, outputs[i][2]
-    return first, outputs, time.perf_counter() - t0
+        stats.append(stat)
+        iterations.append(model.iterations if model else 0)
+    kept = {b: scores[b] for b in _retained(indices, stats, keep)}
+    return first, stats, iterations, kept, time.perf_counter() - t0
 
 
 def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
@@ -258,7 +272,7 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     if workers is None:  # the cores this process may run on
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
+    if not is_integer(workers) or workers < 1:
         raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
 
     if config.scheme == "balanced" and not half_split_fits(*ds.class_counts()):
@@ -277,45 +291,38 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     bounds = [1 + k * config.B // n_blocks for k in range(n_blocks + 1)]
     blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     run = partial(_permutations, state, keep=retain_all)
-    if n_blocks == 1:  # in this process: no process start, no state pickle
+    # this process runs block 1, a pool the rest; one block starts no pool
+    with ProcessPoolExecutor(n_blocks - 1) if n_blocks > 1 else nullcontext() as pool:
+        rest = [pool.submit(run, block) for block in blocks[1:]]
         block_outputs = [run(blocks[0], observed=True)]
-    else:  # this process runs the first block while the pool runs the rest
-        with ProcessPoolExecutor(max_workers=n_blocks - 1) as pool:
-            rest = [pool.submit(run, block) for block in blocks[1:]]
-            block_outputs = [run(blocks[0], observed=True)]
-            for block, future in zip(blocks[1:], rest):
-                try:
-                    block_outputs.append(future.result())
-                except BrokenProcessPool as err:
-                    raise WorkerLostError(f"a worker process died before permutations "
-                                          f"{block[0]}-{block[-1]} were done") from err
-    (observed_direction, observed_model, observed_scores,
-     observed_statistic) = block_outputs[0][0]
-    outputs = [out for _, block, _ in block_outputs for out in block]
-
-    perm_statistics = np.array([o[0] for o in outputs], dtype=np.float64)
+        for block, future in zip(blocks[1:], rest):
+            try:
+                block_outputs.append(future.result())
+            except BrokenProcessPool as err:
+                raise WorkerLostError(f"a worker process died before permutations "
+                                      f"{block[0]}-{block[-1]} were done") from err
+    observed, block_stats, block_iterations, kept, seconds = zip(*block_outputs)
+    observed_direction, observed_model, observed_scores, observed_statistic = observed[0]
+    perm_statistics = np.concatenate(block_stats, dtype=np.float64)
     perm_statistics.setflags(write=False)
+    iterations = [i for block in block_iterations for i in block]
+    scores = {b: ps for block in kept for b, ps in block.items()}
 
-    # retain diagnostics records: first, second, extremes (or everything);
-    # each global extreme is its block's first one, whose scores it kept
-    wanted = (range(1, config.B + 1) if retain_all else
-              sorted({*range(1, _KEEP_SCORES_UPTO + 1),
-                      int(np.argmin(perm_statistics)) + 1,
-                      int(np.argmax(perm_statistics)) + 1}))
-    records = {b: PermutationRecord(b, outputs[b - 1][1].labels, outputs[b - 1][1],
-                                    outputs[b - 1][0]) for b in wanted}
+    # retain diagnostics records: first, second, extremes (or everything)
+    records = {b: PermutationRecord(b, scores[b].labels, scores[b],
+                                    float(perm_statistics[b - 1]))
+               for b in _retained(range(1, config.B + 1), perm_statistics, retain_all)}
 
     if log.isEnabledFor(logging.DEBUG):
-        for block, (*_, seconds) in zip(blocks, block_outputs):
+        for block, block_seconds in zip(blocks, seconds):
             log.debug("perms %d-%d: relabeled, re-fit and scored in %.4fs",
-                      block[0], block[-1], seconds)
-        for b, (stat_b, _, iters) in enumerate(outputs, start=1):
+                      block[0], block[-1], block_seconds)
+        for b, (stat_b, iters) in enumerate(zip(perm_statistics, iterations), start=1):
             log.debug("perm %d: statistic=%.6g iterations=%d", b, stat_b, iters)
-    iter_total = sum(o[2] for o in outputs)
     log.info(
         "ran B=%d permutations (%s/%s, scheme=%s): solver iterations "
         "total=%d, statistic range [%.4g, %.4g]",
-        config.B, classifier, statistic, config.scheme, iter_total,
+        config.B, classifier, statistic, config.scheme, sum(iterations),
         perm_statistics.min(), perm_statistics.max(),
     )
 

@@ -1,22 +1,45 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its integer test.
 
 Everything derives from DppError so callers can catch the package's
 failures with one handler; the CLI maps subfamilies to exit codes.
 """
 
+import copyreg
+import numbers
+
+
+def is_integer(value) -> bool:
+    """The one test of an integer argument: an int or numpy integer, but
+    not a bool (which Python counts as an int)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
 
 class DppError(Exception):
     """Base class for all errors raised by this package.
 
-    An error raised while permutation b is re-fit or scored carries
-    perm_index = b, and its message ends with "(permutation b)".
+    An error may carry a 1-based file row and col, and one raised while
+    permutation b is re-fit or scored carries perm_index = b; its message
+    then ends with "(row r, col c)", "(row r)" or "(permutation b)".  A
+    pickle rebuilds it from args (the message without the location) and
+    its attributes, calling no subclass __init__.
     """
 
     perm_index: int | None = None
 
+    def __init__(self, *args, row: int | None = None, col: int | None = None):
+        super().__init__(*args)
+        self.row, self.col = row, col
+
     def __str__(self):
-        where = "" if self.perm_index is None else f" (permutation {self.perm_index})"
+        where = ""
+        if self.row is not None:
+            where = f" (row {self.row}" + (f", col {self.col})" if self.col is not None else ")")
+        if self.perm_index is not None:
+            where += f" (permutation {self.perm_index})"
         return super().__str__() + where
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ValidationError(DppError, ValueError):
@@ -25,14 +48,6 @@ class ValidationError(DppError, ValueError):
 
 class ParseError(ValidationError):
     """A file token could not be parsed; carries 1-based row/col."""
-
-    def __init__(self, message: str, row: int | None = None, col: int | None = None):
-        loc = ""
-        if row is not None:
-            loc = f" (row {row}" + (f", col {col})" if col is not None else ")")
-        super().__init__(message + loc)
-        self.row = row
-        self.col = col
 
 
 class RaggedRowsError(ParseError):
@@ -45,11 +60,9 @@ class LabelDomainError(ValidationError):
     def __init__(self, value, row: int | None = None):
         super().__init__(
             f"class label {value!r} is not in {{-1, 1}}; recode labels to -1/1 "
-            "before loading (e.g. map 2 -> -1)"
-            + (f" (row {row})" if row is not None else "")
+            "before loading (e.g. map 2 -> -1)", row=row
         )
         self.value = value
-        self.row = row
 
 
 class NonMonotoneIndexError(ParseError):
@@ -111,10 +124,3 @@ class NonConvergedError(DppError):
         self.iterations = iterations
         self.kkt_residual = kkt_residual
         self.model = model
-
-    def __reduce__(self):  # custom args and perm_index across processes
-        return (
-            self.__class__,
-            (self.iterations, self.kkt_residual, self.model),
-            self.__dict__,
-        )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleBalanceError, SingleClassError, ValidationError
+from .errors import InfeasibleBalanceError, SingleClassError, ValidationError, is_integer
 
 SCHEMES = ("balanced", "unbalanced")
 
@@ -25,9 +25,9 @@ class PermutationPlan:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValidationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if not isinstance(self.B, (int, np.integer)) or self.B < 1:
+        if not is_integer(self.B) or self.B < 1:
             raise ValidationError(f"B must be an integer >= 1, got {self.B!r}")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= int(self.seed) < 2**64):
+        if not (is_integer(self.seed) and 0 <= int(self.seed) < 2**64):
             raise ValidationError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -289,7 +289,9 @@ def emit_result_json(result: DppResult, path) -> None:
             "w": [float(v) for v in result.observed_direction.w],
             "beta": float(result.observed_direction.beta),
         },
-        "dwd": None,
+        "dwd": None if result.observed_model is None else {
+            f.name: getattr(result.observed_model, f.name)
+            for f in fields(DwdModel) if f.name != "direction"},
         "loadings": [
             {"index": ld.index, "value": ld.value,
              **({"name": ld.name} if ld.name is not None else {})}
@@ -309,15 +311,6 @@ def emit_result_json(result: DppResult, path) -> None:
             for b, r in sorted(result.records.items())
         },
     }
-    if result.observed_model is not None:
-        m = result.observed_model
-        doc["dwd"] = {
-            "C": float(m.C),
-            "iterations": int(m.iterations),
-            "objective": float(m.objective),
-            "kkt_residual": float(m.kkt_residual),
-            "training_error": float(m.training_error),
-        }
     Path(path).write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -326,7 +319,8 @@ def emit_result_json(result: DppResult, path) -> None:
 def load_result_json(path) -> DppResult:
     """Rebuild a DppResult from emit_result_json output.
 
-    A missing or malformed field raises ValidationError naming it.
+    A missing or malformed field raises ValidationError naming it: so do
+    perm_statistics not config.B long and an unknown key in dwd.
     `loadings` is not read: DppResult derives it from the direction.
     Files written before the config held `dwd_tol` and `dwd_max_iter`
     load with DEFAULT_TOL and DEFAULT_MAX_ITER.
@@ -350,24 +344,20 @@ def load_result_json(path) -> DppResult:
             np.array(rec["scores"]), labels), float(rec["statistic"]))
 
     direction = field("direction", lambda d: Direction(np.array(d["w"]), d["beta"]))
-    model = None
-    if doc.get("dwd") is not None:
-        model = field("dwd", lambda d: DwdModel(
-            direction=direction, C=d["C"], iterations=d["iterations"],
-            objective=d["objective"], kkt_residual=d["kkt_residual"],
-            training_error=d["training_error"],
-        ))
-    perm_statistics = field("perm_statistics", lambda v: np.array(v, dtype=np.float64))
+    config = field("config", lambda c: TestConfig(**{
+        "dwd_tol": DEFAULT_TOL, "dwd_max_iter": DEFAULT_MAX_ITER, **c}))
+
+    def one_each(v, n):  # one entry per permutation or per variable
+        if len(v) != n:
+            raise ValueError(f"{len(v)} entries, expected {n}")
+        return v
+
+    perm_statistics = field("perm_statistics", lambda v: np.array(
+        one_each(v, config.B), dtype=np.float64))
     perm_statistics.setflags(write=False)
 
-    def names(v):  # one per variable of the direction
-        if len(v) != direction.w.size:
-            raise ValueError(f"{len(v)} names for {direction.w.size} variables")
-        return tuple(v)
-
     return DppResult(
-        config=field("config", lambda c: TestConfig(**{
-            "dwd_tol": DEFAULT_TOL, "dwd_max_iter": DEFAULT_MAX_ITER, **c})),
+        config=config,
         observed_direction=direction,
         observed_scores=field("observed_scores", lambda d: ProjectionScores(
             np.array(d["scores"]), np.array(d["labels"]))),
@@ -378,7 +368,8 @@ def load_result_json(path) -> DppResult:
         p_value=field("p_value", float),
         z_score=field("z_score", lambda z: math.nan if z is None else float(z)),
         cutoff=field("cutoff", float),
-        observed_model=model,
-        feature_names=(field("feature_names", names) if doc.get("feature_names")
-                       else None),
+        observed_model=(field("dwd", lambda d: DwdModel(direction=direction, **d))
+                        if doc.get("dwd") is not None else None),
+        feature_names=(field("feature_names", lambda v: tuple(one_each(v, direction.w.size)))
+                       if doc.get("feature_names") else None),
     )

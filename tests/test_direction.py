@@ -336,12 +336,12 @@ def test_dwd_invalid_parameters():
     ds = make_blobs(n=10, seed=0)
     with pytest.raises(DegenerateScaleError):
         dp.dwd_direction(ds, C=-1.0)
-    for tol in (-1.0, 0.0, math.inf, math.nan):
+    for tol in (-1.0, 0.0, math.inf, math.nan, True):
         with pytest.raises(ValidationError, match="tol"):
             dp.dwd_direction(ds, C=1.0, tol=tol)
     # max_iter follows PermutationPlan.B's rule: 2.5 used to run 3
     # iterations and end in a NonConvergedError
-    for max_iter in (0, 2.5, 3.0, "3", None):
+    for max_iter in (0, 2.5, 3.0, "3", None, True):
         with pytest.raises(ValidationError, match="max_iter"):
             dp.dwd_direction(ds, C=1.0, max_iter=max_iter)
     assert dp.dwd_direction(ds, C=1.0, max_iter=np.int64(50)).iterations <= 50

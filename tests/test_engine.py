@@ -60,7 +60,7 @@ def test_validation_of_engine_arguments(tmp_path, capsys):
         dp.diproperm(ds, dp.PermutationPlan("unbalanced", 10, 0), alpha=0.05)
     with pytest.raises(ValidationError):
         dp.diproperm(ds, alpha=0.0)
-    for workers in (0, 2.5):
+    for workers in (0, 2.5, True):
         with pytest.raises(ValidationError, match="workers"):
             dp.diproperm(ds, workers=workers)
     with pytest.raises(ValidationError, match="max_iter"):
@@ -78,7 +78,12 @@ def test_validation_of_engine_arguments(tmp_path, capsys):
                       ("alpha", lambda d: d["config"].update(alpha=2)),
                       ("B", lambda d: d["config"].update(B=100.5)),
                       ("seed", lambda d: d["config"].pop("seed")),
+                      ("seed", lambda d: d["config"].update(seed=True)),
+                      ("max_iter", lambda d: d["config"].update(dwd_max_iter=True)),
                       ("perm_statistics", lambda d: d.pop("perm_statistics")),
+                      ("perm_statistics", lambda d: d.update(perm_statistics=[])),
+                      ("perm_statistics", lambda d: d.update(
+                          perm_statistics=d["perm_statistics"][:5])),
                       ("records", lambda d: d.update(records=[1, 2]))):
         doc = json.loads(path.read_text())
         edit(doc)

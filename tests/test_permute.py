@@ -21,9 +21,10 @@ def test_plan_validation():
     with pytest.raises(Exception):
         PermutationPlan("balanced", 0, 0)
     PermutationPlan("balanced", np.int64(100), np.uint64(2**64 - 1))
-    # a float is refused even when integral: range() would fail on it later
+    # a float is refused even when integral: range() would fail on it later;
+    # so is a bool, which Python counts as an int
     for B, seed, name in ((100.0, 0, "B"), (100.5, 0, "B"), (100, 0.5, "seed"),
-                          (100, 2**64, "seed")):
+                          (100, 2**64, "seed"), (True, 0, "B"), (20, True, "seed")):
         with pytest.raises(ValidationError, match=name):
             PermutationPlan("balanced", B, seed)
 

@@ -1,5 +1,6 @@
 """Diagnostics emission tests: CSV, SVG structure, JSON round-trip."""
 
+import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -210,6 +211,30 @@ def test_result_json_dwd_stopping_rule(result, tmp_path, capsys):
     for name in (f"{panel}.{ext}" for panel in PANELS for ext in ("csv", "svg")):
         assert (tmp_path / "old" / name).read_bytes() == (
             tmp_path / "result" / name).read_bytes()
+
+
+def test_result_json_dwd_block_is_the_model(result, tmp_path, capsys):
+    # the dwd block holds every DwdModel field but the direction, which the
+    # document keeps once; a key the model lacks, or one it misses, is refused
+    path = tmp_path / "result.json"
+    dp.emit_result_json(result, path)
+    doc = json.loads(path.read_text())
+    names = {f.name for f in dataclasses.fields(dp.DwdModel)} - {"direction"}
+    assert set(doc["dwd"]) == names
+    loaded = dp.load_result_json(path).observed_model
+    assert loaded.direction.w.tobytes() == result.observed_direction.w.tobytes()
+    for name in names:
+        assert getattr(loaded, name) == getattr(result.observed_model, name)
+    tampered = tmp_path / "tampered.json"
+    for dwd in ({**doc["dwd"], "margin": 1.0},
+                {k: v for k, v in doc["dwd"].items() if k != "C"}):
+        tampered.write_text(json.dumps({**doc, "dwd": dwd}))
+        with pytest.raises(ValidationError, match="'dwd'"):
+            dp.load_result_json(tampered)
+        capsys.readouterr()
+        assert cli.main(["report", str(tampered), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "dwd" in err
 
 
 def test_result_json_loadings_sorted(result, tmp_path):
