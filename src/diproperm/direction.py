@@ -7,33 +7,42 @@ unit ball ||w|| <= 1, where
     V_C(u) = 2 sqrt(C) - C u   for u <  1/sqrt(C)
 
 is the slack-eliminated margin loss: convex, strictly decreasing, and
-continuously differentiable at the knot.  K = X Xᵀ = Z Zᵀ is factored
-once per run (pivoted Cholesky to the rank r of X; relabeling only flips
-signs); with w = Xᵀ P a, X w = Z a and ||w|| = ||a||, so a fit has
-r + 1 <= n + 1 unknowns (a, beta) whatever p.  The solver is semismooth
-Newton on them (V_C'' = 2/u³ above the knot, 0 below): the bordered KKT
-system on the sphere ||a|| = 1 while its multiplier is positive, else
-the plain Newton system, either shifted on the diagonal by min(res, res²)
-for the KKT residual res (Levenberg-Marquardt with mu = ||F||² near the
-optimum; Yamashita & Fukushima 2001), then an Armijo step rescaled into
-the ball.  It stops when the KKT residual (tangential gradient, d/d beta
-and complementarity, for the problem rescaled to C = 1) falls to `tol`.
+continuously differentiable at the knot.  The default C comes from the
+between-class distances, read off K = X Xᵀ: only the few pairs whose
+rounding interval can reach the median are recomputed from X, so the
+median is the one the n- x n+ x p difference tensor gives, bit for bit,
+in O(n² + np) memory.  K = Z Zᵀ is factored once per run (pivoted
+Cholesky to the rank r of X; relabeling only flips signs); with
+w = Xᵀ P a, X w = Z a and ||w|| = ||a||, so a fit has r + 1 <= n + 1
+unknowns (a, beta) whatever p.  The solver is semismooth Newton on them
+(V_C'' = 2/u³ above the knot, 0 below): the bordered KKT system on the
+sphere ||a|| = 1 while its multiplier is positive, else the plain Newton
+system, either shifted on the diagonal by min(res, res²) for the KKT
+residual res (Levenberg-Marquardt with mu = ||F||² near the optimum;
+Yamashita & Fukushima 2001), then an Armijo step rescaled into the ball.
+A bordered system whose Hessian has k < r/2 active samples (above the
+knot; at a p >> n optimum most samples are not) is solved through a
+k x k one by Sherman-Morrison-Woodbury.  A fit stops when the KKT
+residual (tangential gradient, d/d beta and complementarity, for the
+problem rescaled to C = 1) falls to `tol`.
 
 Fits to m label vectors on the same X run as one lockstep batch: each
 round, every unfinished row takes its own Newton step, so each row does
 exactly the iterations it would do alone.  The batch is bit-identical to
-single fits because every per-row product is a stacked np.matmul or
-np.linalg.solve and every per-row reduction a last-axis sum, each of
-which gives a row the bits of its single operation.  A single fit is a
-batch of one.  Memory is O(n² + np + mn): the Newton systems are built a
-chunk of rows at a time (~512 kB of stacked matrices), and the rows' w
-one at a time.
+single fits because every per-row product is a stacked np.matmul,
+np.linalg.solve or gather and every per-row reduction a last-axis sum,
+each of which gives a row the bits of its single operation; the k x k
+systems are padded to a size k alone sets.  A single fit is a batch of
+one.  Memory is O(n² + np + mn): the Newton systems are built a chunk of
+rows at a time (~512 kB of stacked matrices), and the rows' w one at a
+time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -108,18 +117,47 @@ def md_direction(ds: LabeledDataset) -> Direction:
     return _md_arrays(ds.features, ds.labels)
 
 
-def penalty_parameter(ds: LabeledDataset) -> float:
-    """Scale-adaptive DWD penalty: C = 100 / median between-class distance^2."""
-    X, y = ds.features, ds.labels
-    pos, neg = X[y == 1], np.flatnonzero(y == -1)  # only one class copied
-    sq = np.empty((len(neg), len(pos)))
-    for k, i in enumerate(neg):  # one row at a time: O(n- n+ + n+ p) memory
-        d = pos - X[i]
-        sq[k] = np.einsum("jk,jk->j", d, d)
+def _penalty(X: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:
+    """penalty_parameter from K = X Xᵀ, in O(n² + np) memory.
+
+    A between-class distance² is K_ii + K_jj - 2 K_ij up to a rounding
+    bound; a pair whose interval cannot reach the middle order statistics
+    stands in as 0 or inf, the others are recomputed from their rows as
+    the n- x n+ x p difference tensor would, so the median is its bits.
+    """
+    neg, pos = np.flatnonzero(y == -1), np.flatnonzero(y == 1)
+    d = K.diagonal()
+    norms = d[neg][:, None] + d[pos]
+    sq = norms - 2.0 * K[np.ix_(neg, pos)]
+    # rounding of the p-term sums in K and in the recomputation, with
+    # slack; tiny covers underflow
+    err = 8 * (X.shape[1] + 4) * 2.0 ** -53 * (norms + np.abs(sq)) + np.finfo(np.float64).tiny
+    lo, hi = sq - err, sq + err
+    mid = (sq.size - 1) // 2, sq.size // 2
+    below = hi < np.partition(lo, mid[0], axis=None)[mid[0]]
+    above = lo > np.partition(hi, mid[1], axis=None)[mid[1]]
+    sq = np.where(below, 0.0, np.inf)
+    rows, cols = np.nonzero(~(below | above))
+    for k in range(0, rows.size, len(X)):  # n pairs at a time: O(np) memory
+        i, j = rows[k:k + len(X)], cols[k:k + len(X)]
+        diff = X[pos[j]] - X[neg[i]]
+        sq[i, j] = np.einsum("jk,jk->j", diff, diff)
     med = float(np.median(np.sqrt(sq)))
     if med < 1e-12:
         raise DegenerateScaleError("all between-class distances are ~0")
     return 100.0 / (med * med)
+
+
+def penalty_parameter(ds: LabeledDataset) -> float:
+    """Scale-adaptive DWD penalty: C = 100 / median between-class distance^2.
+
+    Exact: the median is the one the n- x n+ x p tensor of class
+    differences gives, bit for bit, taken from the n x n Gram matrix
+    X Xᵀ with only the pairs near the middle recomputed from X, so memory
+    is O(n² + np).
+    """
+    X = ds.features
+    return _penalty(X, ds.labels, X @ X.T)
 
 
 def _loss(u: np.ndarray, C: float, grad: bool):
@@ -142,12 +180,11 @@ def dwd_loss_grad(u, C: float):
     return _loss(np.asarray(u, dtype=np.float64), C, True)[1]
 
 
-def _factor(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _factor(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K = X Xᵀ = Z Zᵀ by Cholesky with diagonal pivoting, stopped at the
     numerical rank r: Z is n x r, and P (n x r, nonzero on the r pivot
     rows) makes w = Xᵀ P a satisfy X w = Z a and ||w|| = ||a||.  Shared by
     every DWD fit on X whatever its labels."""
-    K = X @ X.T
     d, Z, piv = K.diagonal().copy(), np.zeros_like(K), []
     floor = len(K) * np.finfo(np.float64).eps * d.max()
     while d.max() > floor:
@@ -170,11 +207,59 @@ def _check_stopping(tol, max_iter) -> None:
         raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
 
+# A bordered step with k active samples goes through _active_step when
+# k < _FEW_ACTIVE * r: on 60 x 5000 blobs (r = 60) every step of a B=100
+# run qualifies, on mushrooms50 (r = 25) none does.
+_FEW_ACTIVE = 0.5
+
+
+def _active_step(Za, Ga, x, G, curv, lam, mu, size):
+    """The bordered Newton steps (d_a, d_b) of rows on the sphere, by
+    Sherman-Morrison-Woodbury over their active samples (V_1'' > 0).
+
+    A row's a-block is N = s I + Uᵀ D U for s = lam + mu, U the active
+    rows of Z1[:, :r] (k x r) and D their curvatures, so N⁻¹V =
+    (V - Uᵀ T⁻¹ U V) / s for the k x k T = s D⁻¹ + U Uᵀ.  One solve takes
+    V = [-g_a, h_ab, a] (h_ab = Uᵀ c, the a-b block); a 2 x 2 system in
+    d_b and the ball multiplier nu is left, and d_a = Y0 - Y1 d_b - Y2 nu
+    for Y = N⁻¹V.  Za is Z1[:, :r] with a zero row n below, Ga = Za Zaᵀ.
+    Every row's k is padded to `size` with index n (a zero row of U, zero
+    curvature, identity in T), so its bits depend on its own k alone.
+    """
+    m, n = curv.shape
+    r = Za.shape[1]
+    act = curv > 0.0
+    idx = np.full((m, size), n)  # each row's active samples in order, then n
+    rows, cols = np.nonzero(act)
+    idx[rows, np.cumsum(act, axis=1)[rows, cols] - 1] = cols
+    c = np.take_along_axis(np.hstack([curv, np.zeros((m, 1))]), idx, axis=1)
+    s = lam + mu
+    U = Za[idx]
+    Ut = U.transpose(0, 2, 1)
+    T = Ga[idx[:, :, None], idx[:, None, :]]
+    T.reshape(m, -1)[:, ::size + 1] += s[:, None] / np.where(idx < n, c, s[:, None])
+    h, a = np.matmul(Ut, c[:, :, None])[:, :, 0], x[:, :r]
+    V = np.stack([-G[:, :r], h, a], axis=2)
+    Y = (V - np.matmul(Ut, np.linalg.solve(T, np.matmul(U, V)))) / s[:, None, None]
+    Q = np.matmul(np.stack([h, a], axis=1), Y)  # hᵀY, aᵀY
+    # rows b and nu of the bordered system once d_a is eliminated
+    E = np.empty((m, 2, 2))
+    E[:, 0, 0] = c.sum(axis=1) + mu - Q[:, 0, 1]
+    E[:, 0, 1] = -Q[:, 0, 2]
+    E[:, 1] = Q[:, 1, 1:]
+    rhs = np.stack([-G[:, r] - Q[:, 0, 0], Q[:, 1, 0]], axis=1)
+    db, nu = np.linalg.solve(E, rhs[:, :, None])[:, :, 0].T
+    D = np.empty_like(x)
+    D[:, :r] = Y[:, :, 0] - Y[:, :, 1] * db[:, None] - Y[:, :, 2] * nu[:, None]
+    D[:, r] = db
+    return D
+
+
 def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
                tol: float, max_iter: int):
     """DWD fits of X to each row of the label stack Y (m x n), in lockstep.
 
-    `factors` is _factor(X).  Each row's model is bit-identical to a
+    `factors` is _factor(X Xᵀ).  Each row's model is bit-identical to a
     one-row batch.  Yields the DwdModel of each row in row order, raising
     that row's ZeroDirectionError or NonConvergedError when its turn
     comes; w is formed only then, so one p-vector is alive at a time.
@@ -192,10 +277,16 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
     # over ||a|| <= 1, which no rescaling of X changes.
     Z1 = np.hstack([root_c * Z, np.ones((n, 1))])
     Z2 = np.hstack([Z1, np.zeros((n, 1))])  # Z2ᵀ diag(c) Z2: a bordered system
+    Za = np.vstack([Z1[:, :r], np.zeros((1, r))])  # _active_step's gathers
+    Ga = Za @ Za.T
     Yf = Y.astype(np.float64)
-    # rows whose Newton systems are built and solved at once: ~512 kB of
-    # stacked matrices, so solver memory does not grow with the batch
-    chunk = max(1, (1 << 19) // (8 * (r + 2) * (n + r + 2)))
+
+    def chunks(step, budget, *rows):
+        # step on ~512 kB of stacked matrices at a time, `budget` entries
+        # a row, so solver memory does not grow with the batch
+        size = max(1, (1 << 19) // (8 * budget))
+        return np.concatenate([step(*(v[k:k + size] for v in rows))
+                               for k in range(0, len(rows[0]), size)])
 
     def scores(x):  # Z1 x of each row
         return np.matmul(Z1, x[:, :, None])[:, :, 0]
@@ -214,21 +305,43 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
                       + (lam * (1.0 - na)) ** 2)
         return v.sum(axis=1), G, curv, lam, na, res
 
-    def newton(x, curv, lam, na, res, rhs):
+    def dense(x, G, curv, lam, mu, on):
         # rows on the sphere with lam > 0 solve the bordered KKT system
         # [[H + lam I, a], [aᵀ, 0]] (H the Hessian in x), the others the
-        # plain Newton system; both shifted on the diagonal by min(res, res²)
-        # (Levenberg-Marquardt with mu = ||F||² near the optimum, so the
-        # steps turn quadratic), which still bounds a step along a
-        # direction of zero curvature (linear loss)
-        on = (na > 1.0 - 1e-9) & (lam > 0.0)
+        # plain Newton system; both shifted on the diagonal by mu
         M = np.matmul(Z2.T * curv[:, None, :], Z2)
         diag = M.reshape(len(x), -1)[:, ::r + 3]  # a view of each diagonal
-        diag[:, :r + 1] += np.minimum(res, res * res)[:, None]
+        diag[:, :r + 1] += mu[:, None]
         diag[:, :r] += np.where(on, lam, 0.0)[:, None]
         diag[:, r + 1] = np.where(on, 0.0, 1.0)
         M[:, :r, r + 1] = M[:, r + 1, :r] = np.where(on[:, None], x[:, :r], 0.0)
+        rhs = np.zeros((len(x), r + 2, 1))
+        rhs[:, :r + 1, 0] = -G
         return np.linalg.solve(M, rhs)[:, :r + 1, 0]
+
+    def newton(x, G, curv, lam, na, res):
+        # mu = min(res, res²) is Levenberg-Marquardt with mu = ||F||² near
+        # the optimum, so the steps turn quadratic; it still bounds a step
+        # along a direction of zero curvature (linear loss).  A row on the
+        # sphere with few active samples solves its bordered system
+        # through a k x k one (_active_step), padded to the next power of
+        # two >= 4 so that rows group by a size their own k sets.
+        mu = np.minimum(res, res * res)
+        on = (na > 1.0 - 1e-9) & (lam > 0.0)
+        k = (curv > 0.0).sum(axis=1)
+        few = on & (k < _FEW_ACTIVE * r)
+        dense_budget = (r + 2) * (n + r + 2)
+        if not few.any():
+            return chunks(dense, dense_budget, x, G, curv, lam, mu, on)
+        D = np.empty_like(x)
+        if not few.all():
+            D[~few] = chunks(dense, dense_budget, *(v[~few] for v in (x, G, curv, lam, mu, on)))
+        size = np.maximum(4, 1 << np.frexp(k - 1.0)[1])  # next power of two >= k
+        for kb in np.unique(size[few]):
+            rows = few & (size == kb)
+            D[rows] = chunks(partial(_active_step, Za, Ga, size=kb), kb * (r + kb),
+                             *(v[rows] for v in (x, G, curv, lam, mu)))
+        return D
 
     # warm start from the mean-difference rule when it exists: a = Zᵀc /
     # ||Zᵀc|| for c = y / (size of y's class), class-mean midpoint at 0
@@ -260,10 +373,7 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
             break
         now = [v[live] for v in state]
         x, f, G = now[:3]
-        rhs = np.zeros((live.size, r + 2, 1))
-        rhs[:, :r + 1, 0] = -G
-        D = np.concatenate([newton(*(v[k:k + chunk] for v in now[:1] + now[3:] + [rhs]))
-                            for k in range(0, live.size, chunk)])
+        D = newton(x, *now[2:])
         slope = (G * D).sum(axis=1)
         t = np.ones(live.size)
         todo = np.arange(live.size)
@@ -312,10 +422,11 @@ def dwd_direction(ds: LabeledDataset, C: float | None = None,
     integer >= 1, and NonConvergedError (with the partial model attached)
     if the KKT residual does not reach `tol` within max_iter iterations.
     """
-    if C is None:
-        C = penalty_parameter(ds)
     X = ds.features
-    return next(_dwd_batch(X, ds.labels[None, :], _factor(X), C, tol, max_iter))
+    K = X @ X.T
+    if C is None:
+        C = _penalty(X, ds.labels, K)
+    return next(_dwd_batch(X, ds.labels[None, :], _factor(K), C, tol, max_iter))
 
 
 def loadings_of(direction: Direction, loadnum: int | None = None,

@@ -43,8 +43,8 @@ from .direction import (
     _dwd_batch,
     _factor,
     _md_arrays,
+    _penalty,
     loadings_of,
-    penalty_parameter,
 )
 from .errors import (
     DppError,
@@ -181,9 +181,20 @@ def cutoff(perm_stats, alpha: float) -> float:
 
 
 # Fewest re-fits a block needs to pay for a worker process (fork, pickled
-# run state, BLAS thread wake-up): on 2 cores two blocks of 75 DWD re-fits
-# tied with one process, two of 100 won (mushrooms50 and 60 x 5000).
-_MIN_BLOCK = 100
+# run state, BLAS thread wake-up: ~0.05-0.1 s on 2 cores).  One process
+# against two forked blocks, median wall s over 10 alternating pairs of
+# fresh processes (20 at B=600 and 700 on mushrooms50), and the pairs
+# the two blocks won:
+#
+#   B      mushrooms50                60 x 5000 blobs
+#   150    0.065 / 0.087   1/10       0.078 / 0.115   0/10
+#   200    0.081 / 0.119   0/10       0.093 / 0.134   0/10
+#   400    0.177 / 0.206   1/10       0.186 / 0.228   0/10
+#   500    0.192 / 0.238   3/10       0.249 / 0.182  10/10
+#   600    0.226 / 0.159  15/20       0.291 / 0.199  20/20
+#   700    0.246 / 0.166  18/20       0.348 / 0.236  10/10
+#   1000   0.370 / 0.241  10/10       0.517 / 0.307  10/10
+_MIN_BLOCK = 350
 
 
 def _fit_and_score(X, labels, config, C, factors):
@@ -250,8 +261,9 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
               dwd_max_iter: int = DEFAULT_MAX_ITER) -> DppResult:
     """Run the full test and assemble a DppResult.
 
-    The DWD penalty C is computed once from the observed data and reused
-    for every permutation re-fit.  `workers` is an upper bound (default:
+    The DWD penalty C and the factor of X Xᵀ are computed once, from
+    one Gram matrix of the observed data, and reused for every
+    permutation re-fit.  `workers` is an upper bound (default:
     the usable cores, per the CPU affinity mask): 1..B is split into
     max(1, min(workers, B // _MIN_BLOCK)) contiguous blocks, so blocks of
     fewer than _MIN_BLOCK re-fits are not forked; this process runs the
@@ -281,9 +293,11 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
             "(%d, %d); using the composition-matched relabeling",
             *ds.class_counts(),
         )
-    C = penalty_parameter(ds) if classifier == "dwd" else None
-    factors = _factor(ds.features) if classifier == "dwd" else None
-    state = (ds.features, ds.labels, config, C, factors)
+    X, C, factors = ds.features, None, None
+    if classifier == "dwd":  # both from the run's one Gram matrix
+        K = X @ X.T
+        C, factors = _penalty(X, ds.labels, K), _factor(K)
+    state = (X, ds.labels, config, C, factors)
 
     # contiguous blocks of indices in index order, each worth a process;
     # block 1 fits the observed labels too, in the same batch

@@ -87,10 +87,13 @@ def reference_dwd(X, y, C, tol, max_iter=5000):
     bordered KKT steps on the sphere ||a|| = 1 while its multiplier is
     positive, plain Newton steps otherwise, both shifted on the diagonal
     by min(res, res²) for the KKT residual res, an Armijo step rescaled into
-    the ball, stopping on the KKT residual.  Returns the oriented unit w,
-    beta, iterations, objective, KKT residual, objective trace, whether
-    the residual reached tol, and ||w|| at the solution (1 on the sphere;
-    w and beta are the solution's divided by it)."""
+    the ball, stopping on the KKT residual.  A bordered step with k < r/2
+    active samples (V_1'' > 0) goes through a k x k system padded to the
+    next power of two >= 4 (Sherman-Morrison-Woodbury).  Returns the
+    oriented unit w, beta, iterations, objective, KKT residual, objective
+    trace, whether the residual reached tol, ||w|| at the solution (1 on
+    the sphere; w and beta are the solution's divided by it), and the
+    number of steps that took the k x k form."""
     K = X @ X.T  # = Z Zᵀ, by Cholesky with diagonal pivoting to the rank r
     n, d, piv = len(K), K.diagonal().copy(), []
     Z = np.zeros((n, n))
@@ -109,6 +112,8 @@ def reference_dwd(X, y, C, tol, max_iter=5000):
     root_c = math.sqrt(C)
     Z1 = np.hstack([root_c * Z, np.ones((n, 1))])
     Z2 = np.hstack([Z1, np.zeros((n, 1))])
+    Za = np.vstack([Z1[:, :r], np.zeros((1, r))])  # row n pads U with zeros
+    Ga = Za @ Za.T
     yf = y.astype(np.float64)
 
     def at(x):  # f, gradient, V_1'', ball multiplier, ||a||, KKT residual
@@ -126,6 +131,24 @@ def reference_dwd(X, y, C, tol, max_iter=5000):
         res = math.sqrt(float((tangent * tangent).sum()) + g[r] * g[r] + comp * comp)
         return float(v.sum()), g, curv, lam, na, res
 
+    def active_step(x, g, curv, lam, mu):  # N = s I + Uᵀ D U by Woodbury
+        act = np.flatnonzero(curv > 0.0)
+        size = 4
+        while size < len(act):
+            size *= 2
+        idx = np.r_[act, np.full(size - len(act), n)]
+        c, s = np.r_[curv, 0.0][idx], lam + mu
+        U = Za[idx]
+        T = Ga[np.ix_(idx, idx)]
+        T[np.diag_indices(size)] += s / np.where(idx < n, c, s)
+        h = (U.T @ c[:, None])[:, 0]
+        V = np.stack([-g[:r], h, x[:r]], axis=1)
+        Y = (V - U.T @ np.linalg.solve(T, U @ V)) / s
+        Q = np.stack([h, x[:r]]) @ Y
+        E = np.array([[c.sum() + mu - Q[0, 1], -Q[0, 2]], [Q[1, 1], Q[1, 2]]])
+        db, nu = np.linalg.solve(E, np.array([[-g[r] - Q[0, 0]], [Q[1, 0]]]))[:, 0]
+        return np.r_[Y[:, 0] - Y[:, 1] * db - Y[:, 2] * nu, db]
+
     pos = y == 1
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
 
@@ -140,19 +163,24 @@ def reference_dwd(X, y, C, tol, max_iter=5000):
     mean_pos, mean_neg = class_means(Z1 @ x)
     x[r] = -0.5 * (mean_pos + mean_neg)
     f, g, curv, lam, na, res = at(x)
-    trace, iterations = [root_c * f], 0
+    trace, iterations, active = [root_c * f], 0, 0
     while res > tol and iterations < max_iter:
         on = na > 1.0 - 1e-9 and lam > 0.0
-        M = (Z2.T * curv) @ Z2  # zero in the border row and column
-        for i in range(r + 1):
-            M[i, i] += min(res, res * res)
-            if on and i < r:
-                M[i, i] += lam
-        if on:
-            M[:r, r + 1] = M[r + 1, :r] = x[:r]
+        mu = min(res, res * res)
+        if on and 2 * int((curv > 0.0).sum()) < r:
+            d = active_step(x, g, curv, lam, mu)
+            active += 1
         else:
-            M[r + 1, r + 1] = 1.0
-        d = np.linalg.solve(M, np.r_[-g, 0.0][:, None])[:r + 1, 0]
+            M = (Z2.T * curv) @ Z2  # zero in the border row and column
+            for i in range(r + 1):
+                M[i, i] += mu
+                if on and i < r:
+                    M[i, i] += lam
+            if on:
+                M[:r, r + 1] = M[r + 1, :r] = x[:r]
+            else:
+                M[r + 1, r + 1] = 1.0
+            d = np.linalg.solve(M, np.r_[-g, 0.0][:, None])[:r + 1, 0]
         slope = float((g * d).sum())
         t = 1.0
         while True:
@@ -175,4 +203,4 @@ def reference_dwd(X, y, C, tol, max_iter=5000):
     mean_pos, mean_neg = class_means(Z1 @ x)
     sign = -1.0 if mean_pos < mean_neg else 1.0
     return (sign * w / nw, sign * (x[r] / root_c) / nw, iterations, root_c * f,
-            res, tuple(trace), res <= tol, nw)
+            res, tuple(trace), res <= tol, nw, active)

@@ -13,7 +13,7 @@ from diproperm.errors import (
     ValidationError,
     ZeroDirectionError,
 )
-from diproperm.direction import DEFAULT_TOL, _dwd_batch, _factor
+from diproperm.direction import DEFAULT_TOL, _active_step, _dwd_batch, _factor
 from conftest import (
     grid_oracle,
     make_blobs,
@@ -83,7 +83,20 @@ def test_penalty_parameter_matches_tensor_formula_in_small_memory(mushrooms):
         return 100.0 / (med * med)
 
     hdlss = dp.synthetic_blobs(60, 5000, seed=0)
-    for ds in (mushrooms, make_blobs(n=15, p=3, seed=1), hdlss):
+    blobs = make_blobs(n=20, p=50, seed=6)
+    cases = [
+        mushrooms, make_blobs(n=15, p=3, seed=1), hdlss,
+        # every distance nine times: ties at the median
+        dp.LabeledDataset(np.repeat(blobs.features, 3, axis=0), np.repeat(blobs.labels, 3)),
+        # a common offset: K's entries ~1e9, the distances² ~1e2
+        dp.LabeledDataset(blobs.features + 1e4, blobs.labels),
+        # n- n+ = 15 (odd) and 16 (even); p = 1
+        dp.LabeledDataset(make_blobs(n=8, p=4, seed=2).features, [-1] * 3 + [1] * 5),
+        make_blobs(n=8, p=4, seed=2),
+        make_blobs(n=11, p=1, seed=3),
+        dp.LabeledDataset(make_blobs(n=12, p=1, seed=4).features, [-1] * 5 + [1] * 7),
+    ]
+    for ds in cases:
         assert dp.penalty_parameter(ds) == tensor_formula(ds)
     # the n- x n+ x p difference tensor alone would take 36 MB here
     tracemalloc.start()
@@ -182,7 +195,7 @@ def test_dwd_trace_monotone():
     ds = make_blobs(n=24, p=6, distance=1.0, seed=9)
     C = dp.penalty_parameter(ds)
     model = dp.dwd_direction(ds, C=C)
-    w, beta, iters, objective, res, trace, converged, _ = reference_dwd(
+    w, beta, iters, objective, res, trace, converged, _, _ = reference_dwd(
         ds.features, ds.labels, C, DEFAULT_TOL)
     assert converged and np.array_equal(model.direction.w, w)
     assert (model.direction.beta, model.iterations, model.objective,
@@ -217,8 +230,10 @@ def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms):
         (dp.synthetic_blobs(60, 500, seed=0), 3),
         (make_blobs(n=100, p=2, distance=3.0, seed=4), 4),
         (make_blobs(n=200, p=20, distance=2.0, seed=5), 5),
+        (dp.synthetic_blobs(60, 5000, seed=0), 6),  # p >> n: few active samples
     ]
     interior = 0  # rows whose optimum is inside the ball
+    active = 0  # steps through the k x k active-sample system
     for ds, seed in cases:
         X, C = ds.features, dp.penalty_parameter(ds)
         # a sample alone against the rest takes 2-4x the Newton iterations
@@ -228,14 +243,15 @@ def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms):
         Y = np.array([ds.labels] + [
             dp.permute_labels(ds.labels, "unbalanced", dp.derive_stream(seed, b))
             for b in range(1, 16)] + alone)
-        batch = list(_dwd_batch(X, Y, _factor(X), C, DEFAULT_TOL, 5000))
+        batch = list(_dwd_batch(X, Y, _factor(X @ X.T), C, DEFAULT_TOL, 5000))
         iterations = [m.iterations for m in batch]
         assert max(iterations) >= 2 * min(iterations)
         for y, m in zip(Y, batch):
             single = dp.dwd_direction(dp.LabeledDataset(X, y), C=C)
-            w, beta, iters, objective, res, _, converged, nw = reference_dwd(
+            w, beta, iters, objective, res, _, converged, nw, row_active = reference_dwd(
                 X, y, C, DEFAULT_TOL)
             assert converged
+            active += row_active
             # KKT of min f over ||w|| <= 1 at the solution (nw w, nw beta):
             # on the sphere the w-gradient is -lam w with lam >= 0, inside
             # the ball it is zero; f is flat in beta
@@ -257,7 +273,7 @@ def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms):
                 assert fit.iterations == iters and isinstance(fit.iterations, int)
                 assert fit.objective == objective and fit.kkt_residual == res
             assert m.training_error == single.training_error
-    assert interior > 0
+    assert interior > 0 and active > 0
 
 
 def test_stacked_kernels_give_each_row_its_single_bits():
@@ -265,12 +281,22 @@ def test_stacked_kernels_give_each_row_its_single_bits():
     # every stacked kernel the solver calls gives a row of a k-row stack
     # the bits of a one-row stack and of the plain single call (the
     # bordered Newton system, its diagonal shifted in place through a
-    # strided view, and the masked class means among them)
+    # strided view, the masked class means, and the gathers, products and
+    # padded solves of the active-sample step among them)
     rng = np.random.default_rng(0)
     n = 100
     for r in (2, 25, 60):
         Z = rng.normal(size=(n, r + 1))
+        Za = np.vstack([Z[:, :r], np.zeros((1, r))])
+        Ga = Za @ Za.T
         for k in (1, 2, 50, 101):
+            size = 16  # active samples of each row, padded with index n
+            idx = np.sort(rng.choice(n + 1, size=(k, size)), axis=1)
+            U = Za[idx]
+            c = np.take_along_axis(rng.uniform(0.0, 2.0, size=(k, n + 1)), idx, axis=1)
+            T = Ga[idx[:, :, None], idx[:, None, :]] + np.eye(size)
+            V, W = rng.normal(size=(k, r, 3)), rng.normal(size=(k, size, 3))
+            B2 = rng.normal(size=(k, 2, r))
             x, q = rng.normal(size=(k, r + 1)), rng.normal(size=(k, n))
             d = rng.uniform(0.0, 2.0, size=(k, n))
             M = np.matmul(Z.T * d[:, None, :], Z) + np.eye(r + 1)
@@ -292,6 +318,16 @@ def test_stacked_kernels_give_each_row_its_single_bits():
                 (shifted, lambda i: (Z2.T * d[i]) @ Z2 + np.diag(np.r_[np.full(r + 1, shift[i]), 0.0])),
                 (lambda i: (q[i] * mask[i]).sum(axis=1) / mask[i].sum(axis=1),
                  lambda i: float((q[i] * mask[i]).sum()) / int(mask[i].sum())),
+                (lambda i: Za[idx[i]], lambda i: Za[idx[i]]),
+                (lambda i: Ga[idx[i][:, :, None], idx[i][:, None, :]],
+                 lambda i: Ga[np.ix_(idx[i], idx[i])]),
+                (lambda i: np.take_along_axis(q[i], idx[i] % n, axis=1), lambda i: q[i][idx[i] % n]),
+                (lambda i: np.linalg.solve(T[i], W[i]), lambda i: np.linalg.solve(T[i], W[i])),
+                (lambda i: np.matmul(U[i].transpose(0, 2, 1), W[i]), lambda i: U[i].T @ W[i]),
+                (lambda i: np.matmul(U[i].transpose(0, 2, 1), c[i][:, :, None]),
+                 lambda i: U[i].T @ c[i][:, None]),
+                (lambda i: np.matmul(U[i], V[i]), lambda i: U[i] @ V[i]),
+                (lambda i: np.matmul(B2[i], V[i]), lambda i: B2[i] @ V[i]),
             ]
             rows = np.arange(k)
             for stacked, single in kernels:
@@ -299,6 +335,33 @@ def test_stacked_kernels_give_each_row_its_single_bits():
                 for i in rows:
                     assert whole[i].tobytes() == stacked([i])[0].tobytes()
                     assert whole[i].tobytes() == np.asarray(single(i)).tobytes()
+
+
+def test_active_sample_step_solves_the_bordered_system():
+    # the k x k Woodbury form of a bordered Newton step against the full
+    # (r + 2) x (r + 2) system, on random states on the sphere with lam > 0;
+    # k = 0 and rows padded from k to the group's size among them
+    rng = np.random.default_rng(1)
+    n, r = 40, 30
+    Z1 = np.hstack([rng.normal(size=(n, r)), np.ones((n, 1))])
+    Za = np.vstack([Z1[:, :r], np.zeros((1, r))])
+    for size, ks in ((4, (0, 1, 4)), (8, (5, 7, 8)), (16, (9, 14))):
+        m = len(ks)
+        curv = np.zeros((m, n))
+        for i, k in enumerate(ks):
+            curv[i, rng.choice(n, k, replace=False)] = rng.uniform(0.01, 2.0, k)
+        a = rng.normal(size=(m, r))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        x, G = np.hstack([a, rng.normal(size=(m, 1))]), rng.normal(size=(m, r + 1))
+        lam, mu = rng.uniform(0.05, 2.0, m), 10.0 ** rng.uniform(-8, 0, m)
+        D = _active_step(Za, Za @ Za.T, x, G, curv, lam, mu, size)
+        for i in range(m):
+            M = np.zeros((r + 2, r + 2))
+            M[:r + 1, :r + 1] = (Z1.T * curv[i]) @ Z1 + mu[i] * np.eye(r + 1)
+            M[:r, :r] += lam[i] * np.eye(r)
+            M[:r, r + 1] = M[r + 1, :r] = a[i]
+            dense = np.linalg.solve(M, np.r_[-G[i], 0.0])[:r + 1]
+            assert np.linalg.norm(D[i] - dense) <= 1e-9 * np.linalg.norm(dense)
 
 
 def test_dwd_batch_failures_in_row_order():
@@ -320,7 +383,7 @@ def test_dwd_batch_failures_in_row_order():
     raised = []
     for Y, error in (((fast, slow, no_w), NonConvergedError),
                      ((fast, no_w, slow), ZeroDirectionError)):
-        rows = _dwd_batch(X, np.array(Y), _factor(X), 1.0, DEFAULT_TOL, 3)
+        rows = _dwd_batch(X, np.array(Y), _factor(X @ X.T), 1.0, DEFAULT_TOL, 3)
         assert np.array_equal(next(rows).direction.w, single(fast).direction.w)
         with pytest.raises(error) as exc:
             next(rows)

@@ -379,8 +379,8 @@ def test_pool_only_for_blocks_worth_a_process(monkeypatch):
     monkeypatch.setattr(engine, "ProcessPoolExecutor", SpyPool)
     ds = make_blobs(n=20, p=4, distance=2.0, seed=6)
     for B, min_block, split in ((100, None, {1: [], 2: [], 3: []}),
-                                (384, None, {2: [range(193, 385)],
-                                             3: [range(129, 257), range(257, 385)]}),
+                                (1152, None, {2: [range(577, 1153)],
+                                              3: [range(385, 769), range(769, 1153)]}),
                                 (20, 1, {2: [range(11, 21)],
                                          3: [range(7, 14), range(14, 21)]})):
         if min_block:
