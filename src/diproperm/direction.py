@@ -75,12 +75,15 @@ class Direction:
         w = np.ascontiguousarray(np.asarray(self.w, dtype=np.float64))
         if w.ndim != 1 or w.size == 0:
             raise ValidationError("w must be a nonempty vector")
+        beta = float(self.beta)
+        if not (np.isfinite(w).all() and math.isfinite(beta)):
+            raise ValidationError("w and beta must be finite")
         nrm = float(np.linalg.norm(w))
         if abs(nrm - 1.0) > 1e-8:
             raise ValidationError(f"w must have unit norm, got {nrm!r}")
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "beta", beta)
 
 
 @dataclass(eq=False)
@@ -115,6 +118,17 @@ def _md_arrays(X: np.ndarray, y: np.ndarray) -> Direction:
 def md_direction(ds: LabeledDataset) -> Direction:
     """Unit mean-difference direction with the midpoint intercept."""
     return _md_arrays(ds.features, ds.labels)
+
+
+def _gram(X: np.ndarray) -> np.ndarray:
+    """K = X Xᵀ, refused unless 8 max K_ii is finite (data below ~1e153):
+    _penalty's rounding bounds reach 6 max K_ii, and |K_ij| <= max K_ii."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = X @ X.T
+    if not math.isfinite(8.0 * float(K.diagonal().max())):
+        raise DegenerateScaleError(f"X Xᵀ is too large for float64: the data's largest "
+                                   f"magnitude is {np.abs(X).max():.3g}; rescale the features")
+    return K
 
 
 def _penalty(X: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:
@@ -156,8 +170,7 @@ def penalty_parameter(ds: LabeledDataset) -> float:
     X Xᵀ with only the pairs near the middle recomputed from X, so memory
     is O(n² + np).
     """
-    X = ds.features
-    return _penalty(X, ds.labels, X @ X.T)
+    return _penalty(ds.features, ds.labels, _gram(ds.features))
 
 
 def _loss(u: np.ndarray, C: float, grad: bool):
@@ -423,7 +436,7 @@ def dwd_direction(ds: LabeledDataset, C: float | None = None,
     if the KKT residual does not reach `tol` within max_iter iterations.
     """
     X = ds.features
-    K = X @ X.T
+    K = _gram(X)
     if C is None:
         C = _penalty(X, ds.labels, K)
     return next(_dwd_batch(X, ds.labels[None, :], _factor(K), C, tol, max_iter))

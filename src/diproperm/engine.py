@@ -9,7 +9,7 @@ rest.  Each block is relabeled whole, its DWD fits run as one lockstep
 batch of Newton solves (direction._dwd_batch, each row bit-identical to a
 single fit; the observed labels are row 0 of block 1's batch), then its
 rows scored in index order; one rule (_retained) picks the permutations
-whose scores a block sends back and whose records the run keeps.
+whose records a block sends back and the run keeps.
 Every permutation b draws from its own (seed, b) stream, so the answer
 does not depend on the worker count.
 
@@ -42,6 +42,7 @@ from .direction import (
     _check_stopping,
     _dwd_batch,
     _factor,
+    _gram,
     _md_arrays,
     _penalty,
     loadings_of,
@@ -109,23 +110,37 @@ class PermutationRecord:
 
 @dataclass(eq=False)
 class DppResult:
+    """A run's answer; its summary (p_value, z_score, cutoff) and loadings
+    are derived on each access, so they cannot contradict the run."""
+
     config: TestConfig
     observed_direction: Direction
     observed_scores: ProjectionScores
     observed_statistic: float
     perm_statistics: np.ndarray
     records: dict[int, PermutationRecord]
-    p_value: float
-    z_score: float
-    cutoff: float
     observed_model: DwdModel | None = None
     feature_names: tuple[str, ...] | None = None
 
     @property
     def loadings(self) -> list[Loading]:
-        """All variable loadings of the observed direction, sorted by
-        |value| descending (see loadings_of); computed on each access."""
+        """All loadings of the observed direction by |value| descending (loadings_of)."""
         return loadings_of(self.observed_direction, names=self.feature_names)
+
+    @property
+    def p_value(self) -> float:
+        return p_value(self.perm_statistics, self.observed_statistic)
+
+    @property
+    def z_score(self) -> float:  # nan for a constant null
+        try:
+            return z_score(self.perm_statistics, self.observed_statistic)
+        except ZeroVarianceError:
+            return math.nan
+
+    @property
+    def cutoff(self) -> float:
+        return cutoff(self.perm_statistics, self.config.alpha)
 
     @property
     def min_index(self) -> int:
@@ -159,7 +174,7 @@ def z_score(perm_stats, observed: float) -> float:
     if stats.size < 2:
         raise EmptyError("z-score needs at least 2 permutation statistics")
     sd = float(stats.std(ddof=1))
-    if sd <= 0.0:
+    if sd <= 0.0 or stats.min() == stats.max():  # equal values' sd may be rounding noise
         raise ZeroVarianceError("permutation statistics are constant")
     return (float(observed) - float(stats.mean())) / sd
 
@@ -197,20 +212,6 @@ def cutoff(perm_stats, alpha: float) -> float:
 _MIN_BLOCK = 350
 
 
-def _fit_and_score(X, labels, config, C, factors):
-    """(direction, DWD model, scores, statistic) for each label vector in
-    `labels`, in order.  DWD fits them as one lockstep batch and hands
-    them out one at a time, so each is scored before the next w is formed."""
-    if config.classifier == "md":
-        fits = ((_md_arrays(X, y), None) for y in labels)
-    else:
-        fits = ((m.direction, m) for m in _dwd_batch(
-            X, np.array(labels), factors, C, config.dwd_tol, config.dwd_max_iter))
-    for y, (direction, model) in zip(labels, fits):
-        ps = ProjectionScores(X @ direction.w + direction.beta, y)
-        yield direction, model, ps, STATISTICS[config.statistic](ps)
-
-
 def _retained(indices, stats, keep: bool):
     """The permutations whose scores are kept: all `indices` if `keep`, else
     the first two (perm1/perm2) and the first argmin and argmax of `stats`.
@@ -224,33 +225,44 @@ def _retained(indices, stats, keep: bool):
 
 
 def _permutations(state, indices, keep: bool, observed: bool = False):
-    """One block's columns: the observed fit if `observed` (else None),
-    the statistic and solver iterations of each permutation in index
-    order, {b: scores} of its _retained permutations, and the block's
-    wall time.  Every row's scores are held until the block returns.
+    """One block's columns: the observed (direction, model, scores,
+    statistic) if `observed` (else None), each permutation's statistic
+    and solver iterations in index order, {b: record} of its _retained
+    permutations, and the block's wall time.
 
     Pure in (state, indices); `state` is the run's (X, y, config, C,
-    factors).  The block is relabeled at once and fit as one batch, the
-    observed labels y first if `observed`; a failing observed fit raises
-    as it is, a failing re-fit or scoring aborts at the lowest failing
-    index, which the error carries as perm_index.
+    factors).  The block's rows, y first (index None) if `observed`, are
+    fit at once (DWD as one batch) and each scored before the next w is
+    formed; an error in a row carries its index as perm_index, so a
+    failing re-fit aborts at the lowest failing index.  Every row's
+    record is held until the block returns.
     """
     X, y, config, C, factors = state
     t0 = time.perf_counter()
-    labels = [permute_labels(y, config.scheme, derive_stream(config.seed, b))
-              for b in indices]
-    fits = _fit_and_score(X, ([y] if observed else []) + labels, config, C, factors)
-    first = next(fits) if observed else None
-    stats, iterations, scores = [], [], {}
-    for b in indices:
+    rows = ([None] if observed else []) + list(indices)
+    labels = [y if b is None else permute_labels(y, config.scheme, derive_stream(config.seed, b))
+              for b in rows]
+    if config.classifier == "md":
+        fits = ((_md_arrays(X, y_b), None) for y_b in labels)
+    else:
+        fits = ((m.direction, m) for m in _dwd_batch(
+            X, np.array(labels), factors, C, config.dwd_tol, config.dwd_max_iter))
+    first, stats, iterations, records = None, [], [], {}
+    for b, y_b in zip(rows, labels):
         try:
-            _, model, scores[b], stat = next(fits)
-        except DppError as err:  # b's re-fit or scoring failed
+            direction, model = next(fits)
+            ps = ProjectionScores(X @ direction.w + direction.beta, y_b)
+            stat = STATISTICS[config.statistic](ps)
+        except DppError as err:
             err.perm_index = b
             raise
+        if b is None:
+            first = direction, model, ps, stat
+            continue
         stats.append(stat)
         iterations.append(model.iterations if model else 0)
-    kept = {b: scores[b] for b in _retained(indices, stats, keep)}
+        records[b] = PermutationRecord(b, ps.labels, ps, stat)
+    kept = {b: records[b] for b in _retained(indices, stats, keep)}
     return first, stats, iterations, kept, time.perf_counter() - t0
 
 
@@ -295,7 +307,7 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
         )
     X, C, factors = ds.features, None, None
     if classifier == "dwd":  # both from the run's one Gram matrix
-        K = X @ X.T
+        K = _gram(X)
         C, factors = _penalty(X, ds.labels, K), _factor(K)
     state = (X, ds.labels, config, C, factors)
 
@@ -320,12 +332,8 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     perm_statistics = np.concatenate(block_stats, dtype=np.float64)
     perm_statistics.setflags(write=False)
     iterations = [i for block in block_iterations for i in block]
-    scores = {b: ps for block in kept for b, ps in block.items()}
-
-    # retain diagnostics records: first, second, extremes (or everything)
-    records = {b: PermutationRecord(b, scores[b].labels, scores[b],
-                                    float(perm_statistics[b - 1]))
-               for b in _retained(range(1, config.B + 1), perm_statistics, retain_all)}
+    made = {b: rec for block in kept for b, rec in block.items()}
+    records = {b: made[b] for b in _retained(range(1, config.B + 1), perm_statistics, retain_all)}
 
     if log.isEnabledFor(logging.DEBUG):
         for block, block_seconds in zip(blocks, seconds):
@@ -340,11 +348,6 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
         perm_statistics.min(), perm_statistics.max(),
     )
 
-    try:
-        z = z_score(perm_statistics, observed_statistic)
-    except ZeroVarianceError:
-        z = math.nan  # degenerate null (constant permutation statistics)
-
     return DppResult(
         config=config,
         observed_direction=observed_direction,
@@ -352,9 +355,6 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
         observed_statistic=observed_statistic,
         perm_statistics=perm_statistics,
         records=records,
-        p_value=p_value(perm_statistics, observed_statistic),
-        z_score=z,
-        cutoff=cutoff(perm_statistics, alpha),
         observed_model=observed_model,
         feature_names=ds.feature_names,
     )

@@ -86,7 +86,7 @@ class ZeroDirectionError(ValidationError):
 
 
 class DegenerateScaleError(ValidationError):
-    """Between-class distances are all ~0; no usable data scale."""
+    """Between-class distances are all ~0, or X Xᵀ overflows: no usable data scale."""
 
 
 class ZeroVarianceError(ValidationError):

@@ -321,7 +321,8 @@ def load_result_json(path) -> DppResult:
 
     A missing or malformed field raises ValidationError naming it: so do
     perm_statistics not config.B long and an unknown key in dwd.
-    `loadings` is not read: DppResult derives it from the direction.
+    `loadings`, `p_value`, `z_score` and `cutoff` are not read: DppResult
+    derives them.
     Files written before the config held `dwd_tol` and `dwd_max_iter`
     load with DEFAULT_TOL and DEFAULT_MAX_ITER.
     """
@@ -365,9 +366,6 @@ def load_result_json(path) -> DppResult:
         perm_statistics=perm_statistics,
         records=field("records", lambda recs: {
             int(key): record(key, rec) for key, rec in recs.items()}),
-        p_value=field("p_value", float),
-        z_score=field("z_score", lambda z: math.nan if z is None else float(z)),
-        cutoff=field("cutoff", float),
         observed_model=(field("dwd", lambda d: DwdModel(direction=direction, **d))
                         if doc.get("dwd") is not None else None),
         feature_names=(field("feature_names", lambda v: tuple(one_each(v, direction.w.size)))

@@ -145,6 +145,20 @@ def test_loadings_all_and_out_of_range(run_dir):
     assert out.returncode == 1
 
 
+def test_non_finite_direction_is_refused(run_dir, tmp_path, capsys):
+    # a NaN loading would otherwise sort silently out of the printed rows
+    out_dir, _ = run_dir
+    doc = json.loads((out_dir / "result.json").read_text())
+    for w, beta in (([float("nan"), 1.0], 0.0), ([1.0, 0.0], float("inf"))):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**doc, "direction": {"w": w, "beta": beta}}))
+        assert cli.main(["loadings", str(path), "--loadnum", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "'direction'" in captured.err
+
+
 def test_report_single_panel(run_dir, tmp_path):
     out_dir, _ = run_dir
     out = run_cli("report", out_dir / "result.json", "--panels", "permdist",
@@ -221,11 +235,11 @@ def test_parser_restates_no_library_choice_or_default(monkeypatch, tmp_path):
 
     seen = []
 
-    def spy(X, y, config, C, factors):
-        seen.append(config)
+    def spy(state, *args, **kw):  # state is (X, y, config, C, factors)
+        seen.append(state[2])
         raise Captured
 
-    monkeypatch.setattr(engine, "_fit_and_score", spy)
+    monkeypatch.setattr(engine, "_permutations", spy)
     monkeypatch.delenv("DPP_WORKERS", raising=False)
     with pytest.raises(Captured):
         dp.diproperm(dp.mushrooms50())

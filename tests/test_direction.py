@@ -114,6 +114,27 @@ def test_penalty_parameter_degenerate():
         dp.penalty_parameter(ds)
 
 
+def test_overflowing_gram_matrix_is_refused_naming_the_data_scale():
+    # X Xᵀ of ~1e155 entries overflows; it is refused as such, not as a
+    # zero penalty, and no numpy overflow warning escapes
+    X = np.random.default_rng(0).normal(size=(20, 5))
+    y = [-1] * 10 + [1] * 10
+    def run(ds):
+        return dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 0), workers=1)
+
+    huge = dp.LabeledDataset(X * 1e155, y)
+    for fit in (dp.penalty_parameter, dp.dwd_direction, run):
+        with pytest.raises(DegenerateScaleError, match=r"largest magnitude is 2\.33e\+155"):
+            fit(huge)
+    fine = dp.LabeledDataset(X * 1e150, y)
+    assert run(fine).observed_statistic == pytest.approx(
+        run(dp.LabeledDataset(X, y)).observed_statistic * 1e150, rel=1e-9)
+    assert dp.penalty_parameter(fine) == pytest.approx(
+        dp.penalty_parameter(dp.LabeledDataset(X, y)) * 1e-300, rel=1e-12)
+    assert np.allclose(dp.dwd_direction(fine).direction.w,
+                       dp.dwd_direction(dp.LabeledDataset(X, y)).direction.w, atol=1e-9)
+
+
 def test_loss_continuity_at_knot():
     for C in (0.25, 1.0, 7.0, 144.0):
         knot = 1.0 / math.sqrt(C)
@@ -413,6 +434,12 @@ def test_dwd_invalid_parameters():
 def test_direction_requires_unit_norm():
     with pytest.raises(ValidationError):
         dp.Direction([1.0, 1.0], 0.0)
+    # NaN fails every comparison, so a norm test alone lets it through
+    for w, beta in (([math.nan, math.nan], 0.0), ([math.nan, 1.0], 0.0),
+                    ([math.inf, 0.0], 0.0), ([1.0, 0.0], math.nan),
+                    ([1.0, 0.0], math.inf), ([1.0, 0.0], -math.inf)):
+        with pytest.raises(ValidationError, match="finite"):
+            dp.Direction(w, beta)
 
 
 def test_loadings_sorting_and_ties():

@@ -37,8 +37,11 @@ def test_p_value_examples():
 def test_z_score_examples():
     assert dp.z_score([0, 2], 1.0) == 0.0
     assert dp.z_score([0, 2], 1.0 + math.sqrt(2)) == pytest.approx(1.0)
-    with pytest.raises(ZeroVarianceError):
-        dp.z_score([3, 3, 3], 5.0)
+    # equal statistics are a constant null even when their mean is not
+    # exact and std(ddof=1) is rounding noise (4.5e-16 for 50 x 10/3)
+    for stats in ([3, 3, 3], [0.1] * 3, [10 / 3] * 50):
+        with pytest.raises(ZeroVarianceError):
+            dp.z_score(stats, 5.0)
 
 
 def test_cutoff_examples():
@@ -189,6 +192,7 @@ def test_exhaustive_balanced_point_mass():
     # Monte-Carlo p-value matches the exhaustive one exactly
     assert np.allclose(r.perm_statistics, 10.0 / 3.0)
     assert r.p_value == 0.0
+    assert math.isnan(r.z_score)  # a constant null has no z-score
 
 
 def test_constant_null_gives_undefined_z(monkeypatch):
@@ -327,20 +331,44 @@ def test_any_refit_failure_names_its_permutation(monkeypatch, tmp_path, capsys):
             assert (code, capsys.readouterr().err) == (2, f"error: {err}\n")
 
 
+def test_permutation_scoring_failure_names_its_permutation(monkeypatch):
+    # every re-fit has a direction, but one relabeling projects a class
+    # onto a single point: its t statistic fails, naming its permutation
+    # from whatever block (and process) it falls in
+    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
+    ds = dp.LabeledDataset([[0], [0], [1], [0], [1], [1]], [-1, -1, -1, 1, 1, 1])
+    plan = dp.PermutationPlan("unbalanced", 20, 3)
+    for b in range(1, plan.B + 1):  # the first permutation the public route fails on
+        y_b = dp.permute_labels(ds.labels, plan.scheme, dp.derive_stream(plan.seed, b))
+        ds_b = dp.LabeledDataset(ds.features, y_b)
+        try:
+            dp.stat_t(dp.project(ds_b, dp.md_direction(ds_b)))
+        except ZeroVarianceError as err:
+            expected = b, str(err)
+            break
+    assert expected[0] == 20  # in the third block at 3 workers (14-20)
+    for workers in (1, 3):
+        with pytest.raises(ZeroVarianceError) as exc:
+            dp.diproperm(ds, plan, classifier="md", statistic="t", alpha=0.1,
+                         workers=workers)
+        assert exc.value.perm_index == expected[0]
+        assert str(exc.value) == f"{expected[1]} (permutation 20)"
+
+
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the patch reaches pool workers only through fork")
 def test_dead_worker_is_a_typed_error(monkeypatch, tmp_path, capsys):
     # a pool worker that dies (here by os._exit; a kill for memory looks
     # the same) fails the run naming its block, and leaves no child behind
     monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
-    caller, real = os.getpid(), engine._fit_and_score
+    caller, real = os.getpid(), engine.permute_labels
 
     def dying(*args):
         if os.getpid() != caller:
             os._exit(9)
         return real(*args)
 
-    monkeypatch.setattr(engine, "_fit_and_score", dying)
+    monkeypatch.setattr(engine, "permute_labels", dying)
     ds = make_blobs(n=20, p=4, distance=2.0, seed=6)
     with pytest.raises(WorkerLostError, match="permutations 11-20"):
         dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 3), workers=2)

@@ -245,13 +245,41 @@ def test_result_json_loadings_sorted(result, tmp_path):
     assert mags == sorted(mags, reverse=True)
 
 
-def test_result_json_nan_z_is_null(result, tmp_path):
-    weird = dp.DppResult(**{**result.__dict__, "z_score": math.nan})
-    path = tmp_path / "weird.json"
-    dp.emit_result_json(weird, path)
+def test_result_json_nan_z_is_null(tmp_path):
+    # two point-mass classes: every balanced relabeling gives 10/3, a
+    # constant null with no z-score
+    X = np.r_[np.zeros((3, 2)), np.tile([10.0, 0.0], (3, 1))]
+    ds = dp.LabeledDataset(X, [-1, -1, -1, 1, 1, 1])
+    const = dp.diproperm(ds, dp.PermutationPlan("balanced", 50, 3), classifier="md",
+                         workers=1)
+    assert math.isnan(const.z_score)
+    path = tmp_path / "const.json"
+    dp.emit_result_json(const, path)
     doc = json.loads(path.read_text())
     assert doc["z_score"] is None
     assert math.isnan(dp.load_result_json(path).z_score)
+
+
+def test_result_json_summary_is_derived_on_load(result, tmp_path, capsys):
+    # p, z and cutoff are written for readers of the file; a loaded result
+    # derives them from its own statistics, so an edited file cannot
+    # contradict its distribution, and re-emitting restores the originals
+    path, edited = tmp_path / "result.json", tmp_path / "edited.json"
+    dp.emit_result_json(result, path)
+    doc = json.loads(path.read_text())
+    edited.write_text(json.dumps({**doc, "p_value": 0.9, "z_score": None, "cutoff": -1.0}))
+    loaded = dp.load_result_json(edited)
+    stats, obs = loaded.perm_statistics, loaded.observed_statistic
+    assert loaded.p_value == dp.p_value(stats, obs) == result.p_value != 0.9
+    assert loaded.z_score == dp.z_score(stats, obs) == result.z_score
+    assert loaded.cutoff == dp.cutoff(stats, loaded.config.alpha) == result.cutoff
+    dp.emit_result_json(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    assert cli.main(["report", str(edited), "--panels", "permdist",
+                     "--out", str(tmp_path / "panels")]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "panels" / "permdist.svg").read_text()
+    assert f"p={result.p_value:.3g} " in text and "p=0.9 " not in text
 
 
 def test_emit_bundle_default_panels(result, tmp_path):
