@@ -21,7 +21,7 @@ from pathlib import Path
 from . import dataset as ds_mod
 from .dataset import load_dense, load_sparse, mushrooms50, synthetic_blobs
 from .direction import loadings_of
-from .engine import CLASSIFIERS, PANELS, diproperm
+from .engine import CLASSIFIERS, diproperm
 from .errors import (
     DppError,
     NonConvergedError,
@@ -30,6 +30,7 @@ from .errors import (
 )
 from .permute import SCHEMES, PermutationPlan
 from .report import (
+    PANELS,
     DiagnosticsBundle,
     emit_bundle,
     emit_result_json,
@@ -61,6 +62,7 @@ def _given(args, *names) -> dict:
 def _cmd_run(args) -> int:
     ds = _load_dataset(args)
     plan = PermutationPlan(**_given(args, "scheme", "B", "seed"))
+    bundle = DiagnosticsBundle(out_dir=args.out, bins=args.bins)  # refused before the run
     result = diproperm(
         ds, plan, workers=args.workers, retain_all=args.retain_all,
         **_given(args, "classifier", "statistic", "alpha", "dwd_tol",
@@ -69,7 +71,7 @@ def _cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     emit_result_json(result, out / "result.json")
-    emit_bundle(result, DiagnosticsBundle(out_dir=out), bins=args.bins)
+    emit_bundle(result, bundle)
     print(
         f"stat={result.observed_statistic!r} p={result.p_value!r} "
         f"z={result.z_score!r} cutoff={result.cutoff!r}"
@@ -88,8 +90,8 @@ def _cmd_loadings(args) -> int:
 
 def _cmd_report(args) -> int:
     result = load_result_json(args.result)
-    bundle = DiagnosticsBundle(out_dir=args.out, **_given(args, "panels"))
-    for path in emit_bundle(result, bundle, bins=args.bins):
+    bundle = DiagnosticsBundle(out_dir=args.out, **_given(args, "panels", "bins"))
+    for path in emit_bundle(result, bundle):
         print(path)
     return 0
 

@@ -49,8 +49,11 @@ class LabeledDataset:
             raise ValidationError(
                 f"labels must be a length-{X.shape[0]} vector, got shape {y.shape}"
             )
-        if not np.isfinite(X).all():
-            raise ValidationError("features contain NaN or Inf entries")
+        finite = np.isfinite(X)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise ValidationError(f"features contain NaN or Inf entries; the first is "
+                                  f"{X[i, j]} at sample {i + 1}, feature {j + 1}")
         bad = np.setdiff1d(np.unique(y), [-1, 1])
         if bad.size:
             raise LabelDomainError(bad[0])

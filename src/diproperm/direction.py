@@ -105,13 +105,13 @@ class Loading(NamedTuple):
 
 
 def _md_arrays(X: np.ndarray, y: np.ndarray) -> Direction:
-    neg, pos = X[y == -1], X[y == 1]
-    diff = pos.mean(axis=0) - neg.mean(axis=0)
+    neg, pos = X[y == -1].mean(axis=0), X[y == 1].mean(axis=0)
+    diff = pos - neg
     nrm = float(np.linalg.norm(diff))
     if nrm < 1e-12:
         raise ZeroDirectionError("class means coincide; mean-difference direction undefined")
     w = diff / nrm
-    beta = -float(w @ ((pos.mean(axis=0) + neg.mean(axis=0)) / 2.0))
+    beta = -float(w @ ((pos + neg) / 2.0))
     return Direction(w, beta)  # mean difference is oriented by construction
 
 

@@ -61,8 +61,6 @@ from .unistat import STATISTICS, ProjectionScores
 log = logging.getLogger(__name__)
 
 CLASSIFIERS = ("dwd", "md")
-SCORE_PANELS = ("obs", "min", "max", "perm1", "perm2")
-PANELS = SCORE_PANELS + ("permdist",)
 
 
 @dataclass(frozen=True)
@@ -110,13 +108,12 @@ class PermutationRecord:
 
 @dataclass(eq=False)
 class DppResult:
-    """A run's answer; its summary (p_value, z_score, cutoff) and loadings
-    are derived on each access, so they cannot contradict the run."""
+    """A run's answer; its observed statistic, summary (p_value, z_score,
+    cutoff) and loadings are derived on each access, so they cannot contradict the run."""
 
     config: TestConfig
     observed_direction: Direction
     observed_scores: ProjectionScores
-    observed_statistic: float
     perm_statistics: np.ndarray
     records: dict[int, PermutationRecord]
     observed_model: DwdModel | None = None
@@ -126,6 +123,10 @@ class DppResult:
     def loadings(self) -> list[Loading]:
         """All loadings of the observed direction by |value| descending (loadings_of)."""
         return loadings_of(self.observed_direction, names=self.feature_names)
+
+    @property
+    def observed_statistic(self) -> float:
+        return STATISTICS[self.config.statistic](self.observed_scores)
 
     @property
     def p_value(self) -> float:
@@ -150,14 +151,6 @@ class DppResult:
     @property
     def max_index(self) -> int:
         return int(np.argmax(self.perm_statistics)) + 1
-
-    def panel_index(self, panel: str) -> int:
-        return {"perm1": 1, "perm2": 2, "min": self.min_index,
-                "max": self.max_index}[panel]
-
-    def record_for_panel(self, panel: str) -> PermutationRecord | None:
-        """The retained record backing a score panel, or None if dropped."""
-        return self.records.get(self.panel_index(panel))
 
 
 def p_value(perm_stats, observed: float) -> float:
@@ -225,10 +218,10 @@ def _retained(indices, stats, keep: bool):
 
 
 def _permutations(state, indices, keep: bool, observed: bool = False):
-    """One block's columns: the observed (direction, model, scores,
-    statistic) if `observed` (else None), each permutation's statistic
-    and solver iterations in index order, {b: record} of its _retained
-    permutations, and the block's wall time.
+    """One block's columns: the observed (direction, model, scores) if
+    `observed` (else None), each permutation's statistic and solver
+    iterations in index order, {b: record} of its _retained permutations,
+    and the block's wall time.
 
     Pure in (state, indices); `state` is the run's (X, y, config, C,
     factors).  The block's rows, y first (index None) if `observed`, are
@@ -257,7 +250,7 @@ def _permutations(state, indices, keep: bool, observed: bool = False):
             err.perm_index = b
             raise
         if b is None:
-            first = direction, model, ps, stat
+            first = direction, model, ps
             continue
         stats.append(stat)
         iterations.append(model.iterations if model else 0)
@@ -328,7 +321,7 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
                 raise WorkerLostError(f"a worker process died before permutations "
                                       f"{block[0]}-{block[-1]} were done") from err
     observed, block_stats, block_iterations, kept, seconds = zip(*block_outputs)
-    observed_direction, observed_model, observed_scores, observed_statistic = observed[0]
+    observed_direction, observed_model, observed_scores = observed[0]
     perm_statistics = np.concatenate(block_stats, dtype=np.float64)
     perm_statistics.setflags(write=False)
     iterations = [i for block in block_iterations for i in block]
@@ -352,7 +345,6 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
         config=config,
         observed_direction=observed_direction,
         observed_scores=observed_scores,
-        observed_statistic=observed_statistic,
         perm_statistics=perm_statistics,
         records=records,
         observed_model=observed_model,

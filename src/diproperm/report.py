@@ -16,17 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .direction import DEFAULT_MAX_ITER, DEFAULT_TOL, Direction, DwdModel
-from .engine import (
-    PANELS,
-    SCORE_PANELS,
-    DppResult,
-    PermutationRecord,
-    TestConfig,
-)
+from .engine import DppResult, PermutationRecord, TestConfig
 from .errors import PanelUnavailableError, ValidationError
 from .unistat import ProjectionScores
 
 SCHEMA_VERSION = 1
+SCORE_PANELS = ("obs", "min", "max", "perm1", "perm2")
+PANELS = SCORE_PANELS + ("permdist",)
 
 _WIDTH, _HEIGHT = 640, 400
 _ML, _MR, _MT, _MB = 55, 25, 25, 45
@@ -35,15 +31,22 @@ _NEG_COLOR, _POS_COLOR = "#1f77b4", "#d62728"
 
 @dataclass(frozen=True)
 class DiagnosticsBundle:
-    """A set of diagnostic panels to emit into a directory."""
+    """A set of diagnostic panels to emit into a directory, and the
+    permdist histogram's bin count (None: Freedman-Diaconis)."""
 
     panels: tuple[str, ...] = ("obs", "min", "max", "permdist")
     out_dir: str | Path = "."
+    bins: int | None = None
 
     def __post_init__(self):
-        bad = [p for p in self.panels if p not in PANELS]
-        if bad:
-            raise ValidationError(f"unknown panels {bad}; choose from {PANELS}")
+        if not self.panels or not set(self.panels) <= set(PANELS):
+            raise ValidationError(f"panels must be one or more of {PANELS}, got {self.panels}")
+        _check_bins(self.bins)
+
+
+def _check_bins(bins: int | None) -> None:
+    if bins is not None and bins < 1:
+        raise ValidationError(f"bins must be >= 1, got {bins}")
 
 
 def _panel_scores(result: DppResult, panel: str) -> ProjectionScores:
@@ -51,13 +54,12 @@ def _panel_scores(result: DppResult, panel: str) -> ProjectionScores:
         return result.observed_scores
     if panel not in SCORE_PANELS:
         raise ValidationError(f"{panel!r} is not a score panel")
-    record = result.record_for_panel(panel)
-    if record is None:
+    b = {"perm1": 1, "perm2": 2, "min": result.min_index, "max": result.max_index}[panel]
+    if b not in result.records:
         raise PanelUnavailableError(
-            f"panel {panel!r} (permutation {result.panel_index(panel)}) was "
-            "not retained; re-run with retain_all"
+            f"panel {panel!r} (permutation {b}) was not retained; re-run with retain_all"
         )
-    return record.scores
+    return result.records[b].scores
 
 
 def emit_scores_csv(result: DppResult, panel: str, path) -> None:
@@ -138,10 +140,8 @@ def emit_permdist_svg(result: DppResult, path, bins: int | None = None) -> None:
     text block to 3 significant digits.
     """
     stats = result.perm_statistics
-    nbins = bins if bins is not None else _fd_bins(stats)
-    if nbins < 1:
-        raise ValidationError(f"bins must be >= 1, got {nbins}")
-    counts, edges = np.histogram(stats, bins=nbins)
+    _check_bins(bins)
+    counts, edges = np.histogram(stats, bins=bins if bins is not None else _fd_bins(stats))
 
     lo = min(float(stats.min()), result.observed_statistic, result.cutoff)
     hi = max(float(stats.max()), result.observed_statistic, result.cutoff)
@@ -249,8 +249,7 @@ def emit_score_panel_svg(result: DppResult, panel: str, path) -> None:
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
-def emit_bundle(result: DppResult, bundle: DiagnosticsBundle,
-                bins: int | None = None) -> list[Path]:
+def emit_bundle(result: DppResult, bundle: DiagnosticsBundle) -> list[Path]:
     """Emit CSV + SVG for each requested panel; returns the written paths."""
     out = Path(bundle.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -259,7 +258,7 @@ def emit_bundle(result: DppResult, bundle: DiagnosticsBundle,
         csv_path, svg_path = out / f"{panel}.csv", out / f"{panel}.svg"
         if panel == "permdist":
             emit_permdist_csv(result, csv_path)
-            emit_permdist_svg(result, svg_path, bins=bins)
+            emit_permdist_svg(result, svg_path, bins=bundle.bins)
         else:
             emit_scores_csv(result, panel, csv_path)
             emit_score_panel_svg(result, panel, svg_path)
@@ -320,9 +319,9 @@ def load_result_json(path) -> DppResult:
     """Rebuild a DppResult from emit_result_json output.
 
     A missing or malformed field raises ValidationError naming it: so do
-    perm_statistics not config.B long and an unknown key in dwd.
-    `loadings`, `p_value`, `z_score` and `cutoff` are not read: DppResult
-    derives them.
+    perm_statistics not config.B long, an unknown key in dwd, and a record
+    outside 1..B or not one entry per sample.  `observed_statistic`, records'
+    `statistic`, `loadings`, `p_value`, `z_score` and `cutoff` are not read.
     Files written before the config held `dwd_tol` and `dwd_max_iter`
     load with DEFAULT_TOL and DEFAULT_MAX_ITER.
     """
@@ -339,11 +338,6 @@ def load_result_json(path) -> DppResult:
             raise ValidationError(f"result.json field {name!r} missing or "
                                   f"malformed ({type(err).__name__}: {err})") from None
 
-    def record(key, rec):
-        labels = np.array(rec["labels"], dtype=np.int64)
-        return PermutationRecord(int(key), labels, ProjectionScores(
-            np.array(rec["scores"]), labels), float(rec["statistic"]))
-
     direction = field("direction", lambda d: Direction(np.array(d["w"]), d["beta"]))
     config = field("config", lambda c: TestConfig(**{
         "dwd_tol": DEFAULT_TOL, "dwd_max_iter": DEFAULT_MAX_ITER, **c}))
@@ -356,13 +350,21 @@ def load_result_json(path) -> DppResult:
     perm_statistics = field("perm_statistics", lambda v: np.array(
         one_each(v, config.B), dtype=np.float64))
     perm_statistics.setflags(write=False)
+    observed_scores = field("observed_scores", lambda d: ProjectionScores(
+        np.array(d["scores"]), np.array(d["labels"])))
+
+    def record(key, rec):  # keyed 1..B, one entry per sample
+        b, n = int(key), observed_scores.scores.size
+        if not 1 <= b <= config.B:
+            raise ValueError(f"permutation {b} outside 1..{config.B}")
+        labels = np.array(one_each(rec["labels"], n), dtype=np.int64)
+        return PermutationRecord(b, labels, ProjectionScores(
+            np.array(rec["scores"]), labels), float(perm_statistics[b - 1]))
 
     return DppResult(
         config=config,
         observed_direction=direction,
-        observed_scores=field("observed_scores", lambda d: ProjectionScores(
-            np.array(d["scores"]), np.array(d["labels"]))),
-        observed_statistic=field("observed_statistic", float),
+        observed_scores=observed_scores,
         perm_statistics=perm_statistics,
         records=field("records", lambda recs: {
             int(key): record(key, rec) for key, rec in recs.items()}),

@@ -10,7 +10,8 @@ import pytest
 
 import diproperm as dp
 from diproperm import cli, engine
-from diproperm.engine import CLASSIFIERS, PANELS
+from diproperm.engine import CLASSIFIERS
+from diproperm.report import PANELS
 from diproperm.permute import SCHEMES
 from diproperm.unistat import STATISTICS
 
@@ -179,10 +180,34 @@ def test_report_perm1_retained_by_default(run_dir, tmp_path):
 
 def test_report_unknown_panel(run_dir, tmp_path):
     out_dir, _ = run_dir
-    out = run_cli("report", out_dir / "result.json", "--panels", "bogus",
-                  "--out", tmp_path / "rep3")
-    assert out.returncode == 2
-    assert out.stderr.startswith("error:")
+    for panels in ("bogus", "", ",,"):  # an empty list is refused too
+        out = run_cli("report", out_dir / "result.json", "--panels", panels,
+                      "--out", tmp_path / "rep3")
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:") and "panels" in out.stderr
+
+
+def test_bad_bins_fail_before_the_run(blob_files, tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a bad --bins must be refused before the run")
+
+    monkeypatch.setattr(cli, "diproperm", no_run)
+    data, labels = blob_files
+    assert cli.main(["run", "--data", str(data), "--labels", str(labels), "-B", "40",
+                     "--bins", "0", "--out", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "bins" in err
+    assert not (tmp_path / "b" / "result.json").exists()
+
+
+def test_non_finite_feature_is_one_located_error(tmp_path, capsys):
+    data, labels = tmp_path / "x.csv", tmp_path / "y.txt"
+    data.write_text("1,2\n3,nan\n5,6\n7,8\n")
+    labels.write_text("-1\n1\n-1\n1\n")
+    assert cli.main(["run", "--data", str(data), "--labels", str(labels),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("error: features contain NaN or Inf entries; "
+                                       "the first is nan at sample 2, feature 2\n")
 
 
 def test_bundled_mushrooms_run(tmp_path):

@@ -72,6 +72,21 @@ def test_load_dense_bad_number(tmp_path):
     assert exc.value.row == 2 and exc.value.col == 2
 
 
+def test_load_dense_names_a_non_finite_value(tmp_path):
+    data, labels = tmp_path / "x.csv", tmp_path / "y.txt"
+    data.write_text("1,2\n3,nan\n5,6\n7,8\n")
+    labels.write_text("-1\n1\n-1\n1\n")
+    with pytest.raises(ValidationError, match="nan at sample 2, feature 2$"):
+        dp.load_dense(data, labels_path=labels)
+
+
+def test_load_sparse_names_a_non_finite_value(tmp_path):
+    f = tmp_path / "x.svm"
+    f.write_text("-1 1:1\n1 2:inf\n-1 1:1\n1 1:2\n")
+    with pytest.raises(ValidationError, match="inf at sample 2, feature 2$"):
+        dp.load_sparse(f)
+
+
 def test_load_sparse_basic(tmp_path):
     f = tmp_path / "x.svm"
     f.write_text("-1 3:1\n+1 1:1 2:1\n-1 1:1\n1 2:1 3:1\n")
@@ -158,6 +173,10 @@ def test_validation_rules():
     dp.LabeledDataset(**ok)
     with pytest.raises(ValidationError):
         dp.LabeledDataset(np.full((4, 2), np.nan), [-1, 1, -1, 1])
+    X = np.zeros((4, 3))
+    X[2, 1], X[3, 0] = -np.inf, np.nan  # the first in sample order is named
+    with pytest.raises(ValidationError, match="the first is -inf at sample 3, feature 2$"):
+        dp.LabeledDataset(X, [-1, 1, -1, 1])
     with pytest.raises(SingleClassError):
         dp.LabeledDataset(np.eye(4), [1, 1, 1, 1])
     with pytest.raises(LabelDomainError):

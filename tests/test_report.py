@@ -11,7 +11,7 @@ import pytest
 import diproperm as dp
 from diproperm import cli
 from diproperm.direction import DEFAULT_MAX_ITER, DEFAULT_TOL
-from diproperm.engine import PANELS
+from diproperm.report import PANELS
 from diproperm.errors import PanelUnavailableError, ValidationError
 from conftest import make_blobs
 
@@ -261,15 +261,20 @@ def test_result_json_nan_z_is_null(tmp_path):
 
 
 def test_result_json_summary_is_derived_on_load(result, tmp_path, capsys):
-    # p, z and cutoff are written for readers of the file; a loaded result
-    # derives them from its own statistics, so an edited file cannot
-    # contradict its distribution, and re-emitting restores the originals
+    # the observed and record statistics, p, z and cutoff are written for
+    # readers of the file; a loaded result derives them from its own scores
+    # and statistics, so an edited file cannot contradict its distribution,
+    # and re-emitting restores the originals
     path, edited = tmp_path / "result.json", tmp_path / "edited.json"
     dp.emit_result_json(result, path)
     doc = json.loads(path.read_text())
-    edited.write_text(json.dumps({**doc, "p_value": 0.9, "z_score": None, "cutoff": -1.0}))
+    doc["records"]["1"]["statistic"] = 123.0
+    edited.write_text(json.dumps({**doc, "p_value": 0.9, "z_score": None, "cutoff": -1.0,
+                                  "observed_statistic": 0.0}))
     loaded = dp.load_result_json(edited)
     stats, obs = loaded.perm_statistics, loaded.observed_statistic
+    assert obs == dp.stat_md(loaded.observed_scores) == result.observed_statistic != 0.0
+    assert loaded.records[1].statistic == stats[0] == result.records[1].statistic != 123.0
     assert loaded.p_value == dp.p_value(stats, obs) == result.p_value != 0.9
     assert loaded.z_score == dp.z_score(stats, obs) == result.z_score
     assert loaded.cutoff == dp.cutoff(stats, loaded.config.alpha) == result.cutoff
@@ -280,6 +285,7 @@ def test_result_json_summary_is_derived_on_load(result, tmp_path, capsys):
     capsys.readouterr()
     text = (tmp_path / "panels" / "permdist.svg").read_text()
     assert f"p={result.p_value:.3g} " in text and "p=0.9 " not in text
+    assert f"stat={result.observed_statistic:.3g} " in text
 
 
 def test_emit_bundle_default_panels(result, tmp_path):
