@@ -34,8 +34,9 @@ np.linalg.solve or gather and every per-row reduction a last-axis sum,
 each of which gives a row the bits of its single operation; the k x k
 systems are padded to a size k alone sets.  A single fit is a batch of
 one.  Memory is O(n² + np + mn): the Newton systems are built a chunk of
-rows at a time (~512 kB of stacked matrices), and the rows' w one at a
-time.
+rows at a time (~512 kB of stacked matrices).  A row's scores on X come
+from the row space, X w + beta = sign Z1 x / (sqrt(C) ||a||), so only a
+row that asks for w (or fails) pays the O(np) product that forms it.
 """
 
 from __future__ import annotations
@@ -70,6 +71,13 @@ class Direction:
 
     w: np.ndarray
     beta: float = 0.0
+    # (X, scores) of a DWD fit: the features array it was fit to and its
+    # X w + beta from the row space, which project() returns for that X.
+    # Not a field (no repr) and not pickled: a copy need not carry X.
+    _fit = None
+
+    def __reduce__(self):
+        return Direction, (self.w, self.beta)
 
     def __post_init__(self):
         w = np.ascontiguousarray(np.asarray(self.w, dtype=np.float64))
@@ -88,9 +96,10 @@ class Direction:
 
 @dataclass(eq=False)
 class DwdModel:
-    """Fitted DWD solution with solver telemetry."""
+    """Fitted DWD solution with solver telemetry (direction None for a
+    batch row that did not ask for w)."""
 
-    direction: Direction
+    direction: Direction | None
     C: float
     iterations: int
     objective: float
@@ -108,7 +117,7 @@ def _md_arrays(X: np.ndarray, y: np.ndarray) -> Direction:
     neg, pos = X[y == -1].mean(axis=0), X[y == 1].mean(axis=0)
     diff = pos - neg
     nrm = float(np.linalg.norm(diff))
-    if nrm < 1e-12:
+    if not nrm > 1e-12 * max(np.linalg.norm(pos), np.linalg.norm(neg)):  # scale-free
         raise ZeroDirectionError("class means coincide; mean-difference direction undefined")
     w = diff / nrm
     beta = -float(w @ ((pos + neg) / 2.0))
@@ -157,7 +166,7 @@ def _penalty(X: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:
         diff = X[pos[j]] - X[neg[i]]
         sq[i, j] = np.einsum("jk,jk->j", diff, diff)
     med = float(np.median(np.sqrt(sq)))
-    if med < 1e-12:
+    if not med > 1e-12 * math.sqrt(d.max()):  # relative to the data's scale
         raise DegenerateScaleError("all between-class distances are ~0")
     return 100.0 / (med * med)
 
@@ -269,13 +278,15 @@ def _active_step(Za, Ga, x, G, curv, lam, mu, size):
 
 
 def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
-               tol: float, max_iter: int):
+               tol: float, max_iter: int, form_w: np.ndarray):
     """DWD fits of X to each row of the label stack Y (m x n), in lockstep.
 
-    `factors` is _factor(X Xᵀ).  Each row's model is bit-identical to a
-    one-row batch.  Yields the DwdModel of each row in row order, raising
-    that row's ZeroDirectionError or NonConvergedError when its turn
-    comes; w is formed only then, so one p-vector is alive at a time.
+    `factors` is _factor(X Xᵀ).  Yields (DwdModel, scores on X) of each
+    row in row order, raising that row's ZeroDirectionError or
+    NonConvergedError when its turn comes; each row's are bit-identical
+    to a one-row batch's.  The scores come from the row space; the O(np)
+    w (and the model's direction) is formed only for rows where the mask
+    `form_w` is set and for a row that fails, one row at a time.
     """
     if not (np.isfinite(C) and C > 0.0):
         raise DegenerateScaleError(f"penalty C must be positive and finite, got {C!r}")
@@ -367,8 +378,9 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
     c = Yf / np.where(pos, n_pos[:, None], n_neg[:, None])
     A = np.matmul(c[:, None, :], Z)[:, 0, :]
     nrm = np.sqrt((A * A).sum(axis=1, keepdims=True))
+    small = 1e-12 * math.sqrt((Z * Z).sum(axis=1).max())  # relative to the data's scale
     x = np.zeros((len(Y), r + 1))
-    x[:, :r] = A / np.where(nrm >= 1e-12, nrm, np.inf)  # a = 0 if the means coincide
+    x[:, :r] = A / np.where(nrm >= small, nrm, np.inf)  # a = 0 if the means coincide
     mean_pos, mean_neg = class_means(scores(x))
     x[:, r] = -0.5 * (mean_pos + mean_neg)
 
@@ -407,24 +419,30 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
         moved = live[~stuck[live]]
         iters[moved] += 1
 
-    # Z1 x is X w + beta scaled by sqrt(C) > 0: it orients each direction
-    # and signs its training margins without an n x p product
+    # Z1 x is X w + beta scaled by sqrt(C) ||a|| > 0: it orients each
+    # row, signs its training margins and gives its scores without an
+    # n x p product
     s = scores(state[0])
     mean_pos, mean_neg = class_means(s)
     signs = np.where(mean_pos < mean_neg, -1.0, 1.0)
     errors = (signs[:, None] * Yf * s <= 0.0).sum(axis=1)
-    for i, (sign, x, f, res) in enumerate(zip(signs, state[0], state[1], state[-1])):
-        w = X.T @ (P @ x[:r])
-        nw = float(np.linalg.norm(w))
-        if nw < 1e-12:
+    for i, (sign, x, f, na, res) in enumerate(
+            zip(signs, state[0], state[1], state[5], state[-1])):
+        if na < 1e-12:  # ||a|| is scale-free: a solves the problem rescaled to C = 1
             raise ZeroDirectionError("DWD solution collapsed to the zero direction")
-        direction = Direction(sign * w / nw, sign * (x[r] / root_c) / nw)
-        del w  # while the row is scored, only direction.w is alive
+        row_scores = (sign / (root_c * na)) * s[i]
+        row_scores.setflags(write=False)
+        direction = None
+        if form_w[i] or not res <= tol:
+            w = X.T @ (P @ x[:r])
+            nw = float(np.linalg.norm(w))
+            direction = Direction(sign * w / nw, sign * (x[r] / root_c) / nw)
+            direction._fit = X, row_scores
         model = DwdModel(direction, C, int(iters[i]), root_c * float(f), float(res),
                          training_error=float(errors[i] / n))
         if not res <= tol:
             raise NonConvergedError(model.iterations, model.kkt_residual, model=model)
-        yield model
+        yield model, row_scores
 
 
 def dwd_direction(ds: LabeledDataset, C: float | None = None,
@@ -439,7 +457,7 @@ def dwd_direction(ds: LabeledDataset, C: float | None = None,
     K = _gram(X)
     if C is None:
         C = _penalty(X, ds.labels, K)
-    return next(_dwd_batch(X, ds.labels[None, :], _factor(K), C, tol, max_iter))
+    return next(_dwd_batch(X, ds.labels[None, :], _factor(K), C, tol, max_iter, [True]))[0]
 
 
 def loadings_of(direction: Direction, loadnum: int | None = None,

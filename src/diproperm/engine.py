@@ -8,8 +8,9 @@ re-fits (or one block); the caller runs the first, a process pool the
 rest.  Each block is relabeled whole, its DWD fits run as one lockstep
 batch of Newton solves (direction._dwd_batch, each row bit-identical to a
 single fit; the observed labels are row 0 of block 1's batch), then its
-rows scored in index order; one rule (_retained) picks the permutations
-whose records a block sends back and the run keeps.
+rows scored in index order from their row-space solutions, so only the
+observed fit forms its p-vector w; one rule (_retained) picks the
+permutations whose records a block sends back and the run keeps.
 Every permutation b draws from its own (seed, b) stream, so the answer
 does not depend on the worker count.
 
@@ -225,10 +226,10 @@ def _permutations(state, indices, keep: bool, observed: bool = False):
 
     Pure in (state, indices); `state` is the run's (X, y, config, C,
     factors).  The block's rows, y first (index None) if `observed`, are
-    fit at once (DWD as one batch) and each scored before the next w is
-    formed; an error in a row carries its index as perm_index, so a
-    failing re-fit aborts at the lowest failing index.  Every row's
-    record is held until the block returns.
+    fit at once (DWD as one batch, which hands out each row's scores and
+    forms w for the observed row alone); an error in a row carries its
+    index as perm_index, so a failing re-fit aborts at the lowest failing
+    index.  Every row's record is held until the block returns.
     """
     X, y, config, C, factors = state
     t0 = time.perf_counter()
@@ -236,15 +237,17 @@ def _permutations(state, indices, keep: bool, observed: bool = False):
     labels = [y if b is None else permute_labels(y, config.scheme, derive_stream(config.seed, b))
               for b in rows]
     if config.classifier == "md":
-        fits = ((_md_arrays(X, y_b), None) for y_b in labels)
-    else:
-        fits = ((m.direction, m) for m in _dwd_batch(
-            X, np.array(labels), factors, C, config.dwd_tol, config.dwd_max_iter))
+        directions = (_md_arrays(X, y_b) for y_b in labels)
+        fits = ((d, None, X @ d.w + d.beta) for d in directions)
+    else:  # only the observed row asks for w
+        fits = ((m.direction, m, s) for m, s in _dwd_batch(
+            X, np.array(labels), factors, C, config.dwd_tol, config.dwd_max_iter,
+            [b is None for b in rows]))
     first, stats, iterations, records = None, [], [], {}
     for b, y_b in zip(rows, labels):
         try:
-            direction, model = next(fits)
-            ps = ProjectionScores(X @ direction.w + direction.beta, y_b)
+            direction, model, scores = next(fits)
+            ps = ProjectionScores(scores, y_b)
             stat = STATISTICS[config.statistic](ps)
         except DppError as err:
             err.perm_index = b

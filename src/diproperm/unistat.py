@@ -44,12 +44,19 @@ class ProjectionScores:
 
 
 def project(ds: LabeledDataset, direction: Direction) -> ProjectionScores:
-    """Project every sample onto the direction: score_i = x_i . w + beta."""
+    """Project every sample onto the direction: score_i = x_i . w + beta.
+
+    On the features array a DWD direction was fit to, these are the fit's
+    own scores from its row-space solution, as diproperm() scores it.
+    """
     if direction.w.shape[0] != ds.n_features:
         raise DimensionMismatchError(
             f"direction has length {direction.w.shape[0]}, data has "
             f"{ds.n_features} features"
         )
+    fit = direction._fit
+    if fit is not None and fit[0] is ds.features:
+        return ProjectionScores(fit[1], ds.labels)
     return ProjectionScores(ds.features @ direction.w + direction.beta, ds.labels)
 
 

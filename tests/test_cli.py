@@ -2,8 +2,10 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +18,17 @@ from diproperm.permute import SCHEMES
 from diproperm.unistat import STATISTICS
 
 
-def run_cli(*args, **kw):
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_cli(*args, env=None, **kw):
+    # the child imports this checkout's package: pytest's own pythonpath
+    # setting does not reach a subprocess
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "diproperm.cli", *map(str, args)],
-        capture_output=True, text=True, **kw,
+        capture_output=True, text=True, env=env, **kw,
     )
 
 
@@ -224,7 +233,6 @@ def test_bundled_mushrooms_run(tmp_path):
 
 def test_workers_env_fallback(blob_files, tmp_path):
     data, labels = blob_files
-    import os
     env = {**os.environ, "DPP_WORKERS": "1"}
     out = run_cli(
         "run", "--data", data, "--labels", labels, "--out", tmp_path / "w",
@@ -235,7 +243,6 @@ def test_workers_env_fallback(blob_files, tmp_path):
 
 def test_bad_worker_counts_are_errors(blob_files, tmp_path):
     data, labels = blob_files
-    import os
     base = ["run", "--data", data, "--labels", labels, "--out", tmp_path / "z",
             "-B", 30, "--classifier", "md"]
     for extra, workers in (([], "0"), (["--workers", 0], ""), ([], "two")):

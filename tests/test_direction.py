@@ -23,6 +23,20 @@ from conftest import (
 )
 
 
+@pytest.mark.parametrize("classifier", ["md", "dwd"])
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-13, 1e-10, 1e10, 1e100, 1e150])
+def test_answers_are_scale_equivariant(classifier, scale):
+    # no threshold is absolute: well-separated data is fit at any scale
+    # whose X Xᵀ is a normal float64, and the statistics scale with it
+    ds = dp.synthetic_blobs(40, 5, seed=0)
+    plan = dp.PermutationPlan("balanced", 20, 0)
+    ref, r = (dp.diproperm(d, plan, classifier=classifier, workers=1) for d in (
+        ds, dp.LabeledDataset(ds.features * scale, ds.labels)))
+    assert r.observed_statistic / scale == pytest.approx(ref.observed_statistic, rel=1e-14)
+    assert np.allclose(r.perm_statistics / scale, ref.perm_statistics, rtol=1e-14, atol=0)
+    assert r.p_value == ref.p_value
+
+
 def test_md_unit_difference():
     ds = dp.LabeledDataset([[1, 0], [1, 0], [0, 0], [0, 0]], [1, 1, -1, -1])
     d = dp.md_direction(ds)
@@ -264,11 +278,17 @@ def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms):
         Y = np.array([ds.labels] + [
             dp.permute_labels(ds.labels, "unbalanced", dp.derive_stream(seed, b))
             for b in range(1, 16)] + alone)
-        batch = list(_dwd_batch(X, Y, _factor(X @ X.T), C, DEFAULT_TOL, 5000))
-        iterations = [m.iterations for m in batch]
+        form_w = np.arange(len(Y)) % 2 == 0  # w for every other row
+        batch = list(_dwd_batch(X, Y, _factor(X @ X.T), C, DEFAULT_TOL, 5000, form_w))
+        iterations = [m.iterations for m, _ in batch]
         assert max(iterations) >= 2 * min(iterations)
-        for y, m in zip(Y, batch):
-            single = dp.dwd_direction(dp.LabeledDataset(X, y), C=C)
+        for y, asked, (m, scores) in zip(Y, form_w, batch):
+            ds_y = dp.LabeledDataset(X, y)
+            single = dp.dwd_direction(ds_y, C=C)
+            assert (m.direction is not None) == asked
+            # a row's scores are the one-row batch's (project gives a fit
+            # its own), with or without its w
+            assert scores.tobytes() == dp.project(ds_y, single.direction).scores.tobytes()
             w, beta, iters, objective, res, _, converged, nw, row_active = reference_dwd(
                 X, y, C, DEFAULT_TOL)
             assert converged
@@ -288,9 +308,12 @@ def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms):
                 interior += 1
                 assert np.linalg.norm(gw) <= 1e-7 * np.linalg.norm(np.abs(X).T @ dv)
                 assert abs(gb) <= 1e-7 * dv.sum()
+            # the row-space scores are X w + beta up to rounding
+            exact = X @ w + beta
+            assert np.abs(scores - exact).max() <= 1e-13 * np.abs(exact).max()
+            for d in filter(None, (m.direction, single.direction)):
+                assert np.array_equal(d.w, w) and d.beta == beta
             for fit in (m, single):
-                assert np.array_equal(fit.direction.w, w)
-                assert fit.direction.beta == beta
                 assert fit.iterations == iters and isinstance(fit.iterations, int)
                 assert fit.objective == objective and fit.kkt_residual == res
             assert m.training_error == single.training_error
@@ -387,7 +410,8 @@ def test_active_sample_step_solves_the_bordered_system():
 
 def test_dwd_batch_failures_in_row_order():
     # rows are handed out in order; the first failing row raises, and its
-    # NonConvergedError carries the single fit's iterations and model
+    # NonConvergedError carries the single fit's iterations and model, w
+    # included though the row did not ask for it
     A = np.array([[0.1, -0.1], [0.6, 0.1], [-0.5, 0.4], [1.3, 0.9]])
     X = np.vstack([A, -A])
     fast = np.array([1, 1, 1, 1, -1, -1, -1, -1])  # converges in 3 iterations
@@ -404,8 +428,9 @@ def test_dwd_batch_failures_in_row_order():
     raised = []
     for Y, error in (((fast, slow, no_w), NonConvergedError),
                      ((fast, no_w, slow), ZeroDirectionError)):
-        rows = _dwd_batch(X, np.array(Y), _factor(X @ X.T), 1.0, DEFAULT_TOL, 3)
-        assert np.array_equal(next(rows).direction.w, single(fast).direction.w)
+        rows = _dwd_batch(X, np.array(Y), _factor(X @ X.T), 1.0, DEFAULT_TOL, 3,
+                          np.array([True, False, False]))
+        assert np.array_equal(next(rows)[0].direction.w, single(fast).direction.w)
         with pytest.raises(error) as exc:
             next(rows)
         raised.append(exc.value)

@@ -477,6 +477,27 @@ def test_observed_fit_is_row_0_of_block_1(monkeypatch, tmp_path):
             expected.value.iterations, expected.value.kkt_residual)
 
 
+def test_only_the_observed_fit_forms_w(monkeypatch, tmp_path):
+    # re-fits are scored from their row-space solutions: a DWD run
+    # constructs one Direction, the observed fit's, and no pool block any
+    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
+    made, real = tmp_path / "made", dp.Direction
+
+    class Spy(real):
+        def __post_init__(self):
+            with open(made, "a") as f:  # pool workers append to the same file
+                f.write(f"{os.getpid()}\n")
+            super().__post_init__()
+
+    monkeypatch.setattr("diproperm.direction.Direction", Spy)
+    ds = make_blobs(n=20, p=50, seed=6)
+    for workers in (1, 3):
+        made.write_text("")
+        r = dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 3), workers=workers)
+        assert made.read_text().split() == [str(os.getpid())]
+        assert isinstance(r.observed_direction, Spy)
+
+
 def test_run_state_is_released():
     # no run's arrays (X, y, K, ...) outlive diproperm(), whether it
     # returns or raises
@@ -514,9 +535,9 @@ def test_engine_matches_public_refits_bit_for_bit(monkeypatch):
 
 
 def test_dwd_run_memory_stays_small():
-    # re-fits are batched but handed out one at a time: each w is scored
-    # and dropped before the next is formed, so no per-permutation p-vector
-    # is held for the run (200 of them would take 8 MB here)
+    # re-fits are batched and scored from the row space without forming
+    # their w, so no per-permutation p-vector is held for the run (200 of
+    # them would take 8 MB here)
     ds = dp.synthetic_blobs(60, 5000, seed=0)
     tracemalloc.start()
     try:

@@ -1,6 +1,7 @@
 """Projection and two-sample statistic tests."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diproperm as dp
+from diproperm.direction import DEFAULT_MAX_ITER, DEFAULT_TOL, _dwd_batch, _factor, _gram
 from diproperm.errors import (
     DimensionMismatchError,
+    NonConvergedError,
     SingleClassError,
     ZeroVarianceError,
 )
@@ -45,6 +48,35 @@ def test_project_dimension_mismatch():
     ds = dp.LabeledDataset(np.eye(4), [-1, 1, -1, 1])
     with pytest.raises(DimensionMismatchError):
         dp.project(ds, dp.Direction([1.0, 0.0], 0.0))
+
+
+def test_project_gives_a_dwd_fit_its_own_scores():
+    # on the features array a DWD direction was fit to, project() returns
+    # the fit's row-space scores: a batch row's without w, and the
+    # engine's observed scores, bit for bit; on any other array, and once
+    # pickled (which does not carry X), it computes X w + beta
+    ds = dp.synthetic_blobs(60, 5000, seed=0)
+    X, C = ds.features, dp.penalty_parameter(ds)
+    d = dp.dwd_direction(ds, C=C).direction
+    _, scores = next(_dwd_batch(X, ds.labels[None], _factor(_gram(X)), C, DEFAULT_TOL,
+                                DEFAULT_MAX_ITER, np.zeros(1, dtype=bool)))
+    run = dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 0), workers=1)
+    assert dp.LabeledDataset(X, ds.labels[::-1]).features is X
+    assert (dp.project(ds, d).scores.tobytes() == scores.tobytes()
+            == run.observed_scores.scores.tobytes())
+    assert "_fit" not in repr(d)
+    copy = dp.LabeledDataset(X.copy(), ds.labels)
+    assert dp.project(copy, d).scores.tobytes() == (X @ d.w + d.beta).tobytes()
+    with pytest.raises(NonConvergedError) as exc:
+        dp.dwd_direction(ds, C=C, max_iter=1)
+    failed = exc.value.model.direction
+    assert failed._fit[0] is X
+    sent = [pickle.dumps(obj) for obj in (d, exc.value)]
+    assert max(map(len, sent)) < X.nbytes
+    for back, sender in zip((pickle.loads(sent[0]), pickle.loads(sent[1]).model.direction),
+                            (d, failed)):
+        assert (back.w.tobytes(), back.beta) == (sender.w.tobytes(), sender.beta)
+        assert dp.project(ds, back).scores.tobytes() == (X @ back.w + back.beta).tobytes()
 
 
 def test_stat_md():
