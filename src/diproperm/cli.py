@@ -42,6 +42,17 @@ _BUNDLED = {"bundled:mushrooms50": mushrooms50}
 
 
 def _load_dataset(args) -> ds_mod.LabeledDataset:
+    # a data option the data does not read is refused, not ignored
+    dense = {"--labels": args.labels, "--label-column": args.label_column,
+             "--has-header": args.has_header or None}
+    sparse = {"--n-features": args.n_features}
+    if args.data in _BUNDLED:
+        kind, unread = args.data, {**dense, **sparse, "--format": args.format == "sparse" or None}
+    else:
+        kind, unread = f"{args.format} data", sparse if args.format == "dense" else dense
+    for flag, value in unread.items():
+        if value is not None:
+            raise ValidationError(f"{flag} does not apply to {kind}")
     if args.data in _BUNDLED:
         return _BUNDLED[args.data]()
     if args.format == "sparse":

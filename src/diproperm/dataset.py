@@ -45,6 +45,8 @@ class LabeledDataset:
         y = np.asarray(self.labels)
         if X.ndim != 2:
             raise ValidationError(f"features must be 2-dimensional, got shape {X.shape}")
+        if X.shape[1] == 0:
+            raise ValidationError("features must have at least one column")
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise ValidationError(
                 f"labels must be a length-{X.shape[0]} vector, got shape {y.shape}"

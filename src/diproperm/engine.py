@@ -8,9 +8,9 @@ re-fits (or one block); the caller runs the first, a process pool the
 rest.  Each block is relabeled whole, its DWD fits run as one lockstep
 batch of Newton solves (direction._dwd_batch, each row bit-identical to a
 single fit; the observed labels are row 0 of block 1's batch), then its
-rows scored in index order from their row-space solutions, so only the
-observed fit forms its p-vector w; one rule (_retained) picks the
-permutations whose records a block sends back and the run keeps.
+rows scored as one stack from their row-space solutions, so only the
+observed fit forms its p-vector w.  A block returns arrays; the run alone
+makes the PermutationRecords of the permutations it keeps.
 Every permutation b draws from its own (seed, b) stream, so the answer
 does not depend on the worker count.
 
@@ -127,7 +127,7 @@ class DppResult:
 
     @property
     def observed_statistic(self) -> float:
-        return STATISTICS[self.config.statistic](self.observed_scores)
+        return float(STATISTICS[self.config.statistic](self.observed_scores))
 
     @property
     def p_value(self) -> float:
@@ -206,60 +206,54 @@ def cutoff(perm_stats, alpha: float) -> float:
 _MIN_BLOCK = 350
 
 
-def _retained(indices, stats, keep: bool):
-    """The permutations whose scores are kept: all `indices` if `keep`, else
-    the first two (perm1/perm2) and the first argmin and argmax of `stats`.
-    Exact at block and run level: the run's first two are block 1's, and
-    each first extreme of the run is its block's first.  The price of one
-    rule: a later block also returns its own first two (2n floats), unused."""
-    if keep:
-        return list(indices)
-    return sorted({*indices[:2], indices[int(np.argmin(stats))],
-                   indices[int(np.argmax(stats))]})
-
-
-def _permutations(state, indices, keep: bool, observed: bool = False):
+def _permutations(state, indices, observed: bool = False):
     """One block's columns: the observed (direction, model, scores) if
-    `observed` (else None), each permutation's statistic and solver
-    iterations in index order, {b: record} of its _retained permutations,
-    and the block's wall time.
+    `observed` (else None), its permutations' labels and scores as (m x n)
+    stacks, their statistics and solver iterations, and its wall time.
 
     Pure in (state, indices); `state` is the run's (X, y, config, C,
     factors).  The block's rows, y first (index None) if `observed`, are
-    fit at once (DWD as one batch, which hands out each row's scores and
-    forms w for the observed row alone); an error in a row carries its
-    index as perm_index, so a failing re-fit aborts at the lowest failing
-    index.  Every row's record is held until the block returns.
+    fit in order (DWD as one batch, which hands out each row's scores and
+    forms w for the observed row alone) and scored as one stack.  An error
+    carries its row's index as perm_index; the lowest failing index wins
+    across fits and statistics, whatever the block bounds.
     """
     X, y, config, C, factors = state
     t0 = time.perf_counter()
     rows = ([None] if observed else []) + list(indices)
-    labels = [y if b is None else permute_labels(y, config.scheme, derive_stream(config.seed, b))
-              for b in rows]
+    relabel = partial(permute_labels, y, config.scheme)
+    labels = np.array([y if b is None else relabel(derive_stream(config.seed, b)) for b in rows])
     if config.classifier == "md":
         directions = (_md_arrays(X, y_b) for y_b in labels)
         fits = ((d, None, X @ d.w + d.beta) for d in directions)
     else:  # only the observed row asks for w
         fits = ((m.direction, m, s) for m, s in _dwd_batch(
-            X, np.array(labels), factors, C, config.dwd_tol, config.dwd_max_iter,
+            X, labels, factors, C, config.dwd_tol, config.dwd_max_iter,
             [b is None for b in rows]))
-    first, stats, iterations, records = None, [], [], {}
-    for b, y_b in zip(rows, labels):
-        try:
-            direction, model, scores = next(fits)
-            ps = ProjectionScores(scores, y_b)
-            stat = STATISTICS[config.statistic](ps)
-        except DppError as err:
-            err.perm_index = b
-            raise
-        if b is None:
-            first = direction, model, ps
-            continue
-        stats.append(stat)
-        iterations.append(model.iterations if model else 0)
-        records[b] = PermutationRecord(b, ps.labels, ps, stat)
-    kept = {b: records[b] for b in _retained(indices, stats, keep)}
-    return first, stats, iterations, kept, time.perf_counter() - t0
+    S, models, failure = np.empty(labels.shape), [], None
+    try:
+        for i, (direction, model, scores) in enumerate(fits):
+            S[i] = scores
+            models.append((direction, model))
+    except DppError as err:  # the rows after it are not fit
+        err.perm_index, failure = rows[len(models)], err
+    k, statistic = len(models), STATISTICS[config.statistic]
+    try:
+        stats = statistic(ProjectionScores(S[:k], labels[:k])) if k else None
+    except DppError:  # find the lowest failing row, one row at a time
+        for b, s, y_b in zip(rows, S, labels[:k]):
+            try:
+                statistic(ProjectionScores(s, y_b))
+            except DppError as err:
+                err.perm_index = b
+                raise err from None
+        raise
+    if failure is not None:
+        raise failure
+    first = (*models[0], ProjectionScores(S[0].copy(), y)) if observed else None
+    iterations = [model.iterations if model else 0 for _, model in models[observed:]]
+    return (first, labels[observed:], S[observed:], stats[observed:], iterations,
+            time.perf_counter() - t0)
 
 
 def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
@@ -278,13 +272,15 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     first block and a pool the rest.  Each block's DWD re-fits are one
     lockstep batch whose rows are bit-identical to single fits; the
     observed fit is row 0 of block 1's batch, so the DEBUG wall time of
-    block 1 includes it.  Every permutation b draws from its own (seed, b)
-    stream, so results are bit-identical for any worker count.  An error
-    in the observed fit has no perm_index; one in re-fitting or scoring
-    permutation b (NonConvergedError, ZeroDirectionError, ...) aborts the
-    run with perm_index the lowest failing b; a pool worker that dies
-    raises WorkerLostError naming its block; no permutation is silently
-    dropped.
+    block 1 includes it.  A block's statistics are one stacked call; the
+    run then makes the records of every permutation if `retain_all`, else
+    of perm1, perm2 and the first minimum and maximum.  Every permutation
+    b draws from its own (seed, b) stream, so results are bit-identical
+    for any worker count.  An error in the observed fit has no
+    perm_index; one in re-fitting or scoring permutation b
+    (NonConvergedError, ZeroDirectionError, ...) aborts the run with
+    perm_index the lowest failing b; a pool worker that dies raises
+    WorkerLostError naming its block; no permutation is silently dropped.
     """
     plan = plan or PermutationPlan()
     config = TestConfig(classifier, statistic, plan.scheme, plan.B,
@@ -312,7 +308,7 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     n_blocks = max(1, min(workers, config.B // _MIN_BLOCK))
     bounds = [1 + k * config.B // n_blocks for k in range(n_blocks + 1)]
     blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    run = partial(_permutations, state, keep=retain_all)
+    run = partial(_permutations, state)
     # this process runs block 1, a pool the rest; one block starts no pool
     with ProcessPoolExecutor(n_blocks - 1) if n_blocks > 1 else nullcontext() as pool:
         rest = [pool.submit(run, block) for block in blocks[1:]]
@@ -323,13 +319,12 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
             except BrokenProcessPool as err:
                 raise WorkerLostError(f"a worker process died before permutations "
                                       f"{block[0]}-{block[-1]} were done") from err
-    observed, block_stats, block_iterations, kept, seconds = zip(*block_outputs)
+    observed, labels, scores, block_stats, block_iterations, seconds = zip(*block_outputs)
     observed_direction, observed_model, observed_scores = observed[0]
+    labels, scores = np.concatenate(labels), np.concatenate(scores)
     perm_statistics = np.concatenate(block_stats, dtype=np.float64)
     perm_statistics.setflags(write=False)
     iterations = [i for block in block_iterations for i in block]
-    made = {b: rec for block in kept for b, rec in block.items()}
-    records = {b: made[b] for b in _retained(range(1, config.B + 1), perm_statistics, retain_all)}
 
     if log.isEnabledFor(logging.DEBUG):
         for block, block_seconds in zip(blocks, seconds):
@@ -344,12 +339,11 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
         perm_statistics.min(), perm_statistics.max(),
     )
 
-    return DppResult(
-        config=config,
-        observed_direction=observed_direction,
-        observed_scores=observed_scores,
-        perm_statistics=perm_statistics,
-        records=records,
-        observed_model=observed_model,
-        feature_names=ds.feature_names,
-    )
+    result = DppResult(config, observed_direction, observed_scores, perm_statistics, {},
+                       observed_model, ds.feature_names)
+    kept = range(1, config.B + 1) if retain_all else sorted(  # perm1, perm2, first extremes
+        {1, min(2, config.B), result.min_index, result.max_index})
+    for b in kept:  # copies, so the result does not pin the B x n stacks
+        ps = ProjectionScores(scores[b - 1].copy(), labels[b - 1].copy())
+        result.records[b] = PermutationRecord(b, ps.labels, ps, float(perm_statistics[b - 1]))
+    return result

@@ -319,9 +319,10 @@ def load_result_json(path) -> DppResult:
     """Rebuild a DppResult from emit_result_json output.
 
     A missing or malformed field raises ValidationError naming it: so do
-    perm_statistics not config.B long, an unknown key in dwd, and a record
-    outside 1..B or not one entry per sample.  `observed_statistic`, records'
-    `statistic`, `loadings`, `p_value`, `z_score` and `cutoff` are not read.
+    perm_statistics other than config.B finite numbers, an unknown key in
+    dwd, and a record outside 1..B or not one entry per sample.
+    `observed_statistic`, records' `statistic`, `loadings`, `p_value`,
+    `z_score` and `cutoff` are not read.
     Files written before the config held `dwd_tol` and `dwd_max_iter`
     load with DEFAULT_TOL and DEFAULT_MAX_ITER.
     """
@@ -347,8 +348,14 @@ def load_result_json(path) -> DppResult:
             raise ValueError(f"{len(v)} entries, expected {n}")
         return v
 
-    perm_statistics = field("perm_statistics", lambda v: np.array(
-        one_each(v, config.B), dtype=np.float64))
+    def finite(a):  # json reads NaN and Infinity, and float64 makes null a nan
+        bad = np.flatnonzero(~np.isfinite(a))
+        if bad.size:
+            raise ValueError(f"permutation {bad[0] + 1} has statistic {a[bad[0]]}")
+        return a
+
+    perm_statistics = field("perm_statistics", lambda v: finite(np.array(
+        one_each(v, config.B), dtype=np.float64)))
     perm_statistics.setflags(write=False)
     observed_scores = field("observed_scores", lambda d: ProjectionScores(
         np.array(d["scores"]), np.array(d["labels"])))

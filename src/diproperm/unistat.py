@@ -1,12 +1,12 @@
 """Univariate two-sample statistics on projection scores.
 
 All statistics take absolute values, so the permutation test built on
-them is two-sided by construction.
+them is two-sided by construction.  Each reduces along the last axis: a
+vector gives a numpy float, each row of a stack its own call's bits.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,7 +19,8 @@ from .errors import DimensionMismatchError, SingleClassError, ValidationError, Z
 
 @dataclass(eq=False)
 class ProjectionScores:
-    """Per-sample scalar scores x.w + beta, aligned with their labels."""
+    """Per-sample scalar scores x.w + beta, aligned with their labels; or an
+    (m x n) stack of such rows, all with the same class counts."""
 
     scores: np.ndarray
     labels: np.ndarray
@@ -27,20 +28,24 @@ class ProjectionScores:
     def __post_init__(self):
         s = np.asarray(self.scores, dtype=np.float64)
         y = np.asarray(self.labels, dtype=np.int64)
-        if s.ndim != 1 or y.shape != s.shape:
+        if s.ndim not in (1, 2) or y.shape != s.shape:
             raise DimensionMismatchError(
-                f"scores {s.shape} and labels {y.shape} must be equal-length vectors"
+                f"scores {s.shape} and labels {y.shape} must be equal-length vectors or stacks"
             )
         if not np.isfinite(s).all():
             raise ValidationError("scores contain NaN or Inf")
-        if not ((y == -1).any() and (y == 1).any()):
+        counts = np.array([(y == -1).sum(axis=-1), (y == 1).sum(axis=-1)]).reshape(2, -1)
+        if not (counts.size and counts.all()):
             raise SingleClassError("projection scores must cover both classes")
+        if (counts.T != counts[:, 0]).any():  # split() reshapes by row
+            raise DimensionMismatchError("every row of a stack must have the same class counts")
         object.__setattr__(self, "scores", s)
         object.__setattr__(self, "labels", y)
 
     def split(self) -> tuple[np.ndarray, np.ndarray]:
-        """(negative-class scores, positive-class scores)."""
-        return self.scores[self.labels == -1], self.scores[self.labels == 1]
+        """(negative-class scores, positive-class scores); (m x n-, m x n+) for a stack."""
+        rows = self.scores.shape[:-1]
+        return tuple(self.scores[self.labels == c].reshape(*rows, -1) for c in (-1, 1))
 
 
 def project(ds: LabeledDataset, direction: Direction) -> ProjectionScores:
@@ -60,30 +65,30 @@ def project(ds: LabeledDataset, direction: Direction) -> ProjectionScores:
     return ProjectionScores(ds.features @ direction.w + direction.beta, ds.labels)
 
 
-def stat_md(ps: ProjectionScores) -> float:
+def stat_md(ps: ProjectionScores) -> float | np.ndarray:
     """Absolute difference of class means."""
     neg, pos = ps.split()
-    return abs(float(pos.mean() - neg.mean()))
+    return np.abs(pos.mean(axis=-1) - neg.mean(axis=-1))
 
 
-def stat_t(ps: ProjectionScores) -> float:
+def stat_t(ps: ProjectionScores) -> float | np.ndarray:
     """Absolute two-sample t-statistic, unequal-variance (Welch) form."""
     neg, pos = ps.split()
-    if len(neg) < 2 or len(pos) < 2:
+    if min(neg.shape[-1], pos.shape[-1]) < 2:
         raise SingleClassError("t-statistic needs at least 2 samples per class")
-    se2 = pos.var(ddof=1) / len(pos) + neg.var(ddof=1) / len(neg)
-    if se2 <= 0.0:
+    se2 = pos.var(axis=-1, ddof=1) / pos.shape[-1] + neg.var(axis=-1, ddof=1) / neg.shape[-1]
+    if (se2 <= 0.0).any():  # in any row of a stack
         raise ZeroVarianceError("both classes have zero spread")
-    return abs(float(pos.mean() - neg.mean())) / math.sqrt(se2)
+    return np.abs(pos.mean(axis=-1) - neg.mean(axis=-1)) / np.sqrt(se2)
 
 
-def stat_med(ps: ProjectionScores) -> float:
+def stat_med(ps: ProjectionScores) -> float | np.ndarray:
     """Absolute difference of class medians (midpoint rule for even counts)."""
     neg, pos = ps.split()
-    return abs(float(np.median(pos) - np.median(neg)))
+    return np.abs(np.median(pos, axis=-1) - np.median(neg, axis=-1))
 
 
-STATISTICS: dict[str, Callable[[ProjectionScores], float]] = {
+STATISTICS: dict[str, Callable[[ProjectionScores], float | np.ndarray]] = {
     "md": stat_md,
     "t": stat_t,
     "med": stat_med,

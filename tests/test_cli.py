@@ -13,6 +13,7 @@ import pytest
 import diproperm as dp
 from diproperm import cli, engine
 from diproperm.engine import CLASSIFIERS
+from diproperm.errors import ValidationError
 from diproperm.report import PANELS
 from diproperm.permute import SCHEMES
 from diproperm.unistat import STATISTICS
@@ -217,6 +218,67 @@ def test_non_finite_feature_is_one_located_error(tmp_path, capsys):
                      "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == ("error: features contain NaN or Inf entries; "
                                        "the first is nan at sample 2, feature 2\n")
+
+
+def test_data_without_a_feature_column_is_refused(tmp_path, capsys):
+    # a file of labels alone has no variable to test on: it is refused on
+    # load, not fit and failed under another name
+    with pytest.raises(ValidationError, match="^features must have at least one column$"):
+        dp.LabeledDataset(np.zeros((4, 0)), [-1, 1, -1, 1])
+    dense, sparse = tmp_path / "onlylab.csv", tmp_path / "onlylab.svm"
+    dense.write_text("-1\n1\n-1\n1\n-1\n1\n")
+    sparse.write_text("-1\n1\n-1\n1\n-1\n1\n")
+    for data in (["--data", str(dense), "--label-column", "0"],
+                 ["--data", str(sparse), "--format", "sparse"]):
+        for classifier in CLASSIFIERS:
+            assert cli.main(["run", *data, "-B", "20", "--classifier", classifier,
+                             "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == "error: features must have at least one column\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_data_options_are_read_or_refused(blob_files, tmp_path, capsys):
+    # each format reads its own options: a header and label column for a
+    # dense file, a width for a sparse one; an option the data does not
+    # read is refused by name rather than ignored (shuffled labels beside
+    # a sparse file used to run on the file's own)
+    data, labels = blob_files
+    ds = dp.load_dense(data, labels_path=labels)
+    headed, svm = tmp_path / "headed.csv", tmp_path / "x.svm"
+    headed.write_text("x1,cls,x2\n" + "".join(
+        f"{a!r},{y},{b!r}\n" for (a, b), y in zip(ds.features.tolist(), ds.labels)))
+    dp.write_sparse(ds, svm)
+    common = ["-B", "20", "--seed", "1", "--classifier", "md", "--workers", "1"]
+    runs = {"dense": ["--data", str(data), "--labels", str(labels)],
+            "headed": ["--data", str(headed), "--has-header", "--label-column", "cls"],
+            "index": ["--data", str(headed), "--has-header", "--label-column", "1"],
+            "sparse": ["--data", str(svm), "--format", "sparse", "--n-features", "2"]}
+    for name, args in runs.items():
+        assert cli.main(["run", *args, *common, "--out", str(tmp_path / name)]) == 0
+    assert capsys.readouterr().out.count("stat=") == len(runs)
+    results = [json.loads((tmp_path / name / "result.json").read_text()) for name in runs]
+    assert all(r["perm_statistics"] == results[0]["perm_statistics"] for r in results)
+    shuffled = tmp_path / "shuffled.txt"
+    shuffled.write_text("".join(f"{y}\n" for y in np.random.default_rng(0).permutation(ds.labels)))
+    bundled = "bundled:mushrooms50"
+    for args, flag, kind in (
+            (["--data", str(svm), "--format", "sparse", "--labels", str(shuffled)],
+             "--labels", "sparse data"),
+            (["--data", str(svm), "--format", "sparse", "--label-column", "0"],
+             "--label-column", "sparse data"),
+            (["--data", str(svm), "--format", "sparse", "--has-header"],
+             "--has-header", "sparse data"),
+            (["--data", str(data), "--labels", str(labels), "--n-features", "3"],
+             "--n-features", "dense data"),
+            (["--data", bundled, "--labels", str(shuffled)], "--labels", bundled),
+            (["--data", bundled, "--label-column", "0"], "--label-column", bundled),
+            (["--data", bundled, "--has-header"], "--has-header", bundled),
+            (["--data", bundled, "--n-features", "0"], "--n-features", bundled),
+            (["--data", bundled, "--format", "sparse"], "--format", bundled)):
+        out = tmp_path / "refused"
+        assert cli.main(["run", *args, *common, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} does not apply to {kind}\n"
+        assert not out.exists()
 
 
 def test_bundled_mushrooms_run(tmp_path):

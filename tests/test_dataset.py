@@ -27,6 +27,16 @@ def test_load_dense_with_labels_file(tmp_path):
     assert np.array_equal(ds.features, [[1, 0], [0, 1], [1, 1], [0, 0]])
     assert np.array_equal(ds.labels, [-1, 1, -1, 1])
     assert ds.names == ("V1", "V2")
+    # exactly one label source, one label per sample, at least one label
+    for kw in ({}, {"labels_path": labels, "label_column": 0}):
+        with pytest.raises(ValidationError, match="exactly one of label_column or labels_path"):
+            dp.load_dense(data, **kw)
+    labels.write_text("-1\n1\n-1\n")
+    with pytest.raises(ValidationError, match="^3 labels for 4 samples$"):
+        dp.load_dense(data, labels_path=labels)
+    labels.write_text("\n\n")
+    with pytest.raises(DatasetEmptyError, match="no labels in"):
+        dp.load_labels(labels)
 
 
 def test_load_dense_label_column_and_header(tmp_path):
@@ -36,6 +46,17 @@ def test_load_dense_label_column_and_header(tmp_path):
     assert ds.feature_names == ("a", "b")
     assert np.array_equal(ds.labels, [-1, 1, -1, 1])
     assert ds.features[3, 1] == 8.0
+    # a name needs a header that holds it; an index must be a column
+    for kw, message in (({"has_header": True, "label_column": "klass"}, "'klass' not in header"),
+                        ({"label_column": "cls"}, "'cls' not in header"),
+                        ({"has_header": True, "label_column": 3}, "index 3 out of range"),
+                        ({"has_header": True, "label_column": "-1"}, "index -1 out of range")):
+        with pytest.raises(ValidationError, match=message) as exc:
+            dp.load_dense(f, **kw)
+        assert (exc.value.row, exc.value.col) == (None, None)
+    f.write_text("a,b,cls\n\n")
+    with pytest.raises(DatasetEmptyError, match="has a header but no data rows"):
+        dp.load_dense(f, has_header=True, label_column="cls")
 
 
 def test_load_dense_rejects_label_token_2(tmp_path):
@@ -89,12 +110,25 @@ def test_load_sparse_names_a_non_finite_value(tmp_path):
 
 def test_load_sparse_basic(tmp_path):
     f = tmp_path / "x.svm"
-    f.write_text("-1 3:1\n+1 1:1 2:1\n-1 1:1\n1 2:1 3:1\n")
+    f.write_text("# a comment line is skipped\n-1 3:1\n+1 1:1 2:1\n-1 1:1\n1 2:1 3:1\n")
     ds = dp.load_sparse(f)
     assert ds.features.shape == (4, 3)
     assert np.array_equal(ds.features[0], [0, 0, 1])
     assert np.array_equal(ds.features[1], [1, 1, 0])
     assert np.array_equal(ds.labels, [-1, 1, -1, 1])
+    # n_features may widen the data, not cut it
+    assert dp.load_sparse(f, n_features=5).features.shape == (4, 5)
+    with pytest.raises(ValidationError, match="n_features=2 smaller than max index 3"):
+        dp.load_sparse(f, n_features=2)
+
+
+def test_load_sparse_bad_entry(tmp_path):
+    f = tmp_path / "x.svm"
+    for entry in ("3:abc", "3", "x:1"):
+        f.write_text(f"-1 1:1\n1 2:1 {entry}\n-1 1:1\n1 2:1\n")
+        with pytest.raises(ParseError, match=f"bad sparse entry '{entry}'") as exc:
+            dp.load_sparse(f)
+        assert (exc.value.row, exc.value.col) == (2, None)
 
 
 def test_load_sparse_empty(tmp_path):

@@ -326,10 +326,12 @@ def test_stacked_kernels_give_each_row_its_single_bits():
     # the bits of a one-row stack and of the plain single call (the
     # bordered Newton system, its diagonal shifted in place through a
     # strided view, the masked class means, and the gathers, products and
-    # padded solves of the active-sample step among them)
+    # padded solves of the active-sample step among them), and so do the
+    # statistics the engine takes of a block's stacked relabelings
     rng = np.random.default_rng(0)
     n = 100
     for r in (2, 25, 60):
+        base = np.r_[np.full(40 + r % 2, -1), np.full(60 - r % 2, 1)]  # odd and even classes
         Z = rng.normal(size=(n, r + 1))
         Za = np.vstack([Z[:, :r], np.zeros((1, r))])
         Ga = Za @ Za.T
@@ -347,6 +349,7 @@ def test_stacked_kernels_give_each_row_its_single_bits():
             b = rng.normal(size=(k, r + 1, 1))
             Z2 = np.hstack([Z, np.zeros((n, 1))])  # the bordered system
             mask, shift = q > 0.0, rng.uniform(0.0, 1.0, size=k)
+            L = np.array([rng.permutation(base) for _ in range(k)])
 
             def shifted(i):  # a diagonal updated in place through a strided view
                 S = np.matmul(Z2.T * d[i, None, :], Z2)
@@ -372,7 +375,8 @@ def test_stacked_kernels_give_each_row_its_single_bits():
                  lambda i: U[i].T @ c[i][:, None]),
                 (lambda i: np.matmul(U[i], V[i]), lambda i: U[i] @ V[i]),
                 (lambda i: np.matmul(B2[i], V[i]), lambda i: B2[i] @ V[i]),
-            ]
+            ] + [(lambda i, f=stat: f(dp.ProjectionScores(q[i], L[i])),) * 2
+                 for stat in (dp.stat_md, dp.stat_t, dp.stat_med)]
             rows = np.arange(k)
             for stacked, single in kernels:
                 whole = stacked(rows)

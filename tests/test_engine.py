@@ -1,6 +1,7 @@
 """Engine orchestration, summary quantities, and determinism tests."""
 
 import gc
+import itertools
 import json
 import logging
 import math
@@ -16,6 +17,7 @@ import pytest
 import diproperm as dp
 from diproperm import cli, engine
 from diproperm.errors import (
+    DppError,
     EmptyError,
     NonConvergedError,
     ValidationError,
@@ -42,6 +44,8 @@ def test_z_score_examples():
     for stats in ([3, 3, 3], [0.1] * 3, [10 / 3] * 50):
         with pytest.raises(ZeroVarianceError):
             dp.z_score(stats, 5.0)
+    with pytest.raises(EmptyError, match="at least 2"):
+        dp.z_score([1.0], 0.0)
 
 
 def test_cutoff_examples():
@@ -184,6 +188,37 @@ def test_retain_all_keeps_every_record():
     ds = make_blobs(n=12, seed=2)
     r = run_small(ds, B=25, retain_all=True)
     assert set(r.records) == set(range(1, 26))
+    # each record owns its rows: no record shares memory with another,
+    # and none is a view that would pin a block's B x n stacks
+    arrays = [r.observed_scores.scores] + [a for rec in r.records.values()
+                                           for a in (rec.scores.scores, rec.permuted_labels)]
+    assert all(a.base is None for a in arrays)
+    for one, rec in itertools.combinations(r.records.values(), 2):
+        for a, b in itertools.product((one.scores.scores, one.permuted_labels),
+                                      (rec.scores.scores, rec.permuted_labels)):
+            assert not np.shares_memory(a, b)
+
+
+def test_a_block_scores_its_rows_as_one_stack(monkeypatch):
+    # outside an error, a block takes one ProjectionScores of all its rows
+    # (and one of the observed scores), and the run makes a record only
+    # for a permutation it keeps
+    made = []
+
+    class Spy(dp.ProjectionScores):
+        def __post_init__(self):
+            made.append(np.shape(self.scores))
+            super().__post_init__()
+
+    def record(*args):
+        made.append("record")
+        return dp.PermutationRecord(*args)
+
+    monkeypatch.setattr(engine, "ProjectionScores", Spy)
+    monkeypatch.setattr(engine, "PermutationRecord", record)
+    r = run_small(make_blobs(n=12, seed=2), B=40)
+    assert len(r.records) == 4
+    assert made == [(41, 12), (12,)] + [(12,), "record"] * 4
 
 
 def test_exhaustive_balanced_point_mass():
@@ -205,7 +240,8 @@ def test_constant_null_gives_undefined_z(monkeypatch):
     # a statistic with zero spread across permutations leaves z undefined
     from diproperm import unistat
 
-    monkeypatch.setitem(unistat.STATISTICS, "const", lambda ps: 1.0)
+    # one value per row, as the statistics give for a stack of relabelings
+    monkeypatch.setitem(unistat.STATISTICS, "const", lambda ps: np.ones(ps.scores.shape[:-1]))
     ds = make_blobs(n=12, distance=3.0, seed=1)
     r = dp.diproperm(
         ds, dp.PermutationPlan("unbalanced", 40, 5), classifier="md",
@@ -359,6 +395,36 @@ def test_permutation_scoring_failure_names_its_permutation(monkeypatch):
                          workers=workers)
         assert exc.value.perm_index == expected[0]
         assert str(exc.value) == f"{expected[1]} (permutation 20)"
+
+
+def test_lowest_failure_wins_across_fits_and_statistics(monkeypatch):
+    # an md re-fit fails where a relabeling gives both classes one mean,
+    # the t statistic where it makes both classes constant; the lower index
+    # names the run's error, also when both fall in one block: on seed 28
+    # permutation 2's statistic and 4's fit fail (block 1-6 at 3 workers),
+    # on seed 4 1's fit and 2's statistic, on seed 747 7's fit and 8's
+    # statistic (block 7-13, a pool worker's)
+    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
+    ds = dp.LabeledDataset(np.c_[[0, 0, 0, 1, 0, 1, 1, 1], np.zeros(8)], [-1] * 4 + [1] * 4)
+    for seed, expected in ((28, ".S.F"), (4, "FS"), (747, "......FS")):
+        plan = dp.PermutationPlan("unbalanced", 20, seed)
+        seen, first = "", None
+        for b in range(1, len(expected) + 1):  # the public route's outcomes
+            y_b = dp.permute_labels(ds.labels, plan.scheme, dp.derive_stream(seed, b))
+            ds_b = dp.LabeledDataset(ds.features, y_b)
+            try:
+                dp.stat_t(dp.project(ds_b, dp.md_direction(ds_b)))
+                seen += "."
+            except (ZeroDirectionError, ZeroVarianceError) as err:
+                seen += "F" if isinstance(err, ZeroDirectionError) else "S"
+                first = first or (b, type(err), str(err))
+        assert seen == expected
+        for workers in (1, 3):
+            with pytest.raises(DppError) as exc:
+                dp.diproperm(ds, plan, classifier="md", statistic="t", alpha=0.1,
+                             workers=workers)
+            assert (exc.value.perm_index, type(exc.value), str(exc.value)) == (
+                first[0], first[1], f"{first[2]} (permutation {first[0]})")
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",

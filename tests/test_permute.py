@@ -146,6 +146,8 @@ def test_balanced_requires_two_per_class():
 def test_single_class_rejected():
     with pytest.raises(SingleClassError):
         permute_labels(np.array([1, 1, 1]), "unbalanced", derive_stream(0, 1))
+    with pytest.raises(ValidationError, match="unknown scheme 'shuffled'"):
+        permute_labels(np.array([-1, 1, 1]), "shuffled", derive_stream(0, 1))
 
 
 def test_exhaustive_count_preservation_small_n():

@@ -260,6 +260,34 @@ def test_result_json_nan_z_is_null(tmp_path):
     assert math.isnan(dp.load_result_json(path).z_score)
 
 
+def test_result_json_non_finite_statistic_is_refused(tmp_path, capsys):
+    # json reads NaN and Infinity, and a float64 array makes null a nan: a
+    # statistic that is not a finite number is a malformed field, refused
+    # before any panel is written
+    path = tmp_path / "result.json"
+    dp.emit_result_json(dp.diproperm(make_blobs(n=12, seed=2), dp.PermutationPlan(
+        "unbalanced", 20, 1), classifier="md", workers=1), path)
+    doc = json.loads(path.read_text())
+    for value, read in ((None, "nan"), (math.nan, "nan"), (math.inf, "inf")):
+        doc["perm_statistics"][3] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))  # null, NaN or Infinity
+        with pytest.raises(ValidationError, match="'perm_statistics'.*permutation 4 has"):
+            dp.load_result_json(edited)
+        for panels in ([], ["--panels", "permdist,obs"]):
+            out = tmp_path / f"panels-{read}-{len(panels)}"
+            assert cli.main(["report", str(edited), *panels, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == ("error: result.json field 'perm_statistics' missing or malformed "
+                           f"(ValueError: permutation 4 has statistic {read})\n")
+            assert not out.exists()
+    # so is a document of another schema
+    doc = json.loads(path.read_text())
+    edited.write_text(json.dumps({**doc, "schema_version": 2}))
+    with pytest.raises(ValidationError, match="^unsupported schema_version 2$"):
+        dp.load_result_json(edited)
+
+
 def test_result_json_summary_is_derived_on_load(result, tmp_path, capsys):
     # the observed and record statistics, p, z and cutoff are written for
     # readers of the file; a loaded result derives them from its own scores

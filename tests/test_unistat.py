@@ -113,6 +113,43 @@ def test_both_classes_required():
         dp.ProjectionScores(np.ones(3), np.ones(3, int))
 
 
+def test_a_stack_scores_each_row_as_its_own_call():
+    # rows of 300 samples (classes of 130 and 170, past numpy's 128-element
+    # pairwise-sum block) relabeled as a permutation does: the statistics
+    # of the stack are its rows' own, bit for bit
+    rng = np.random.default_rng(3)
+    base = np.r_[np.full(130, -1), np.full(170, 1)]
+    labels = np.array([rng.permutation(base) for _ in range(7)])
+    scores = rng.normal(size=labels.shape)
+    stack = dp.ProjectionScores(scores, labels)
+    neg, pos = stack.split()
+    assert neg.shape == (7, 130) and pos.shape == (7, 170)
+    for stat in (dp.stat_md, dp.stat_t, dp.stat_med):
+        whole = stat(stack)
+        assert whole.shape == (7,)
+        for i in range(7):
+            row = stat(dp.ProjectionScores(scores[i], labels[i]))
+            assert whole[i].tobytes() == row.tobytes()
+    # a zero-spread row fails the whole stack's t statistic
+    scores[4] = np.where(labels[4] == 1, 2.0, -1.0)
+    with pytest.raises(ZeroVarianceError):
+        dp.stat_t(dp.ProjectionScores(scores, labels))
+
+
+def test_a_stack_needs_equal_class_counts():
+    # split() reshapes each class by row, so rows with other counts would
+    # be mis-split silently; they are refused, as is a row with one class
+    labels = np.array([[-1, -1, 1, 1], [-1, 1, 1, 1]])
+    with pytest.raises(DimensionMismatchError, match="same class counts"):
+        dp.ProjectionScores(np.zeros((2, 4)), labels)
+    with pytest.raises(SingleClassError):
+        dp.ProjectionScores(np.zeros((2, 4)), [[-1, -1, 1, 1], [1, 1, 1, 1]])
+    with pytest.raises(SingleClassError):
+        dp.ProjectionScores(np.zeros((0, 4)), np.zeros((0, 4), int))
+    with pytest.raises(DimensionMismatchError):
+        dp.ProjectionScores(np.zeros((2, 2, 4)), np.ones((2, 2, 4), int))
+
+
 score_vectors = st.lists(
     st.floats(-1e6, 1e6, allow_nan=False), min_size=4, max_size=20
 )
