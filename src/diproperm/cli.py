@@ -47,9 +47,10 @@ def _load_dataset(args) -> ds_mod.LabeledDataset:
              "--has-header": args.has_header or None}
     sparse = {"--n-features": args.n_features}
     if args.data in _BUNDLED:
-        kind, unread = args.data, {**dense, **sparse, "--format": args.format == "sparse" or None}
-    else:
-        kind, unread = f"{args.format} data", sparse if args.format == "dense" else dense
+        kind, unread = args.data, {**dense, **sparse, "--format": args.format}
+    else:  # no --format reads as dense
+        kind = f"{args.format or 'dense'} data"
+        unread = dense if args.format == "sparse" else sparse
     for flag, value in unread.items():
         if value is not None:
             raise ValidationError(f"{flag} does not apply to {kind}")
@@ -133,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the full test and emit results")
     run.add_argument("--data", required=True,
                      help="data file, or 'bundled:mushrooms50'")
-    run.add_argument("--format", choices=("dense", "sparse"), default="dense")
+    run.add_argument("--format", choices=("dense", "sparse"),
+                     help="data file format (default: dense)")
     run.add_argument("--labels", help="labels-only file (dense format)")
     run.add_argument("--label-column",
                      help="label column name or 0-based index (dense format)")

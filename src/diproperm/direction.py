@@ -113,7 +113,7 @@ class Loading(NamedTuple):
     name: str | None = None
 
 
-def _md_arrays(X: np.ndarray, y: np.ndarray) -> Direction:
+def _md_arrays(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     neg, pos = X[y == -1].mean(axis=0), X[y == 1].mean(axis=0)
     diff = pos - neg
     nrm = float(np.linalg.norm(diff))
@@ -121,12 +121,12 @@ def _md_arrays(X: np.ndarray, y: np.ndarray) -> Direction:
         raise ZeroDirectionError("class means coincide; mean-difference direction undefined")
     w = diff / nrm
     beta = -float(w @ ((pos + neg) / 2.0))
-    return Direction(w, beta)  # mean difference is oriented by construction
+    return w, beta  # mean difference is oriented by construction
 
 
 def md_direction(ds: LabeledDataset) -> Direction:
     """Unit mean-difference direction with the midpoint intercept."""
-    return _md_arrays(ds.features, ds.labels)
+    return Direction(*_md_arrays(ds.features, ds.labels))
 
 
 def _gram(X: np.ndarray) -> np.ndarray:

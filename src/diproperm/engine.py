@@ -1,18 +1,18 @@
 """Full direction-projection-permutation test orchestration.
 
-Fits the observed direction, re-fits the classifier on B permuted
-relabelings, and summarizes the permutation null distribution with a
-p-value, z-score, and empirical critical value.  The permutation indices
-1..B run in at most `workers` contiguous blocks of at least _MIN_BLOCK
-re-fits (or one block); the caller runs the first, a process pool the
-rest.  Each block is relabeled whole, its DWD fits run as one lockstep
-batch of Newton solves (direction._dwd_batch, each row bit-identical to a
-single fit; the observed labels are row 0 of block 1's batch), then its
-rows scored as one stack from their row-space solutions, so only the
-observed fit forms its p-vector w.  A block returns arrays; the run alone
-makes the PermutationRecords of the permutations it keeps.
-Every permutation b draws from its own (seed, b) stream, so the answer
-does not depend on the worker count.
+Fits the classifier to the observed labels and to B permuted relabelings,
+and summarizes the permutation null distribution with a p-value, z-score,
+and empirical critical value.  A run's fits are numbered 0..B, 0 the
+observed labels and the first row of block 1; they run in at most
+`workers` contiguous blocks of at least _MIN_BLOCK re-fits (or one
+block), the caller running the first, a process pool the rest.  Each
+block is relabeled whole, its DWD fits run as one lockstep batch of
+Newton solves (direction._dwd_batch, each row bit-identical to a single
+fit), then its rows are scored as one stack, DWD's from their row-space
+solutions.  Only permutation 0 forms a Direction (and for DWD its w); no
+re-fit of either classifier does.  A block returns arrays, which the run
+concatenates once.  Every permutation b >= 1 draws from its own
+(seed, b) stream, so the answer does not depend on the worker count.
 
 Null hypothesis: the two classes are draws from one distribution; it is
 rejected when the observed projected separation is extreme against the
@@ -206,54 +206,51 @@ def cutoff(perm_stats, alpha: float) -> float:
 _MIN_BLOCK = 350
 
 
-def _permutations(state, indices, observed: bool = False):
-    """One block's columns: the observed (direction, model, scores) if
-    `observed` (else None), its permutations' labels and scores as (m x n)
-    stacks, their statistics and solver iterations, and its wall time.
+def _permutations(state, indices):
+    """One block's columns: permutation 0's (direction, model) if the block
+    holds it (else None), its rows' labels and scores as (m x n) stacks,
+    their statistics and solver iterations, and its wall time.
 
     Pure in (state, indices); `state` is the run's (X, y, config, C,
-    factors).  The block's rows, y first (index None) if `observed`, are
-    fit in order (DWD as one batch, which hands out each row's scores and
-    forms w for the observed row alone) and scored as one stack.  An error
-    carries its row's index as perm_index; the lowest failing index wins
-    across fits and statistics, whatever the block bounds.
+    factors).  Index 0 takes y itself, any other b the relabeling of its
+    (seed, b) stream.  The rows are fit in order (DWD as one batch) and
+    scored as one stack; only row 0 forms a Direction.  An error carries
+    its row's index as perm_index (None for 0); the lowest failing index
+    wins across fits and statistics, whatever the block bounds.
     """
     X, y, config, C, factors = state
     t0 = time.perf_counter()
-    rows = ([None] if observed else []) + list(indices)
     relabel = partial(permute_labels, y, config.scheme)
-    labels = np.array([y if b is None else relabel(derive_stream(config.seed, b)) for b in rows])
-    if config.classifier == "md":
-        directions = (_md_arrays(X, y_b) for y_b in labels)
-        fits = ((d, None, X @ d.w + d.beta) for d in directions)
-    else:  # only the observed row asks for w
+    labels = np.array([relabel(derive_stream(config.seed, b)) if b else y for b in indices])
+    if config.classifier == "md":  # (direction, model, scores) of each row
+        fits = ((None if b else Direction(w, beta), None, X @ w + beta)
+                for b, (w, beta) in zip(indices, map(partial(_md_arrays, X), labels)))
+    else:
         fits = ((m.direction, m, s) for m, s in _dwd_batch(
-            X, labels, factors, C, config.dwd_tol, config.dwd_max_iter,
-            [b is None for b in rows]))
-    S, models, failure = np.empty(labels.shape), [], None
+            X, labels, factors, C, config.dwd_tol, config.dwd_max_iter, [not b for b in indices]))
+    S, iterations, first, failure = np.empty(labels.shape), [], None, None
     try:
-        for i, (direction, model, scores) in enumerate(fits):
-            S[i] = scores
-            models.append((direction, model))
+        for b, (direction, model, scores) in zip(indices, fits):
+            if b == 0:
+                first = direction, model
+            S[len(iterations)] = scores
+            iterations.append(model.iterations if model else 0)
     except DppError as err:  # the rows after it are not fit
-        err.perm_index, failure = rows[len(models)], err
-    k, statistic = len(models), STATISTICS[config.statistic]
+        err.perm_index, failure = indices[len(iterations)] or None, err
+    k, statistic = len(iterations), STATISTICS[config.statistic]
     try:
         stats = statistic(ProjectionScores(S[:k], labels[:k])) if k else None
     except DppError:  # find the lowest failing row, one row at a time
-        for b, s, y_b in zip(rows, S, labels[:k]):
+        for b, s, y_b in zip(indices, S, labels[:k]):
             try:
                 statistic(ProjectionScores(s, y_b))
             except DppError as err:
-                err.perm_index = b
+                err.perm_index = b or None
                 raise err from None
         raise
     if failure is not None:
         raise failure
-    first = (*models[0], ProjectionScores(S[0].copy(), y)) if observed else None
-    iterations = [model.iterations if model else 0 for _, model in models[observed:]]
-    return (first, labels[observed:], S[observed:], stats[observed:], iterations,
-            time.perf_counter() - t0)
+    return first, labels, S, stats, iterations, time.perf_counter() - t0
 
 
 def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
@@ -266,21 +263,21 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     The DWD penalty C and the factor of X Xᵀ are computed once, from
     one Gram matrix of the observed data, and reused for every
     permutation re-fit.  `workers` is an upper bound (default:
-    the usable cores, per the CPU affinity mask): 1..B is split into
-    max(1, min(workers, B // _MIN_BLOCK)) contiguous blocks, so blocks of
-    fewer than _MIN_BLOCK re-fits are not forked; this process runs the
-    first block and a pool the rest.  Each block's DWD re-fits are one
-    lockstep batch whose rows are bit-identical to single fits; the
-    observed fit is row 0 of block 1's batch, so the DEBUG wall time of
-    block 1 includes it.  A block's statistics are one stacked call; the
-    run then makes the records of every permutation if `retain_all`, else
-    of perm1, perm2 and the first minimum and maximum.  Every permutation
-    b draws from its own (seed, b) stream, so results are bit-identical
-    for any worker count.  An error in the observed fit has no
-    perm_index; one in re-fitting or scoring permutation b
-    (NonConvergedError, ZeroDirectionError, ...) aborts the run with
-    perm_index the lowest failing b; a pool worker that dies raises
-    WorkerLostError naming its block; no permutation is silently dropped.
+    the usable cores, per the CPU affinity mask): the fits 0..B are split
+    into max(1, min(workers, B // _MIN_BLOCK)) contiguous blocks, so
+    blocks of fewer than _MIN_BLOCK re-fits are not forked; this process
+    runs the first block and a pool the rest.  Permutation 0, the
+    observed labels, is the first row of block 1 (row 0 of its DWD
+    batch), so block 1's DEBUG wall time includes it; it alone forms a
+    Direction.  From the blocks, concatenated once, the run copies the
+    observed scores, the statistics of 1..B and the records of every
+    permutation if `retain_all`, else of perm1, perm2 and the first
+    minimum and maximum.  Each b >= 1 draws from its own (seed, b)
+    stream, so results are bit-identical for any worker count.  An error
+    in the observed fit has no perm_index; one in re-fitting or scoring
+    permutation b (NonConvergedError, ...) aborts the run with perm_index
+    the lowest failing b; a pool worker that dies raises WorkerLostError
+    naming its block; no permutation is silently dropped.
     """
     plan = plan or PermutationPlan()
     config = TestConfig(classifier, statistic, plan.scheme, plan.B,
@@ -303,33 +300,34 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
         C, factors = _penalty(X, ds.labels, K), _factor(K)
     state = (X, ds.labels, config, C, factors)
 
-    # contiguous blocks of indices in index order, each worth a process;
-    # block 1 fits the observed labels too, in the same batch
+    # contiguous blocks of indices 0..B in index order, each worth a
+    # process; block 1 starts at 0, the observed labels, in the same batch
     n_blocks = max(1, min(workers, config.B // _MIN_BLOCK))
-    bounds = [1 + k * config.B // n_blocks for k in range(n_blocks + 1)]
+    bounds = [min(k, 1) + k * config.B // n_blocks for k in range(n_blocks + 1)]
     blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     run = partial(_permutations, state)
     # this process runs block 1, a pool the rest; one block starts no pool
     with ProcessPoolExecutor(n_blocks - 1) if n_blocks > 1 else nullcontext() as pool:
         rest = [pool.submit(run, block) for block in blocks[1:]]
-        block_outputs = [run(blocks[0], observed=True)]
+        block_outputs = [run(blocks[0])]
         for block, future in zip(blocks[1:], rest):
             try:
                 block_outputs.append(future.result())
             except BrokenProcessPool as err:
                 raise WorkerLostError(f"a worker process died before permutations "
                                       f"{block[0]}-{block[-1]} were done") from err
-    observed, labels, scores, block_stats, block_iterations, seconds = zip(*block_outputs)
-    observed_direction, observed_model, observed_scores = observed[0]
+    fits, labels, scores, stats, block_iterations, seconds = zip(*block_outputs)
     labels, scores = np.concatenate(labels), np.concatenate(scores)
-    perm_statistics = np.concatenate(block_stats, dtype=np.float64)
+    observed_direction, observed_model = fits[0]
+    observed_scores = ProjectionScores(scores[0].copy(), labels[0].copy())
+    perm_statistics = np.concatenate(stats, dtype=np.float64)[1:].copy()
     perm_statistics.setflags(write=False)
-    iterations = [i for block in block_iterations for i in block]
+    iterations = [i for block in block_iterations for i in block][1:]
 
     if log.isEnabledFor(logging.DEBUG):
         for block, block_seconds in zip(blocks, seconds):
             log.debug("perms %d-%d: relabeled, re-fit and scored in %.4fs",
-                      block[0], block[-1], block_seconds)
+                      max(block[0], 1), block[-1], block_seconds)  # 1 also fits 0
         for b, (stat_b, iters) in enumerate(zip(perm_statistics, iterations), start=1):
             log.debug("perm %d: statistic=%.6g iterations=%d", b, stat_b, iters)
     log.info(
@@ -342,8 +340,8 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     result = DppResult(config, observed_direction, observed_scores, perm_statistics, {},
                        observed_model, ds.feature_names)
     kept = range(1, config.B + 1) if retain_all else sorted(  # perm1, perm2, first extremes
-        {1, min(2, config.B), result.min_index, result.max_index})
-    for b in kept:  # copies, so the result does not pin the B x n stacks
-        ps = ProjectionScores(scores[b - 1].copy(), labels[b - 1].copy())
+        {1, 2, result.min_index, result.max_index})
+    for b in kept:  # copies, so the result does not pin the (B + 1) x n stacks
+        ps = ProjectionScores(scores[b].copy(), labels[b].copy())
         result.records[b] = PermutationRecord(b, ps.labels, ps, float(perm_statistics[b - 1]))
     return result

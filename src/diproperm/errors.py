@@ -102,7 +102,7 @@ class EmptyError(ValidationError):
 
 
 class PanelUnavailableError(DppError):
-    """The requested diagnostic panel was not retained in the result."""
+    """The result holds no record of the permutation a score panel shows."""
 
 
 class WorkerLostError(DppError):

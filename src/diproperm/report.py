@@ -56,9 +56,8 @@ def _panel_scores(result: DppResult, panel: str) -> ProjectionScores:
         raise ValidationError(f"{panel!r} is not a score panel")
     b = {"perm1": 1, "perm2": 2, "min": result.min_index, "max": result.max_index}[panel]
     if b not in result.records:
-        raise PanelUnavailableError(
-            f"panel {panel!r} (permutation {b}) was not retained; re-run with retain_all"
-        )
+        raise PanelUnavailableError(  # every run keeps these four: the file was edited
+            f"panel {panel!r}: the result holds no record of permutation {b}")
     return result.records[b].scores
 
 
@@ -320,7 +319,8 @@ def load_result_json(path) -> DppResult:
 
     A missing or malformed field raises ValidationError naming it: so do
     perm_statistics other than config.B finite numbers, an unknown key in
-    dwd, and a record outside 1..B or not one entry per sample.
+    dwd, a label other than -1 and 1, and a record outside 1..B, not one
+    entry per sample, or whose class counts differ from the observed ones.
     `observed_statistic`, records' `statistic`, `loadings`, `p_value`,
     `z_score` and `cutoff` are not read.
     Files written before the config held `dwd_tol` and `dwd_max_iter`
@@ -360,13 +360,17 @@ def load_result_json(path) -> DppResult:
     observed_scores = field("observed_scores", lambda d: ProjectionScores(
         np.array(d["scores"]), np.array(d["labels"])))
 
-    def record(key, rec):  # keyed 1..B, one entry per sample
+    n_pos = int((observed_scores.labels == 1).sum())
+
+    def record(key, rec):  # keyed 1..B, one entry per sample, a relabeling
         b, n = int(key), observed_scores.scores.size
         if not 1 <= b <= config.B:
             raise ValueError(f"permutation {b} outside 1..{config.B}")
         labels = np.array(one_each(rec["labels"], n), dtype=np.int64)
-        return PermutationRecord(b, labels, ProjectionScores(
-            np.array(rec["scores"]), labels), float(perm_statistics[b - 1]))
+        scores = ProjectionScores(np.array(rec["scores"]), labels)
+        if (labels == 1).sum() != n_pos:  # every scheme keeps the class counts
+            raise ValueError(f"permutation {b}'s labels change the observed class counts")
+        return PermutationRecord(b, labels, scores, float(perm_statistics[b - 1]))
 
     return DppResult(
         config=config,

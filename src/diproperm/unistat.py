@@ -14,13 +14,19 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .direction import Direction
-from .errors import DimensionMismatchError, SingleClassError, ValidationError, ZeroVarianceError
+from .errors import (
+    DimensionMismatchError,
+    LabelDomainError,
+    SingleClassError,
+    ValidationError,
+    ZeroVarianceError,
+)
 
 
 @dataclass(eq=False)
 class ProjectionScores:
-    """Per-sample scalar scores x.w + beta, aligned with their labels; or an
-    (m x n) stack of such rows, all with the same class counts."""
+    """Per-sample scalar scores x.w + beta, aligned with their -1/1 labels;
+    or an (m x n) stack of such rows, all with the same class counts."""
 
     scores: np.ndarray
     labels: np.ndarray
@@ -35,6 +41,8 @@ class ProjectionScores:
         if not np.isfinite(s).all():
             raise ValidationError("scores contain NaN or Inf")
         counts = np.array([(y == -1).sum(axis=-1), (y == 1).sum(axis=-1)]).reshape(2, -1)
+        if counts.sum() != y.size:  # a label neither -1 nor 1
+            raise LabelDomainError(int(y[(y != -1) & (y != 1)][0]))
         if not (counts.size and counts.all()):
             raise SingleClassError("projection scores must cover both classes")
         if (counts.T != counts[:, 0]).any():  # split() reshapes by row

@@ -274,7 +274,8 @@ def test_data_options_are_read_or_refused(blob_files, tmp_path, capsys):
             (["--data", bundled, "--label-column", "0"], "--label-column", bundled),
             (["--data", bundled, "--has-header"], "--has-header", bundled),
             (["--data", bundled, "--n-features", "0"], "--n-features", bundled),
-            (["--data", bundled, "--format", "sparse"], "--format", bundled)):
+            (["--data", bundled, "--format", "sparse"], "--format", bundled),
+            (["--data", bundled, "--format", "dense"], "--format", bundled)):
         out = tmp_path / "refused"
         assert cli.main(["run", *args, *common, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {flag} does not apply to {kind}\n"

@@ -97,7 +97,13 @@ def test_validation_of_engine_arguments(tmp_path, capsys):
                       ("records", lambda d: d["records"].update(
                           {str(d["config"]["B"] + 1): d["records"]["1"]})),
                       ("records", lambda d: d["records"]["1"].update(
-                          labels=[-1, 1, 1], scores=[-1.0, 1.0, 2.0]))):
+                          labels=[-1, 1, 1], scores=[-1.0, 1.0, 2.0])),
+                      # labels are -1 or 1, and a record relabels the observed
+                      # labels: its class counts are theirs
+                      ("observed_scores",
+                       lambda d: d["observed_scores"]["labels"].__setitem__(0, 7)),
+                      ("records", lambda d: d["records"]["1"]["labels"].__setitem__(
+                          d["records"]["1"]["labels"].index(-1), 1))):
         doc = json.loads(path.read_text())
         edit(doc)
         tampered = tmp_path / f"{key}.json"
@@ -544,24 +550,25 @@ def test_observed_fit_is_row_0_of_block_1(monkeypatch, tmp_path):
 
 
 def test_only_the_observed_fit_forms_w(monkeypatch, tmp_path):
-    # re-fits are scored from their row-space solutions: a DWD run
-    # constructs one Direction, the observed fit's, and no pool block any
+    # re-fits are scored from their (w, beta) arrays (md) or row-space
+    # solutions (DWD): a run of either classifier constructs one
+    # Direction, permutation 0's, and no pool block any
     monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
-    made, real = tmp_path / "made", dp.Direction
+    made, real = tmp_path / "made", dp.Direction.__post_init__
 
-    class Spy(real):
-        def __post_init__(self):
-            with open(made, "a") as f:  # pool workers append to the same file
-                f.write(f"{os.getpid()}\n")
-            super().__post_init__()
+    def spy(self):
+        with open(made, "a") as f:  # pool workers append to the same file
+            f.write(f"{os.getpid()}\n")
+        real(self)
 
-    monkeypatch.setattr("diproperm.direction.Direction", Spy)
+    monkeypatch.setattr(dp.Direction, "__post_init__", spy)
     ds = make_blobs(n=20, p=50, seed=6)
-    for workers in (1, 3):
-        made.write_text("")
-        r = dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 3), workers=workers)
-        assert made.read_text().split() == [str(os.getpid())]
-        assert isinstance(r.observed_direction, Spy)
+    for classifier in ("md", "dwd"):
+        for workers in (1, 3):
+            made.write_text("")
+            dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 3), classifier=classifier,
+                         workers=workers)
+            assert made.read_text().split() == [str(os.getpid())]
 
 
 def test_run_state_is_released():

@@ -46,9 +46,12 @@ def test_csv_byte_identical_reemission(result, tmp_path):
 
 
 def test_panel_unavailable_when_records_pruned(result, tmp_path):
+    # every run keeps perm1, perm2, min and max: a missing one was edited out
     pruned = dp.DppResult(**{**result.__dict__, "records": {}})
-    with pytest.raises(PanelUnavailableError):
+    with pytest.raises(PanelUnavailableError) as exc:
         dp.emit_scores_csv(pruned, "min", tmp_path / "x.csv")
+    assert str(exc.value) == (f"panel 'min': the result holds no record of "
+                              f"permutation {result.min_index}")
     with pytest.raises(ValidationError):
         dp.emit_scores_csv(result, "permdist", tmp_path / "x.csv")
 

@@ -12,6 +12,7 @@ import diproperm as dp
 from diproperm.direction import DEFAULT_MAX_ITER, DEFAULT_TOL, _dwd_batch, _factor, _gram
 from diproperm.errors import (
     DimensionMismatchError,
+    LabelDomainError,
     NonConvergedError,
     SingleClassError,
     ZeroVarianceError,
@@ -134,6 +135,14 @@ def test_a_stack_scores_each_row_as_its_own_call():
     scores[4] = np.where(labels[4] == 1, 2.0, -1.0)
     with pytest.raises(ZeroVarianceError):
         dp.stat_t(dp.ProjectionScores(scores, labels))
+
+
+def test_labels_other_than_minus_one_and_one_are_refused():
+    # split() takes the -1 and the +1 samples, so any other label would
+    # silently drop its sample from the statistic
+    for labels in ([-1, 1, 7, 1], [[-1, 1, -1, 1], [-1, 0, 1, 1]]):
+        with pytest.raises(LabelDomainError, match="label (7|0) is not in"):
+            dp.ProjectionScores(np.zeros(np.shape(labels)), labels)
 
 
 def test_a_stack_needs_equal_class_counts():
