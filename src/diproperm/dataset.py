@@ -58,7 +58,7 @@ class LabeledDataset:
                                   f"{X[i, j]} at sample {i + 1}, feature {j + 1}")
         bad = np.setdiff1d(np.unique(y), [-1, 1])
         if bad.size:
-            raise LabelDomainError(bad[0])
+            raise LabelDomainError(bad[0], recode=True)
         y = np.ascontiguousarray(y, dtype=np.int64)
         if not ((y == -1).any() and (y == 1).any()):
             raise SingleClassError("labels must contain at least one -1 and one +1")
@@ -110,7 +110,7 @@ def _parse_label(token: str, row: int | None = None):
     tok = token.strip()
     if tok in _LABEL_TOKENS:
         return _LABEL_TOKENS[tok]
-    raise LabelDomainError(tok, row)
+    raise LabelDomainError(tok, row, recode=True)
 
 
 def load_labels(path) -> np.ndarray:

@@ -30,6 +30,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -109,16 +110,32 @@ class PermutationRecord:
 
 @dataclass(eq=False)
 class DppResult:
-    """A run's answer; its observed statistic, summary (p_value, z_score,
-    cutoff) and loadings are derived on each access, so they cannot contradict the run."""
+    """A run's answer: the rows of the sorted permutations `kept` (0, the observed labels, first)
+    as one stack, and the derived rest (observed statistic, summary, loadings, records)."""
 
     config: TestConfig
     observed_direction: Direction
-    observed_scores: ProjectionScores
     perm_statistics: np.ndarray
-    records: dict[int, PermutationRecord]
+    kept: np.ndarray
+    kept_scores: ProjectionScores
     observed_model: DwdModel | None = None
     feature_names: tuple[str, ...] | None = None
+
+    def __post_init__(self):  # read-only, so no view of them can edit the result
+        for a in (self.perm_statistics, self.kept, self.kept_scores.scores,
+                  self.kept_scores.labels):
+            a.setflags(write=False)
+
+    @property
+    def observed_scores(self) -> ProjectionScores:
+        return self.kept_scores.row(0)
+
+    @property
+    def records(self) -> MappingProxyType:
+        """The kept b >= 1 as a read-only {b: PermutationRecord} view, made on each access."""
+        stats, rows = self.perm_statistics, map(self.kept_scores.row, range(self.kept.size))
+        return MappingProxyType({b: PermutationRecord(b, ps.labels, ps, float(stats[b - 1]))
+                                 for b, ps in zip(self.kept.tolist(), rows) if b})
 
     @property
     def loadings(self) -> list[Loading]:
@@ -270,10 +287,10 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     observed labels, is the first row of block 1 (row 0 of its DWD
     batch), so block 1's DEBUG wall time includes it; it alone forms a
     Direction.  From the blocks, concatenated once, the run copies the
-    observed scores, the statistics of 1..B and the records of every
-    permutation if `retain_all`, else of perm1, perm2 and the first
-    minimum and maximum.  Each b >= 1 draws from its own (seed, b)
-    stream, so results are bit-identical for any worker count.  An error
+    statistics of 1..B and the rows it keeps as one stack: of every
+    permutation if `retain_all`, else of 0, 1, 2 and the first minimum and
+    maximum.  Each b >= 1 draws from its own (seed, b) stream, so
+    results are bit-identical for any worker count.  An error
     in the observed fit has no perm_index; one in re-fitting or scoring
     permutation b (NonConvergedError, ...) aborts the run with perm_index
     the lowest failing b; a pool worker that dies raises WorkerLostError
@@ -317,11 +334,8 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
                 raise WorkerLostError(f"a worker process died before permutations "
                                       f"{block[0]}-{block[-1]} were done") from err
     fits, labels, scores, stats, block_iterations, seconds = zip(*block_outputs)
-    labels, scores = np.concatenate(labels), np.concatenate(scores)
     observed_direction, observed_model = fits[0]
-    observed_scores = ProjectionScores(scores[0].copy(), labels[0].copy())
     perm_statistics = np.concatenate(stats, dtype=np.float64)[1:].copy()
-    perm_statistics.setflags(write=False)
     iterations = [i for block in block_iterations for i in block][1:]
 
     if log.isEnabledFor(logging.DEBUG):
@@ -337,11 +351,9 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
         perm_statistics.min(), perm_statistics.max(),
     )
 
-    result = DppResult(config, observed_direction, observed_scores, perm_statistics, {},
-                       observed_model, ds.feature_names)
-    kept = range(1, config.B + 1) if retain_all else sorted(  # perm1, perm2, first extremes
-        {1, 2, result.min_index, result.max_index})
-    for b in kept:  # copies, so the result does not pin the (B + 1) x n stacks
-        ps = ProjectionScores(scores[b].copy(), labels[b].copy())
-        result.records[b] = PermutationRecord(b, ps.labels, ps, float(perm_statistics[b - 1]))
-    return result
+    kept = np.arange(config.B + 1) if retain_all else np.unique(
+        [0, 1, 2, perm_statistics.argmin() + 1, perm_statistics.argmax() + 1])
+    # copies, so the result does not pin the (B + 1) x n stacks
+    kept_scores = ProjectionScores(np.concatenate(scores)[kept], np.concatenate(labels)[kept])
+    return DppResult(config, observed_direction, perm_statistics, kept, kept_scores,
+                     observed_model, ds.feature_names)

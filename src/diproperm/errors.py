@@ -55,13 +55,12 @@ class RaggedRowsError(ParseError):
 
 
 class LabelDomainError(ValidationError):
-    """A class label is not -1 or 1; carries the 1-based row if from a file."""
+    """A class label is not -1 or 1; carries the 1-based row if from a file.
+    One raised on loading data (`recode`) says how to fix the data."""
 
-    def __init__(self, value, row: int | None = None):
-        super().__init__(
-            f"class label {value!r} is not in {{-1, 1}}; recode labels to -1/1 "
-            "before loading (e.g. map 2 -> -1)", row=row
-        )
+    def __init__(self, value, row: int | None = None, recode: bool = False):
+        advice = "; recode labels to -1/1 before loading (e.g. map 2 -> -1)" if recode else ""
+        super().__init__(f"class label {value!r} is not in {{-1, 1}}{advice}", row=row)
         self.value = value
 
 

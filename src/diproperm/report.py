@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 import math
 import zlib
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .direction import DEFAULT_MAX_ITER, DEFAULT_TOL, Direction, DwdModel
-from .engine import DppResult, PermutationRecord, TestConfig
+from .engine import DppResult, TestConfig
 from .errors import PanelUnavailableError, ValidationError
 from .unistat import ProjectionScores
 
@@ -50,15 +51,13 @@ def _check_bins(bins: int | None) -> None:
 
 
 def _panel_scores(result: DppResult, panel: str) -> ProjectionScores:
-    if panel == "obs":
-        return result.observed_scores
     if panel not in SCORE_PANELS:
         raise ValidationError(f"{panel!r} is not a score panel")
-    b = {"perm1": 1, "perm2": 2, "min": result.min_index, "max": result.max_index}[panel]
-    if b not in result.records:
-        raise PanelUnavailableError(  # every run keeps these four: the file was edited
+    b = {"obs": 0, "perm1": 1, "perm2": 2, "min": result.min_index, "max": result.max_index}[panel]
+    if b not in result.kept:  # every run keeps these five: the file was edited
+        raise PanelUnavailableError(
             f"panel {panel!r}: the result holds no record of permutation {b}")
-    return result.records[b].scores
+    return result.kept_scores.row(int(np.searchsorted(result.kept, b)))
 
 
 def emit_scores_csv(result: DppResult, panel: str, path) -> None:
@@ -265,15 +264,11 @@ def emit_bundle(result: DppResult, bundle: DiagnosticsBundle) -> list[Path]:
     return written
 
 
-def _scores_to_json(ps: ProjectionScores) -> dict:
-    return {
-        "scores": [float(v) for v in ps.scores],
-        "labels": [int(v) for v in ps.labels],
-    }
-
-
 def emit_result_json(result: DppResult, path) -> None:
     """Serialize the full result (schema_version 1) to a JSON document."""
+    stats, kept = result.perm_statistics.tolist(), result.kept.tolist()
+    rows = [{"scores": s, "labels": y} for s, y in zip(  # the observed row, then the records
+        result.kept_scores.scores.tolist(), result.kept_scores.labels.tolist())]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(result.config),
@@ -298,35 +293,41 @@ def emit_result_json(result: DppResult, path) -> None:
         "feature_names": (
             list(result.feature_names) if result.feature_names else None
         ),
-        "observed_scores": _scores_to_json(result.observed_scores),
-        "perm_statistics": [float(v) for v in result.perm_statistics],
-        "records": {
-            str(b): {
-                "statistic": float(r.statistic),
-                "labels": [int(v) for v in r.permuted_labels],
-                "scores": [float(v) for v in r.scores.scores],
-            }
-            for b, r in sorted(result.records.items())
-        },
+        "observed_scores": rows[0],
+        "perm_statistics": stats,
+        "records": {str(b): {"statistic": stats[b - 1], **row}
+                    for b, row in zip(kept[1:], rows[1:])},
     }
     Path(path).write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refused if it repeats a key (json would keep the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise ValidationError(f"result.json repeats the key {key!r} in one object")
+    return obj
+
+
 def load_result_json(path) -> DppResult:
     """Rebuild a DppResult from emit_result_json output.
 
-    A missing or malformed field raises ValidationError naming it: so do
-    perm_statistics other than config.B finite numbers, an unknown key in
-    dwd, a label other than -1 and 1, and a record outside 1..B, not one
-    entry per sample, or whose class counts differ from the observed ones.
-    `observed_statistic`, records' `statistic`, `loadings`, `p_value`,
-    `z_score` and `cutoff` are not read.
+    The observed scores and the records, in index order, become the
+    result's one stack of kept rows, checked once.  A missing or malformed
+    field raises ValidationError naming it: so do perm_statistics other
+    than config.B finite numbers, an unknown key in dwd, a label other
+    than -1 and 1, and a record key other than the plain decimal of an
+    index in 1..B, or a record not one entry per sample or whose class
+    counts differ from the observed ones.  So does a key repeated in any
+    object.  `observed_statistic`, records' `statistic`, `loadings`,
+    `p_value`, `z_score` and `cutoff` are not read.
     Files written before the config held `dwd_tol` and `dwd_max_iter`
     load with DEFAULT_TOL and DEFAULT_MAX_ITER.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported schema_version {doc.get('schema_version')!r}"
@@ -343,7 +344,7 @@ def load_result_json(path) -> DppResult:
     config = field("config", lambda c: TestConfig(**{
         "dwd_tol": DEFAULT_TOL, "dwd_max_iter": DEFAULT_MAX_ITER, **c}))
 
-    def one_each(v, n):  # one entry per permutation or per variable
+    def one_each(v, n):  # one entry per permutation, variable or sample
         if len(v) != n:
             raise ValueError(f"{len(v)} entries, expected {n}")
         return v
@@ -356,29 +357,35 @@ def load_result_json(path) -> DppResult:
 
     perm_statistics = field("perm_statistics", lambda v: finite(np.array(
         one_each(v, config.B), dtype=np.float64)))
-    perm_statistics.setflags(write=False)
-    observed_scores = field("observed_scores", lambda d: ProjectionScores(
+    observed = field("observed_scores", lambda d: ProjectionScores(
         np.array(d["scores"]), np.array(d["labels"])))
 
-    n_pos = int((observed_scores.labels == 1).sum())
+    def stack(recs):  # the observed row, then the records keyed 1..B in index order
+        keys = sorted(recs.keys(), key=int)
+        for b, key in zip(map(int, keys), keys):
+            if key != str(b):  # "01" or "+1" would stand for b, and could repeat it
+                raise ValueError(f"record key {key!r} is not written as {b}")
+            if not 1 <= b <= config.B:
+                raise ValueError(f"permutation {b} outside 1..{config.B}")
+        labels = [one_each(recs[key]["labels"], observed.labels.size) for key in keys]
+        try:
+            return np.array([0, *map(int, keys)]), ProjectionScores(
+                np.array([observed.scores, *(recs[key]["scores"] for key in keys)]),
+                np.array([observed.labels, *labels]))
+        except (TypeError, ValueError):  # name the fault as the record's own check does
+            for key, y in zip(keys, labels):  # every scheme keeps the observed class counts
+                ps = ProjectionScores(np.array(recs[key]["scores"]), np.array(y))
+                if (ps.labels == 1).sum() != (observed.labels == 1).sum():
+                    raise ValueError(f"permutation {key}'s labels change the observed class counts")
+            raise
 
-    def record(key, rec):  # keyed 1..B, one entry per sample, a relabeling
-        b, n = int(key), observed_scores.scores.size
-        if not 1 <= b <= config.B:
-            raise ValueError(f"permutation {b} outside 1..{config.B}")
-        labels = np.array(one_each(rec["labels"], n), dtype=np.int64)
-        scores = ProjectionScores(np.array(rec["scores"]), labels)
-        if (labels == 1).sum() != n_pos:  # every scheme keeps the class counts
-            raise ValueError(f"permutation {b}'s labels change the observed class counts")
-        return PermutationRecord(b, labels, scores, float(perm_statistics[b - 1]))
-
+    kept, kept_scores = field("records", stack)
     return DppResult(
         config=config,
         observed_direction=direction,
-        observed_scores=observed_scores,
         perm_statistics=perm_statistics,
-        records=field("records", lambda recs: {
-            int(key): record(key, rec) for key, rec in recs.items()}),
+        kept=kept,
+        kept_scores=kept_scores,
         observed_model=(field("dwd", lambda d: DwdModel(direction=direction, **d))
                         if doc.get("dwd") is not None else None),
         feature_names=(field("feature_names", lambda v: tuple(one_each(v, direction.w.size)))

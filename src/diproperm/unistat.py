@@ -32,8 +32,12 @@ class ProjectionScores:
     labels: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.scores, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
+        s, y = np.asarray(self.scores, dtype=np.float64), np.asarray(self.labels)
+        if y.dtype.kind != "i":  # the int64 cast would make -1.9 a -1 and 1.5 a 1
+            for v in y.ravel().tolist():
+                if v not in (-1, 1):
+                    raise LabelDomainError(v)
+        y = y.astype(np.int64, copy=False)
         if s.ndim not in (1, 2) or y.shape != s.shape:
             raise DimensionMismatchError(
                 f"scores {s.shape} and labels {y.shape} must be equal-length vectors or stacks"
@@ -49,6 +53,12 @@ class ProjectionScores:
             raise DimensionMismatchError("every row of a stack must have the same class counts")
         object.__setattr__(self, "scores", s)
         object.__setattr__(self, "labels", y)
+
+    def row(self, i: int) -> ProjectionScores:
+        """Row i of a stack, as views; not re-checked, as the stack was."""
+        ps = object.__new__(ProjectionScores)
+        ps.scores, ps.labels = self.scores[i], self.labels[i]
+        return ps
 
     def split(self) -> tuple[np.ndarray, np.ndarray]:
         """(negative-class scores, positive-class scores); (m x n-, m x n+) for a stack."""

@@ -1,7 +1,6 @@
 """Engine orchestration, summary quantities, and determinism tests."""
 
 import gc
-import itertools
 import json
 import logging
 import math
@@ -194,37 +193,54 @@ def test_retain_all_keeps_every_record():
     ds = make_blobs(n=12, seed=2)
     r = run_small(ds, B=25, retain_all=True)
     assert set(r.records) == set(range(1, 26))
-    # each record owns its rows: no record shares memory with another,
-    # and none is a view that would pin a block's B x n stacks
-    arrays = [r.observed_scores.scores] + [a for rec in r.records.values()
-                                           for a in (rec.scores.scores, rec.permuted_labels)]
-    assert all(a.base is None for a in arrays)
-    for one, rec in itertools.combinations(r.records.values(), 2):
-        for a, b in itertools.product((one.scores.scores, one.permuted_labels),
-                                      (rec.scores.scores, rec.permuted_labels)):
-            assert not np.shares_memory(a, b)
+    assert r.kept.tolist() == list(range(26)) and r.kept_scores.scores.shape == (26, 12)
+    # the kept stack owns its memory, so it does not pin a block's
+    # (B + 1) x n stacks; the observed scores and the records are views of it
+    stack = r.kept_scores
+    assert stack.scores.base is None and stack.labels.base is None
+    views = [r.observed_scores] + [rec.scores for rec in r.records.values()]
+    for i, ps in enumerate(views):
+        assert ps.scores.base is stack.scores and ps.labels.base is stack.labels
+        assert np.array_equal(ps.scores, stack.scores[i])
+    assert all(rec.permuted_labels is rec.scores.labels for rec in r.records.values())
+    # and none of them can be written: a view cannot edit the result
+    for a in (r.kept, r.perm_statistics, stack.scores, stack.labels, views[1].scores):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    with pytest.raises(TypeError):
+        r.records[1] = r.records[2]
+    # the view is not stored, so a result still pickles after it was read
+    again = pickle.loads(pickle.dumps(r))
+    assert again.kept_scores.scores.tobytes() == stack.scores.tobytes()
+    assert again.records.keys() == r.records.keys()
 
 
-def test_a_block_scores_its_rows_as_one_stack(monkeypatch):
+def test_a_block_scores_its_rows_as_one_stack(monkeypatch, tmp_path):
     # outside an error, a block takes one ProjectionScores of all its rows
-    # (and one of the observed scores), and the run makes a record only
-    # for a permutation it keeps
+    # and the run one of the rows it keeps; records are made only when
+    # `records` is read, and nothing that emits or loads a result reads it
     made = []
+    check = dp.ProjectionScores.__post_init__
 
-    class Spy(dp.ProjectionScores):
-        def __post_init__(self):
-            made.append(np.shape(self.scores))
-            super().__post_init__()
+    def spy_scores(self):
+        made.append(np.shape(self.scores))
+        check(self)
 
-    def record(*args):
+    def spy_record(self, *args):
         made.append("record")
-        return dp.PermutationRecord(*args)
+        self.perm_index, self.permuted_labels, self.scores, self.statistic = args
 
-    monkeypatch.setattr(engine, "ProjectionScores", Spy)
-    monkeypatch.setattr(engine, "PermutationRecord", record)
-    r = run_small(make_blobs(n=12, seed=2), B=40)
-    assert len(r.records) == 4
-    assert made == [(41, 12), (12,)] + [(12,), "record"] * 4
+    monkeypatch.setattr(dp.ProjectionScores, "__post_init__", spy_scores)
+    monkeypatch.setattr(dp.PermutationRecord, "__init__", spy_record)
+    for retain_all, k in ((False, 5), (True, 41)):
+        made.clear()
+        r = run_small(make_blobs(n=12, seed=2), B=40, retain_all=retain_all)
+        assert made == [(41, 12), (k, 12)]
+        dp.emit_result_json(r, tmp_path / "result.json")
+        dp.emit_bundle(r, dp.DiagnosticsBundle(dp.report.PANELS, tmp_path))
+        loaded = dp.load_result_json(tmp_path / "result.json")
+        assert "record" not in made and loaded.kept.tolist() == r.kept.tolist()
+        assert len(r.records) == k - 1 and made.count("record") == k - 1
 
 
 def test_exhaustive_balanced_point_mass():
@@ -605,6 +621,33 @@ def test_engine_matches_public_refits_bit_for_bit(monkeypatch):
     for workers in (1, 2, 3):  # 3 blocks of 6, 7 and 7
         r = dp.diproperm(ds, plan, workers=workers)
         assert r.perm_statistics.tolist() == expected
+
+
+def test_records_view_is_the_per_permutation_records(monkeypatch):
+    # `records` is derived from the kept stack, and each of its entries is
+    # the record a run kept before it stored a stack: the relabeling of b's
+    # stream, its re-fit's scores through the public API and entry b of
+    # perm_statistics; default and retain_all runs, one process and two
+    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)  # workers=2 forks a block
+    ds = make_blobs(n=14, p=3, seed=8)
+    plan = dp.PermutationPlan("unbalanced", 30, 6)
+    for retain_all in (False, True):
+        for workers in (1, 2):
+            r = dp.diproperm(ds, plan, classifier="md", workers=workers,
+                             retain_all=retain_all)
+            stats = r.perm_statistics
+            wanted = (range(1, 31) if retain_all
+                      else sorted({1, 2, stats.argmin() + 1, stats.argmax() + 1}))
+            assert list(r.records) == list(wanted) == r.kept[1:].tolist()
+            for b, rec in r.records.items():
+                y_b = dp.permute_labels(ds.labels, plan.scheme, dp.derive_stream(plan.seed, b))
+                ds_b = dp.LabeledDataset(ds.features, y_b)
+                scores = dp.project(ds_b, dp.md_direction(ds_b))
+                assert rec.perm_index == b and type(rec.statistic) is float
+                assert rec.permuted_labels.tobytes() == y_b.tobytes()
+                assert rec.scores.labels.tobytes() == y_b.tobytes()
+                assert rec.scores.scores.tobytes() == scores.scores.tobytes()
+                assert rec.statistic == stats[b - 1] == dp.stat_md(scores)
 
 
 def test_dwd_run_memory_stays_small():

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from diproperm.errors import PanelUnavailableError, ValidationError
 from conftest import make_blobs
 
 SVG = "{http://www.w3.org/2000/svg}"
+# schema v1, written before results held their kept rows as one stack:
+# md on synthetic_blobs(12, 2), PermutationPlan("unbalanced", 25, 1), retain_all
+RESULT_V1 = Path(__file__).parent / "data" / "result_v1.json"
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +51,9 @@ def test_csv_byte_identical_reemission(result, tmp_path):
 
 def test_panel_unavailable_when_records_pruned(result, tmp_path):
     # every run keeps perm1, perm2, min and max: a missing one was edited out
-    pruned = dp.DppResult(**{**result.__dict__, "records": {}})
+    stack = result.kept_scores
+    pruned = dataclasses.replace(result, kept=result.kept[:1], kept_scores=dp.ProjectionScores(
+        stack.scores[:1], stack.labels[:1]))
     with pytest.raises(PanelUnavailableError) as exc:
         dp.emit_scores_csv(pruned, "min", tmp_path / "x.csv")
     assert str(exc.value) == (f"panel 'min': the result holds no record of "
@@ -145,7 +151,7 @@ def test_result_json_roundtrip(result, tmp_path, capsys):
     # the loadings are derived from direction.w and feature_names: a
     # document without them loads, prints the same loadings and re-emits
     # the original bytes, with and without feature names
-    named = dp.DppResult(**{**result.__dict__, "feature_names": ("a", "b", "c")})
+    named = dataclasses.replace(result, feature_names=("a", "b", "c"))
     for res in (result, named):
         dp.emit_result_json(res, path)
         doc = json.loads(path.read_text())
@@ -165,7 +171,7 @@ def test_result_json_roundtrip(result, tmp_path, capsys):
 
 def test_result_json_feature_names_match_direction(result, tmp_path, capsys):
     # one name too few (or too many) is refused on load, naming the field
-    named = dp.DppResult(**{**result.__dict__, "feature_names": ("a", "b", "c")})
+    named = dataclasses.replace(result, feature_names=("a", "b", "c"))
     path = tmp_path / "result.json"
     dp.emit_result_json(named, path)
     for names in (["a", "b"], ["a", "b", "c", "d"]):
@@ -341,3 +347,65 @@ def test_permdist_csv(result, tmp_path):
     idx, stat = lines[1].split(",")
     assert idx == "1"
     assert float(stat) == result.perm_statistics[0]
+
+
+def test_a_stored_v1_result_reemits_byte_for_byte(tmp_path, capsys):
+    # the file's observed scores and 25 records load as one 26-row stack,
+    # and emitting it again writes the file's bytes (pure float repr)
+    loaded = dp.load_result_json(RESULT_V1)
+    assert loaded.kept.tolist() == list(range(26))
+    assert loaded.kept_scores.scores.shape == (26, 12)
+    dp.emit_result_json(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == RESULT_V1.read_bytes()
+    doc = json.loads(RESULT_V1.read_text())
+    for b, rec in loaded.records.items():
+        assert rec.scores.scores.tolist() == doc["records"][str(b)]["scores"]
+        assert rec.permuted_labels.tolist() == doc["records"][str(b)]["labels"]
+        assert rec.statistic == doc["records"][str(b)]["statistic"]
+    assert cli.main(["report", str(RESULT_V1), "--panels", "obs,perm2",
+                     "--out", str(tmp_path / "panels")]) == 0
+    capsys.readouterr()
+    obs = (tmp_path / "panels" / "obs.csv").read_text().splitlines()[1:]
+    assert obs == [f"{s!r},{y}" for s, y in zip(doc["observed_scores"]["scores"],
+                                               doc["observed_scores"]["labels"])]
+
+
+def test_record_keys_are_plain_decimals_given_once(tmp_path, capsys):
+    # "01", " 1" or "+1" would stand for record 1 and silently replace it;
+    # a key that the text gives twice would keep only its last record
+    text = RESULT_V1.read_text()
+    doc = json.loads(text)
+    for key in ("01", " 1", "+1", "1_0", "1.0"):
+        edited = json.loads(text)
+        edited["records"][key] = {**doc["records"]["2"], "scores": doc["records"]["3"]["scores"]}
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(edited))
+        with pytest.raises(ValidationError, match="'records'"):
+            dp.load_result_json(path)
+        assert cli.main(["report", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "records" in err
+    repeated = text.replace('"records": {', '"records": {\n    "1": {"labels": [], "scores": []},', 1)
+    path = tmp_path / "repeated.json"
+    path.write_text(repeated)
+    with pytest.raises(ValidationError, match="repeats the key '1'"):
+        dp.load_result_json(path)
+    assert cli.main(["report", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: result.json repeats the key '1'")
+
+
+def test_result_labels_are_exactly_minus_one_or_one(tmp_path):
+    # a label that the int64 cast would change is refused with its value,
+    # in the observed scores or in a record; the data-file advice ("recode
+    # ... before loading") is not given for a stored result
+    for field, label in (("observed_scores", -1.9), ("observed_scores", 7),
+                         ("records", 1.5), ("records", -1.0000001)):
+        edited = json.loads(RESULT_V1.read_text())
+        labels = (edited["observed_scores"] if field == "observed_scores"
+                  else edited["records"]["4"])["labels"]
+        labels[labels.index(-1 if label < 0 else 1)] = label
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(edited))
+        with pytest.raises(ValidationError, match=rf"'{field}'.*label {label!r} is not in") as exc:
+            dp.load_result_json(path)
+        assert "recode" not in str(exc.value)

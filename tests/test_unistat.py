@@ -145,6 +145,20 @@ def test_labels_other_than_minus_one_and_one_are_refused():
             dp.ProjectionScores(np.zeros(np.shape(labels)), labels)
 
 
+def test_labels_the_int64_cast_would_change_are_refused():
+    # -1.9 would load as -1 and 1.5 as 1: the error carries the label as
+    # given, and names no data-file advice; integer labels take no detour
+    for labels, bad in (([-1.9, -1, 1.5, 1], -1.9), ([-1.0, 1.0, np.nan, 1.0], math.nan),
+                        (np.array([-1, 1, 1, 1], dtype=object) * 1.5, -1.5),
+                        (["-1", "1", "1", "1"], "-1")):
+        with pytest.raises(LabelDomainError) as exc:
+            dp.ProjectionScores(np.zeros(4), labels)
+        assert repr(exc.value.value) == repr(bad)
+        assert "recode" not in str(exc.value)
+    ps = dp.ProjectionScores(np.zeros(4), np.array([-1.0, -1.0, 1.0, 1.0]))
+    assert ps.labels.dtype == np.int64 and ps.labels.tolist() == [-1, -1, 1, 1]
+
+
 def test_a_stack_needs_equal_class_counts():
     # split() reshapes each class by row, so rows with other counts would
     # be mis-split silently; they are refused, as is a row with one class
