@@ -28,7 +28,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from types import MappingProxyType
 
@@ -121,10 +121,17 @@ class DppResult:
     observed_model: DwdModel | None = None
     feature_names: tuple[str, ...] | None = None
 
-    def __post_init__(self):  # read-only, so no view of them can edit the result
-        for a in (self.perm_statistics, self.kept, self.kept_scores.scores,
-                  self.kept_scores.labels):
-            a.setflags(write=False)
+    def __post_init__(self):
+        k, rows, B = self.kept, self.kept_scores.scores, self.config.B
+        if not (self.perm_statistics.shape == (B,) and rows.ndim == 2 and k.shape == rows.shape[:1]
+                and k[0] == 0 and (np.diff(k) > 0).all() and k[-1] <= B):
+            raise ValidationError(f"a result holds B={B} permutation statistics and kept rows "
+                                  f"0 < ... <= B, one per row of kept_scores")
+        for a in (self.perm_statistics, k, rows, self.kept_scores.labels):
+            a.setflags(write=False)  # so no view of them can edit the result
+
+    def __reduce__(self):  # pickle through __init__, so the arrays come back read-only
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def observed_scores(self) -> ProjectionScores:

@@ -303,13 +303,31 @@ def emit_result_json(result: DppResult, path) -> None:
     )
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object, refused if it repeats a key (json would keep the last)."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
-        raise ValidationError(f"result.json repeats the key {key!r} in one object")
-    return obj
+def _read_json(path):
+    """The JSON document at path, refused, naming its field, if an object
+    in it repeats a key (json would keep the last value)."""
+    repeats = []  # (object, key), inner objects first
+
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            repeats.append((obj, next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)))
+        return obj
+
+    doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
+    if not isinstance(doc, dict):
+        raise ValidationError("result.json is not one JSON object")
+    for obj, key in repeats:  # a repeat's first value is held by no field: its parent names one
+        name = key if obj is doc else next((name for name, v in doc.items() if _holds(v, obj)), None)
+        if name is not None:
+            raise ValidationError(f"result.json field {name!r} repeats the key {key!r} in one object")
+    return doc
+
+
+def _holds(v, obj) -> bool:
+    """Whether the parsed JSON value v is obj or holds it."""
+    children = v.values() if isinstance(v, dict) else v if isinstance(v, list) else ()
+    return v is obj or any(_holds(child, obj) for child in children)
 
 
 def load_result_json(path) -> DppResult:
@@ -322,12 +340,13 @@ def load_result_json(path) -> DppResult:
     than -1 and 1, and a record key other than the plain decimal of an
     index in 1..B, or a record not one entry per sample or whose class
     counts differ from the observed ones.  So does a key repeated in any
-    object.  `observed_statistic`, records' `statistic`, `loadings`,
-    `p_value`, `z_score` and `cutoff` are not read.
+    object, naming the field that holds it.  `observed_statistic`,
+    records' `statistic`, `loadings`, `p_value`, `z_score` and `cutoff`
+    are not read.
     Files written before the config held `dwd_tol` and `dwd_max_iter`
     load with DEFAULT_TOL and DEFAULT_MAX_ITER.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    doc = _read_json(path)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported schema_version {doc.get('schema_version')!r}"
@@ -360,6 +379,8 @@ def load_result_json(path) -> DppResult:
     observed = field("observed_scores", lambda d: ProjectionScores(
         np.array(d["scores"]), np.array(d["labels"])))
 
+    n, n_pos = observed.labels.size, int((observed.labels == 1).sum())
+
     def stack(recs):  # the observed row, then the records keyed 1..B in index order
         keys = sorted(recs.keys(), key=int)
         for b, key in zip(map(int, keys), keys):
@@ -367,17 +388,14 @@ def load_result_json(path) -> DppResult:
                 raise ValueError(f"record key {key!r} is not written as {b}")
             if not 1 <= b <= config.B:
                 raise ValueError(f"permutation {b} outside 1..{config.B}")
-        labels = [one_each(recs[key]["labels"], observed.labels.size) for key in keys]
-        try:
-            return np.array([0, *map(int, keys)]), ProjectionScores(
-                np.array([observed.scores, *(recs[key]["scores"] for key in keys)]),
-                np.array([observed.labels, *labels]))
-        except (TypeError, ValueError):  # name the fault as the record's own check does
-            for key, y in zip(keys, labels):  # every scheme keeps the observed class counts
-                ps = ProjectionScores(np.array(recs[key]["scores"]), np.array(y))
-                if (ps.labels == 1).sum() != (observed.labels == 1).sum():
-                    raise ValueError(f"permutation {key}'s labels change the observed class counts")
-            raise
+            y = one_each(recs[key]["labels"], n)
+            one_each(recs[key]["scores"], n)
+            # every scheme keeps the class counts; a label other than -1 and 1 the stack names
+            if y.count(1) != n_pos and y.count(1) + y.count(-1) == n:
+                raise ValueError(f"permutation {b}'s labels change the observed class counts")
+        return np.array([0, *map(int, keys)]), ProjectionScores(
+            np.array([observed.scores, *(recs[key]["scores"] for key in keys)]),
+            np.array([observed.labels, *(recs[key]["labels"] for key in keys)]))
 
     kept, kept_scores = field("records", stack)
     return DppResult(

@@ -77,42 +77,55 @@ def test_validation_of_engine_arguments(tmp_path, capsys):
     with pytest.raises(ValidationError):
         dp.TestConfig("dwd", "md", "shuffled", 100, 0, 0.05, 1e-8, 5000)
     # a stored result whose config no run could have produced, or with a
-    # field missing or of the wrong type, is refused naming the field
+    # field missing or of the wrong type, is refused naming the field, and
+    # saying what is wrong with it
     path = tmp_path / "result.json"
     dp.emit_result_json(run_small(make_blobs(n=12, seed=2), B=25), path)
-    for key, edit in (("classifier", lambda d: d["config"].update(classifier="svm")),
-                      ("alpha", lambda d: d["config"].update(alpha=2)),
-                      ("B", lambda d: d["config"].update(B=100.5)),
-                      ("seed", lambda d: d["config"].pop("seed")),
-                      ("seed", lambda d: d["config"].update(seed=True)),
-                      ("max_iter", lambda d: d["config"].update(dwd_max_iter=True)),
-                      ("perm_statistics", lambda d: d.pop("perm_statistics")),
-                      ("perm_statistics", lambda d: d.update(perm_statistics=[])),
-                      ("perm_statistics", lambda d: d.update(
-                          perm_statistics=d["perm_statistics"][:5])),
-                      ("records", lambda d: d.update(records=[1, 2])),
-                      # a record must be one of 1..B and one entry per sample
-                      ("records", lambda d: d["records"].update({"0": d["records"]["1"]})),
-                      ("records", lambda d: d["records"].update(
-                          {str(d["config"]["B"] + 1): d["records"]["1"]})),
-                      ("records", lambda d: d["records"]["1"].update(
-                          labels=[-1, 1, 1], scores=[-1.0, 1.0, 2.0])),
-                      # labels are -1 or 1, and a record relabels the observed
-                      # labels: its class counts are theirs
-                      ("observed_scores",
-                       lambda d: d["observed_scores"]["labels"].__setitem__(0, 7)),
-                      ("records", lambda d: d["records"]["1"]["labels"].__setitem__(
-                          d["records"]["1"]["labels"].index(-1), 1))):
+    for key, message, edit in (
+            ("config", "classifier must be one of", lambda d: d["config"].update(classifier="svm")),
+            ("config", "alpha must be in (0, 1), got 2", lambda d: d["config"].update(alpha=2)),
+            ("config", "B must be an integer >= 1, got 100.5",
+             lambda d: d["config"].update(B=100.5)),
+            ("config", "argument: 'seed'", lambda d: d["config"].pop("seed")),
+            ("config", "seed must be", lambda d: d["config"].update(seed=True)),
+            ("config", "max_iter must be", lambda d: d["config"].update(dwd_max_iter=True)),
+            ("perm_statistics", "KeyError", lambda d: d.pop("perm_statistics")),
+            ("perm_statistics", "0 entries, expected 25", lambda d: d.update(perm_statistics=[])),
+            ("perm_statistics", "5 entries, expected 25",
+             lambda d: d.update(perm_statistics=d["perm_statistics"][:5])),
+            ("records", "has no attribute 'keys'", lambda d: d.update(records=[1, 2])),
+            # a record must be one of 1..B and one entry per sample
+            ("records", "permutation 0 outside 1..25",
+             lambda d: d["records"].update({"0": d["records"]["1"]})),
+            ("records", "permutation 26 outside 1..25",
+             lambda d: d["records"].update({str(d["config"]["B"] + 1): d["records"]["1"]})),
+            ("records", "3 entries, expected 12", lambda d: d["records"]["1"].update(
+                labels=[-1, 1, 1], scores=[-1.0, 1.0, 2.0])),
+            ("records", "3 entries, expected 12",
+             lambda d: d["records"]["1"].update(scores=[-1.0, 1.0, 2.0])),
+            ("records", "scores contain NaN or Inf",
+             lambda d: d["records"]["1"]["scores"].__setitem__(0, math.nan)),
+            # labels are -1 or 1, and a record relabels the observed
+            # labels: its class counts are theirs
+            ("observed_scores", "class label 7 is not in {-1, 1})",
+             lambda d: d["observed_scores"]["labels"].__setitem__(0, 7)),
+            ("records", "class label 7 is not in {-1, 1})",
+             lambda d: d["records"]["1"]["labels"].__setitem__(0, 7)),
+            ("records", "permutation 1's labels change the observed class counts",
+             lambda d: d["records"]["1"]["labels"].__setitem__(
+                 d["records"]["1"]["labels"].index(-1), 1)),
+            ("records", "permutation 2's labels change the observed class counts",
+             lambda d: d["records"]["2"].update(labels=[1] * 12))):
         doc = json.loads(path.read_text())
         edit(doc)
-        tampered = tmp_path / f"{key}.json"
+        tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match=key):
+        with pytest.raises(ValidationError) as exc:
             dp.load_result_json(tampered)
+        assert f"field {key!r}" in str(exc.value) and message in str(exc.value)
         capsys.readouterr()
-        assert cli.main(["report", str(tampered), "--out", str(tmp_path / key)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1 and key in err
+        assert cli.main(["report", str(tampered), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 def test_default_workers_follow_cpu_affinity(monkeypatch):
@@ -210,8 +223,12 @@ def test_retain_all_keeps_every_record():
     with pytest.raises(TypeError):
         r.records[1] = r.records[2]
     # the view is not stored, so a result still pickles after it was read
+    # and comes back through its constructor, read-only
     again = pickle.loads(pickle.dumps(r))
     assert again.kept_scores.scores.tobytes() == stack.scores.tobytes()
+    for a in (again.perm_statistics, again.kept, again.kept_scores.scores,
+              again.kept_scores.labels):
+        assert not a.flags.writeable
     assert again.records.keys() == r.records.keys()
 
 

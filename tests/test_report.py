@@ -60,6 +60,18 @@ def test_panel_unavailable_when_records_pruned(result, tmp_path):
                               f"permutation {result.min_index}")
     with pytest.raises(ValidationError):
         dp.emit_scores_csv(result, "permdist", tmp_path / "x.csv")
+    # a stack that does not start at the observed row 0, is out of order,
+    # past B, not one row per kept index, or one row alone is refused, so
+    # no other row can pass for the observed one
+    scores, labels, kept = stack.scores, stack.labels, result.kept
+    for kept_b, rows in ((kept[1:], slice(1, None)), (kept[::-1], slice(None, None, -1)),
+                         (np.append(kept[:-1], result.config.B + 1), slice(None)), (kept[:2], slice(None)),
+                         (kept[:1], 0)):
+        with pytest.raises(ValidationError, match="kept rows"):
+            dataclasses.replace(result, kept=kept_b, kept_scores=dp.ProjectionScores(
+                scores[rows], labels[rows]))
+    with pytest.raises(ValidationError, match="kept rows"):
+        dataclasses.replace(result, perm_statistics=result.perm_statistics[1:])
 
 
 def test_permdist_svg_structure(result, tmp_path):
@@ -385,13 +397,29 @@ def test_record_keys_are_plain_decimals_given_once(tmp_path, capsys):
         assert cli.main(["report", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "records" in err
-    repeated = text.replace('"records": {', '"records": {\n    "1": {"labels": [], "scores": []},', 1)
-    path = tmp_path / "repeated.json"
-    path.write_text(repeated)
-    with pytest.raises(ValidationError, match="repeats the key '1'"):
+    # a repeated key is refused under the field that holds it, however deep
+    head, tail = text.split('"records": {')
+    for field, key, repeated in (
+            ("records", "1", text.replace(
+                '"records": {', '"records": {\n    "1": {"labels": [], "scores": []},', 1)),
+            ("observed_scores", "labels",
+             text.replace('"labels": [', '"labels": [], "labels": [', 1)),
+            ("records", "statistic", '"records": {'.join(
+                (head, tail.replace('"statistic":', '"statistic": 0, "statistic":', 1)))),
+            ("records", "1", text.replace(  # the repeat's first value is dropped
+                '"records": {', '"records": {\n    "1": {"scores": [], "scores": []},', 1)),
+            ("p_value", "p_value", text.replace('"p_value":', '"p_value": 0, "p_value":', 1))):
+        path = tmp_path / "repeated.json"
+        path.write_text(repeated)
+        message = f"result.json field {field!r} repeats the key {key!r} in one object"
+        with pytest.raises(ValidationError) as exc:
+            dp.load_result_json(path)
+        assert str(exc.value) == message
+        assert cli.main(["report", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    path.write_text("[]")
+    with pytest.raises(ValidationError, match="not one JSON object"):
         dp.load_result_json(path)
-    assert cli.main(["report", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error: result.json repeats the key '1'")
 
 
 def test_result_labels_are_exactly_minus_one_or_one(tmp_path):
