@@ -24,7 +24,11 @@ A bordered system whose Hessian has k < r/2 active samples (above the
 knot; at a p >> n optimum most samples are not) is solved through a
 k x k one by Sherman-Morrison-Woodbury.  A fit stops when the KKT
 residual (tangential gradient, d/d beta and complementarity, for the
-problem rescaled to C = 1) falls to `tol`.
+problem rescaled to C = 1) falls to `tol`.  It starts from the
+mean-difference (md) rule, a = Zᵀc / ||Zᵀc|| for c = y / (size of y's
+class) with the class-mean midpoint, and an md fit is that warm start
+with no Newton round, from the factor of the centered X (whose columns
+are formed as needed, so an md run holds no n x n array).
 
 Fits to m label vectors on the same X run as one lockstep batch: each
 round, every unfinished row takes its own Newton step, so each row does
@@ -32,9 +36,10 @@ exactly the iterations it would do alone.  The batch is bit-identical to
 single fits because every per-row product is a stacked np.matmul,
 np.linalg.solve or gather and every per-row reduction a last-axis sum,
 each of which gives a row the bits of its single operation; the k x k
-systems are padded to a size k alone sets.  A single fit is a batch of
-one.  Memory is O(n² + np + mn): the Newton systems are built a chunk of
-rows at a time (~512 kB of stacked matrices).  A row's scores on X come
+systems are padded to a size k alone sets.  A single fit, of either
+rule, is a batch of one.  Memory is O(n² + np + mn), O(n min(n, p) +
+np + mn) for md: the Newton systems are built a chunk of rows at a time
+(~512 kB of stacked matrices).  A row's scores on X come
 from the row space, X w + beta = sign Z1 x / (sqrt(C) ||a||), so only a
 row that asks for w (or fails) pays the O(np) product that forms it.
 """
@@ -43,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -71,7 +76,7 @@ class Direction:
 
     w: np.ndarray
     beta: float = 0.0
-    # (X, scores) of a DWD fit: the features array it was fit to and its
+    # (X, scores) of a fit: the features array it was fit to and its
     # X w + beta from the row space, which project() returns for that X.
     # Not a field (no repr) and not pickled: a copy need not carry X.
     _fit = None
@@ -113,20 +118,17 @@ class Loading(NamedTuple):
     name: str | None = None
 
 
-def _md_arrays(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    neg, pos = X[y == -1].mean(axis=0), X[y == 1].mean(axis=0)
-    diff = pos - neg
-    nrm = float(np.linalg.norm(diff))
-    if not nrm > 1e-12 * max(np.linalg.norm(pos), np.linalg.norm(neg)):  # scale-free
-        raise ZeroDirectionError("class means coincide; mean-difference direction undefined")
-    w = diff / nrm
-    beta = -float(w @ ((pos + neg) / 2.0))
-    return w, beta  # mean difference is oriented by construction
-
-
 def md_direction(ds: LabeledDataset) -> Direction:
-    """Unit mean-difference direction with the midpoint intercept."""
-    return Direction(*_md_arrays(ds.features, ds.labels))
+    """Unit mean-difference direction with the midpoint intercept: a DWD
+    fit's warm start, as a batch of one with no Newton round, as
+    diproperm() fits it (project() gives it the run's scores on X)."""
+    return next(_dwd_batch(ds.features, ds.labels[None, :], _factor(ds.features), [True]))[0]
+
+
+def _check_scale(X: np.ndarray, d: np.ndarray) -> None:  # d = diag(X Xᵀ)
+    if not math.isfinite(8.0 * float(d.max())):
+        raise DegenerateScaleError(f"X Xᵀ is too large for float64: the data's largest "
+                                   f"magnitude is {np.abs(X).max():.3g}; rescale the features")
 
 
 def _gram(X: np.ndarray) -> np.ndarray:
@@ -134,9 +136,7 @@ def _gram(X: np.ndarray) -> np.ndarray:
     _penalty's rounding bounds reach 6 max K_ii, and |K_ij| <= max K_ii."""
     with np.errstate(over="ignore", invalid="ignore"):
         K = X @ X.T
-    if not math.isfinite(8.0 * float(K.diagonal().max())):
-        raise DegenerateScaleError(f"X Xᵀ is too large for float64: the data's largest "
-                                   f"magnitude is {np.abs(X).max():.3g}; rescale the features")
+    _check_scale(X, K.diagonal())
     return K
 
 
@@ -150,15 +150,21 @@ def _penalty(X: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:
     """
     neg, pos = np.flatnonzero(y == -1), np.flatnonzero(y == 1)
     d = K.diagonal()
-    norms = d[neg][:, None] + d[pos]
-    sq = norms - 2.0 * K[np.ix_(neg, pos)]
+    # in place, so that at most three n- x n+ arrays are alive at once
+    sq = K[np.ix_(neg, pos)] * -2.0
+    err = d[neg][:, None] + d[pos]  # the norms
+    sq += err
     # rounding of the p-term sums in K and in the recomputation, with
     # slack; tiny covers underflow
-    err = 8 * (X.shape[1] + 4) * 2.0 ** -53 * (norms + np.abs(sq)) + np.finfo(np.float64).tiny
-    lo, hi = sq - err, sq + err
-    mid = (sq.size - 1) // 2, sq.size // 2
+    err += np.abs(sq)
+    err *= 8 * (X.shape[1] + 4) * 2.0 ** -53
+    err += np.finfo(np.float64).tiny
+    lo, hi = sq - err, np.add(sq, err, out=sq)
+    del err
+    mid = (lo.size - 1) // 2, lo.size // 2
     below = hi < np.partition(lo, mid[0], axis=None)[mid[0]]
     above = lo > np.partition(hi, mid[1], axis=None)[mid[1]]
+    del lo, hi
     sq = np.where(below, 0.0, np.inf)
     rows, cols = np.nonzero(~(below | above))
     for k in range(0, rows.size, len(X)):  # n pairs at a time: O(np) memory
@@ -202,23 +208,30 @@ def dwd_loss_grad(u, C: float):
     return _loss(np.asarray(u, dtype=np.float64), C, True)[1]
 
 
-def _factor(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K = X Xᵀ = Z Zᵀ by Cholesky with diagonal pivoting, stopped at the
-    numerical rank r: Z is n x r, and P (n x r, nonzero on the r pivot
-    rows) makes w = Xᵀ P a satisfy X w = Z a and ||w|| = ||a||.  Shared by
-    every DWD fit on X whatever its labels."""
-    d, Z, piv = K.diagonal().copy(), np.zeros_like(K), []
-    floor = len(K) * np.finfo(np.float64).eps * d.max()
-    while d.max() > floor:
+def _factor(X: np.ndarray, K: np.ndarray | None = None):
+    """(Z, P, center): Xc Xcᵀ = Z Zᵀ by Cholesky with diagonal pivoting to
+    the numerical rank r <= min(n, p); P (n x r) makes w = Xcᵀ P a satisfy
+    Xc w = Z a and ||w|| = ||a||.  Xc is X given K = X Xᵀ (DWD), else (md)
+    X less its column means `center`, which keeps md accurate far from the
+    origin, with columns Xc xc_i formed as needed: no n x n array."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        center = None if K is not None else X.mean(axis=0)
+        Xc = X if K is not None else X - center
+        d = K.diagonal().copy() if K is not None else np.einsum("ij,ij->i", Xc, Xc)
+    _check_scale(X, d)
+    Z, piv = np.zeros((len(X), min(X.shape))), []
+    floor = len(X) * np.finfo(np.float64).eps * d.max()
+    while len(piv) < Z.shape[1] and d.max() > floor:
         i, j = int(np.argmax(d)), len(piv)
-        Z[:, j] = (K[:, i] - Z[:, :j] @ Z[i, :j]) / math.sqrt(d[i])
+        column = Xc @ Xc[i] if K is None else K[:, i]
+        Z[:, j] = (column - Z[:, :j] @ Z[i, :j]) / math.sqrt(d[i])
         d -= Z[:, j] * Z[:, j]
         piv.append(i)
         d[piv] = 0.0
     Z = Z[:, :len(piv)].copy()  # C order, as in any process it is sent to
     P = np.zeros_like(Z)
     P[piv] = np.linalg.inv(Z[piv]).T
-    return Z, P
+    return Z, P, center
 
 
 def _check_stopping(tol, max_iter) -> None:
@@ -277,24 +290,26 @@ def _active_step(Za, Ga, x, G, curv, lam, mu, size):
     return D
 
 
-def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
-               tol: float, max_iter: int, form_w: np.ndarray):
-    """DWD fits of X to each row of the label stack Y (m x n), in lockstep.
+def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, form_w, C: float | None = None,
+               tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
+    """DWD fits of X to each row of the label stack Y (m x n), in lockstep;
+    with C None, md fits: their warm starts, with no Newton round.
 
-    `factors` is _factor(X Xᵀ).  Yields (DwdModel, scores on X) of each
-    row in row order, raising that row's ZeroDirectionError or
-    NonConvergedError when its turn comes; each row's are bit-identical
-    to a one-row batch's.  The scores come from the row space; the O(np)
-    w (and the model's direction) is formed only for rows where the mask
-    `form_w` is set and for a row that fails, one row at a time.
-    """
-    if not (np.isfinite(C) and C > 0.0):
+    `factors` is _factor(X, X Xᵀ) (md: _factor(X)).  Yields (direction,
+    DwdModel or None for md, scores on X) of each row in row order,
+    raising that row's ZeroDirectionError or NonConvergedError when its
+    turn comes; each row's are bit-identical to a one-row batch's.  The
+    scores come from the row space; the O(np) w and the direction are
+    formed only for rows where the mask `form_w` is set and for a row
+    that fails, one row at a time."""
+    md = C is None
+    if not (md or np.isfinite(C) and C > 0.0):
         raise DegenerateScaleError(f"penalty C must be positive and finite, got {C!r}")
     _check_stopping(tol, max_iter)
 
-    Z, P = factors
+    Z, P, center = factors
     n, r = Z.shape
-    root_c = math.sqrt(C)
+    root_c = 1.0 if md else math.sqrt(C)
     # Iterate on x = (a, b), w = Xᵀ P a, beta = b / sqrt(C): the margins
     # are y Z1 x / sqrt(C) for Z1 = [sqrt(C) Z, 1], and since
     # V_C(u) = sqrt(C) V_1(sqrt(C) u) the problem is the C = 1 one on Z1
@@ -302,8 +317,7 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
     Z1 = np.hstack([root_c * Z, np.ones((n, 1))])
     Z2 = np.hstack([Z1, np.zeros((n, 1))])  # Z2ᵀ diag(c) Z2: a bordered system
     Za = np.vstack([Z1[:, :r], np.zeros((1, r))])  # _active_step's gathers
-    Ga = Za @ Za.T
-    Yf = Y.astype(np.float64)
+    gram_a = cache(lambda: Za @ Za.T)  # (n + 1)², formed by the first active-sample step
 
     def chunks(step, budget, *rows):
         # step on ~512 kB of stacked matrices at a time, `budget` entries
@@ -363,86 +377,91 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float,
         size = np.maximum(4, 1 << np.frexp(k - 1.0)[1])  # next power of two >= k
         for kb in np.unique(size[few]):
             rows = few & (size == kb)
-            D[rows] = chunks(partial(_active_step, Za, Ga, size=kb), kb * (r + kb),
+            D[rows] = chunks(partial(_active_step, Za, gram_a(), size=kb), kb * (r + kb),
                              *(v[rows] for v in (x, G, curv, lam, mu)))
         return D
 
-    # warm start from the mean-difference rule when it exists: a = Zᵀc /
-    # ||Zᵀc|| for c = y / (size of y's class), class-mean midpoint at 0
+    # warm start from the md rule when it exists: a = Zᵀc / ||Zᵀc|| for
+    # c = y / (size of y's class), class-mean midpoint at 0
     pos = Y == 1
     n_pos, n_neg = pos.sum(axis=1), (~pos).sum(axis=1)
 
     def class_means(s):  # of each row's scores over its +1 and its -1 samples
         return (s * pos).sum(axis=1) / n_pos, (s * ~pos).sum(axis=1) / n_neg
 
-    c = Yf / np.where(pos, n_pos[:, None], n_neg[:, None])
-    A = np.matmul(c[:, None, :], Z)[:, 0, :]
+    A = np.matmul((Y / np.where(pos, n_pos[:, None], n_neg[:, None]))[:, None, :], Z)[:, 0, :]
     nrm = np.sqrt((A * A).sum(axis=1, keepdims=True))
     small = 1e-12 * math.sqrt((Z * Z).sum(axis=1).max())  # relative to the data's scale
     x = np.zeros((len(Y), r + 1))
     x[:, :r] = A / np.where(nrm >= small, nrm, np.inf)  # a = 0 if the means coincide
     mean_pos, mean_neg = class_means(scores(x))
     x[:, r] = -0.5 * (mean_pos + mean_neg)
-
-    # Lockstep rounds: each live row takes a Newton direction, then an
-    # Armijo step along it (halving from 1), with a rescaled into the ball
-    # (on the sphere, a retraction).  A row leaves when its KKT residual
-    # reaches tol, after max_iter iterations, or when no step decreases f.
-    state = [x, *at(x, Yf)]  # x, f, G, curv, lam, na, res of every row
     iters = np.zeros(len(Y), dtype=np.int64)
-    stuck = np.zeros(len(Y), dtype=bool)
-    live = np.arange(len(Y))
-    while True:
-        live = live[(state[-1][live] > tol) & (iters[live] < max_iter) & ~stuck[live]]
-        if not live.size:
-            break
-        now = [v[live] for v in state]
-        x, f, G = now[:3]
-        D = newton(x, *now[2:])
-        slope = (G * D).sum(axis=1)
-        t = np.ones(live.size)
-        todo = np.arange(live.size)
-        while todo.size:
-            x_t = x[todo] + t[todo, None] * D[todo]
-            a_t = x_t[:, :r]
-            a_t /= np.maximum(np.sqrt((a_t * a_t).sum(axis=1)), 1.0)[:, None]
-            trial = (x_t, *at(x_t, Yf[live[todo]]))
-            # Armijo up to rounding in f: near the optimum a Newton step
-            # lowers f by less than f's own rounding error
-            ok = trial[1] <= f[todo] * (1.0 + 1e-13) + 1e-4 * t[todo] * slope[todo]
-            for out, v in zip(state, trial):
-                out[live[todo[ok]]] = v[ok]
-            todo = todo[~ok]
-            t[todo] *= 0.5
-            stuck[live[todo]] = t[todo] < 1e-12  # no representable descent left
-            todo = todo[t[todo] >= 1e-12]
-        moved = live[~stuck[live]]
-        iters[moved] += 1
+    if not md:  # md is the warm start
+        # Lockstep rounds: each live row takes a Newton direction, then an
+        # Armijo step along it (halving from 1), with a rescaled into the ball
+        # (on the sphere, a retraction).  A row leaves when its KKT residual
+        # reaches tol, after max_iter iterations, or when no step decreases f.
+        Yf = Y.astype(np.float64)
+        state = [x, *at(x, Yf)]  # x, f, G, curv, lam, na, res of every row
+        stuck = np.zeros(len(Y), dtype=bool)
+        live = np.arange(len(Y))
+        while True:
+            live = live[(state[-1][live] > tol) & (iters[live] < max_iter) & ~stuck[live]]
+            if not live.size:
+                break
+            now = [v[live] for v in state]
+            x, f, G = now[:3]
+            D = newton(x, *now[2:])
+            slope = (G * D).sum(axis=1)
+            t = np.ones(live.size)
+            todo = np.arange(live.size)
+            while todo.size:
+                x_t = x[todo] + t[todo, None] * D[todo]
+                a_t = x_t[:, :r]
+                a_t /= np.maximum(np.sqrt((a_t * a_t).sum(axis=1)), 1.0)[:, None]
+                trial = (x_t, *at(x_t, Yf[live[todo]]))
+                # Armijo up to rounding in f: near the optimum a Newton step
+                # lowers f by less than f's own rounding error
+                ok = trial[1] <= f[todo] * (1.0 + 1e-13) + 1e-4 * t[todo] * slope[todo]
+                for out, v in zip(state, trial):
+                    out[live[todo[ok]]] = v[ok]
+                todo = todo[~ok]
+                t[todo] *= 0.5
+                stuck[live[todo]] = t[todo] < 1e-12  # no representable descent left
+                todo = todo[t[todo] >= 1e-12]
+            moved = live[~stuck[live]]
+            iters[moved] += 1
+        x, f, res = state[0], state[1], state[-1]
+    na = np.sqrt((x[:, :r] * x[:, :r]).sum(axis=1))  # for md 1, or 0 where the means coincide
 
     # Z1 x is X w + beta scaled by sqrt(C) ||a|| > 0: it orients each
     # row, signs its training margins and gives its scores without an
     # n x p product
-    s = scores(state[0])
+    s = scores(x)
     mean_pos, mean_neg = class_means(s)
     signs = np.where(mean_pos < mean_neg, -1.0, 1.0)
-    errors = (signs[:, None] * Yf * s <= 0.0).sum(axis=1)
-    for i, (sign, x, f, na, res) in enumerate(
-            zip(signs, state[0], state[1], state[5], state[-1])):
-        if na < 1e-12:  # ||a|| is scale-free: a solves the problem rescaled to C = 1
-            raise ZeroDirectionError("DWD solution collapsed to the zero direction")
-        row_scores = (sign / (root_c * na)) * s[i]
+    errors = None if md else (signs[:, None] * Yf * s <= 0.0).sum(axis=1)
+    for i, sign in enumerate(signs):
+        if na[i] < 1e-12:  # ||a|| is scale-free: a solves the problem rescaled to C = 1
+            raise ZeroDirectionError("class means coincide; mean-difference direction undefined"
+                                     if md else "DWD solution collapsed to the zero direction")
+        row_scores = (sign / (root_c * na[i])) * s[i]
         row_scores.setflags(write=False)
+        converged = md or res[i] <= tol
         direction = None
-        if form_w[i] or not res <= tol:
-            w = X.T @ (P @ x[:r])
+        if form_w[i] or not converged:
+            Xc = X if center is None else X - center  # X w + beta = Xc w + b / sqrt(C)
+            w = Xc.T @ (P @ x[i, :r])
             nw = float(np.linalg.norm(w))
-            direction = Direction(sign * w / nw, sign * (x[r] / root_c) / nw)
+            beta = x[i, r] / root_c - (0.0 if center is None else center @ w)
+            direction = Direction(sign * w / nw, sign * beta / nw)
             direction._fit = X, row_scores
-        model = DwdModel(direction, C, int(iters[i]), root_c * float(f), float(res),
-                         training_error=float(errors[i] / n))
-        if not res <= tol:
+        model = None if md else DwdModel(direction, C, int(iters[i]), root_c * float(f[i]),
+                                         float(res[i]), training_error=float(errors[i] / n))
+        if not converged:
             raise NonConvergedError(model.iterations, model.kkt_residual, model=model)
-        yield model, row_scores
+        yield direction, model, row_scores
 
 
 def dwd_direction(ds: LabeledDataset, C: float | None = None,
@@ -457,7 +476,7 @@ def dwd_direction(ds: LabeledDataset, C: float | None = None,
     K = _gram(X)
     if C is None:
         C = _penalty(X, ds.labels, K)
-    return next(_dwd_batch(X, ds.labels[None, :], _factor(K), C, tol, max_iter, [True]))[0]
+    return next(_dwd_batch(X, ds.labels[None, :], _factor(X, K), [True], C, tol, max_iter))[1]
 
 
 def loadings_of(direction: Direction, loadnum: int | None = None,

@@ -2,6 +2,8 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +15,14 @@ from diproperm.errors import (
     ValidationError,
     ZeroDirectionError,
 )
-from diproperm.direction import DEFAULT_TOL, _active_step, _dwd_batch, _factor
+from diproperm.direction import (
+    DEFAULT_TOL,
+    _active_step,
+    _dwd_batch,
+    _factor,
+    _gram,
+    _penalty,
+)
 from conftest import (
     grid_oracle,
     make_blobs,
@@ -57,6 +66,57 @@ def test_md_identical_means():
     ds = dp.LabeledDataset([[3, 3], [3, 3], [3, 3], [3, 3]], [1, 1, -1, -1])
     with pytest.raises(ZeroDirectionError):
         dp.md_direction(ds)
+
+
+def _md_reference(X, y):
+    """The md rule by its formula: the unit class-mean difference w, the
+    midpoint intercept beta and the scores X w + beta, in exact rational
+    arithmetic.  Float64 class means would not do: on data translated by
+    +1e6 their difference is off by ~1e-10 relative."""
+    rows = [[Fraction(v) for v in x] for x in X.tolist()]
+
+    def mean(label):
+        members = [row for row, l in zip(rows, y.tolist()) if l == label]
+        return [sum(col) / len(members) for col in zip(*members)]
+
+    pos, neg = mean(1), mean(-1)
+    diff = np.array([float(a - b) for a, b in zip(pos, neg)])
+    w = diff / np.linalg.norm(diff)
+    mid, wq = [(a + b) / 2 for a, b in zip(pos, neg)], [Fraction(v) for v in w.tolist()]
+    scores = [float(sum((v - m) * u for v, m, u in zip(row, mid, wq))) for row in rows]
+    return w, -float(sum(m * u for m, u in zip(mid, wq))), np.array(scores)
+
+
+@pytest.mark.parametrize("case", ["n > p", "p > n", "rank-deficient", "translated",
+                                  "scaled up", "scaled down"])
+def test_md_matches_its_closed_form(case, mushrooms):
+    # md is a DWD fit's warm start, taken from the row space of the
+    # centered X; its w, beta and projected scores are the formula's
+    blobs = dp.synthetic_blobs(200, 10, seed=0)
+    X, y = blobs.features, blobs.labels
+    ds = {"n > p": blobs, "p > n": dp.synthetic_blobs(60, 500, seed=0),
+          "rank-deficient": mushrooms, "translated": dp.LabeledDataset(X + 1e6, y),
+          "scaled up": dp.LabeledDataset(X * 1e150, y),
+          "scaled down": dp.LabeledDataset(X * 1e-150, y)}[case]
+    w, beta, scores = _md_reference(ds.features, ds.labels)
+    d = dp.md_direction(ds)
+    assert np.linalg.norm(d.w - w) <= 1e-12
+    assert d.beta == pytest.approx(beta, rel=1e-12, abs=0)
+    assert np.abs(dp.project(ds, d).scores - scores).max() <= 1e-12 * np.abs(scores).max()
+
+
+def test_md_refuses_class_means_that_coincide_at_the_data_scale():
+    # class means 1e-8 apart among samples of norm 1e6: below 1e-12 of the
+    # largest (centered) sample norm, the means coincide, for a single fit
+    # and for the observed fit of a run
+    ds = dp.LabeledDataset([[1e6, 1.0], [-1e6, 1.0], [0.0, 1.0 + 1e-8], [0.0, 1.0 + 1e-8]],
+                           [1, 1, -1, -1])
+    with pytest.raises(ZeroDirectionError, match="class means coincide"):
+        dp.md_direction(ds)
+    with pytest.raises(ZeroDirectionError, match="class means coincide") as exc:
+        dp.diproperm(ds, dp.PermutationPlan("unbalanced", 20, 0), classifier="md",
+                     alpha=0.1, workers=1)
+    assert exc.value.perm_index is None
 
 
 def test_md_translation_invariance_and_label_flip():
@@ -133,11 +193,12 @@ def test_overflowing_gram_matrix_is_refused_naming_the_data_scale():
     # zero penalty, and no numpy overflow warning escapes
     X = np.random.default_rng(0).normal(size=(20, 5))
     y = [-1] * 10 + [1] * 10
-    def run(ds):
-        return dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 0), workers=1)
+    def run(ds, classifier="dwd"):
+        return dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 0), classifier, workers=1)
 
     huge = dp.LabeledDataset(X * 1e155, y)
-    for fit in (dp.penalty_parameter, dp.dwd_direction, run):
+    for fit in (dp.penalty_parameter, dp.dwd_direction, run, dp.md_direction,
+                partial(run, classifier="md")):
         with pytest.raises(DegenerateScaleError, match=r"largest magnitude is 2\.33e\+155"):
             fit(huge)
     fine = dp.LabeledDataset(X * 1e150, y)
@@ -279,10 +340,10 @@ def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms):
             dp.permute_labels(ds.labels, "unbalanced", dp.derive_stream(seed, b))
             for b in range(1, 16)] + alone)
         form_w = np.arange(len(Y)) % 2 == 0  # w for every other row
-        batch = list(_dwd_batch(X, Y, _factor(X @ X.T), C, DEFAULT_TOL, 5000, form_w))
-        iterations = [m.iterations for m, _ in batch]
+        batch = list(_dwd_batch(X, Y, _factor(X, X @ X.T), form_w, C, DEFAULT_TOL, 5000))
+        iterations = [m.iterations for _, m, _ in batch]
         assert max(iterations) >= 2 * min(iterations)
-        for y, asked, (m, scores) in zip(Y, form_w, batch):
+        for y, asked, (_, m, scores) in zip(Y, form_w, batch):
             ds_y = dp.LabeledDataset(X, y)
             single = dp.dwd_direction(ds_y, C=C)
             assert (m.direction is not None) == asked
@@ -412,6 +473,31 @@ def test_active_sample_step_solves_the_bordered_system():
             assert np.linalg.norm(D[i] - dense) <= 1e-9 * np.linalg.norm(dense)
 
 
+def test_no_fit_forms_an_n_by_n_array_it_does_not_need():
+    # on 3000 x 5 blobs an n x n float array takes 72 MB: the penalty keeps
+    # at most three of its n- x n+ arrays (18 MB each) alive, the factor's
+    # Z has at most p columns, and a DWD fit whose Newton steps are all
+    # dense never forms the (n + 1)² Gram matrix of the active-sample step
+    ds = dp.synthetic_blobs(3000, 5, seed=0)
+    X, y = ds.features, ds.labels
+    n_by_n = 8 * len(X) ** 2
+
+    def traced(fit):
+        tracemalloc.start()
+        try:
+            return fit(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    K = _gram(X)
+    C, peak = traced(lambda: _penalty(X, y, K))
+    assert peak < 3.5 * 8 * 1500 * 1500  # 58.5 MB on numpy 2.4.6
+    (Z, P, center), peak = traced(lambda: _factor(X, K))
+    assert Z.shape[1] <= X.shape[1] and peak < n_by_n / 2
+    _, peak = traced(lambda: next(_dwd_batch(X, y[None], (Z, P, center), [True], C)))
+    assert peak < n_by_n / 2
+
+
 def test_dwd_batch_failures_in_row_order():
     # rows are handed out in order; the first failing row raises, and its
     # NonConvergedError carries the single fit's iterations and model, w
@@ -432,9 +518,9 @@ def test_dwd_batch_failures_in_row_order():
     raised = []
     for Y, error in (((fast, slow, no_w), NonConvergedError),
                      ((fast, no_w, slow), ZeroDirectionError)):
-        rows = _dwd_batch(X, np.array(Y), _factor(X @ X.T), 1.0, DEFAULT_TOL, 3,
-                          np.array([True, False, False]))
-        assert np.array_equal(next(rows)[0].direction.w, single(fast).direction.w)
+        rows = _dwd_batch(X, np.array(Y), _factor(X, X @ X.T), np.array([True, False, False]),
+                          1.0, DEFAULT_TOL, 3)
+        assert np.array_equal(next(rows)[0].w, single(fast).direction.w)
         with pytest.raises(error) as exc:
             next(rows)
         raised.append(exc.value)

@@ -686,6 +686,19 @@ def test_dwd_run_memory_stays_small():
     assert peak <= 4.81e6 + 0.5e6
 
 
+def test_md_run_holds_no_n_by_n_array():
+    # md is fit from the factor of the centered X, formed a column at a
+    # time: a run never holds X Xᵀ, which takes 72 MB here
+    ds = dp.synthetic_blobs(3000, 5, seed=0)
+    tracemalloc.start()
+    try:
+        dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 0), classifier="md", workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(ds.features) ** 2 / 4  # 3.0 MB on numpy 2.4.6
+
+
 def test_dwd_engine_uses_single_penalty(mushrooms):
     r = dp.diproperm(
         mushrooms, dp.PermutationPlan("balanced", 20, 2), workers=1
