@@ -25,10 +25,9 @@ knot; at a p >> n optimum most samples are not) is solved through a
 k x k one by Sherman-Morrison-Woodbury.  A fit stops when the KKT
 residual (tangential gradient, d/d beta and complementarity, for the
 problem rescaled to C = 1) falls to `tol`.  It starts from the
-mean-difference (md) rule, a = Zᵀc / ||Zᵀc|| for c = y / (size of y's
-class) with the class-mean midpoint, and an md fit is that warm start
-with no Newton round, from the factor of the centered X (whose columns
-are formed as needed, so an md run holds no n x n array).
+mean-difference (md) rule in the row space, a = Zᵀc / ||Zᵀc|| for
+c = y / (size of y's class), with the class-mean midpoint; an md fit
+itself is taken in feature space, exactly, in O(np) (_md_batch).
 
 Fits to m label vectors on the same X run as one lockstep batch: each
 round, every unfinished row takes its own Newton step, so each row does
@@ -36,10 +35,10 @@ exactly the iterations it would do alone.  The batch is bit-identical to
 single fits because every per-row product is a stacked np.matmul,
 np.linalg.solve or gather and every per-row reduction a last-axis sum,
 each of which gives a row the bits of its single operation; the k x k
-systems are padded to a size k alone sets.  A single fit, of either
-rule, is a batch of one.  Memory is O(n² + np + mn), O(n min(n, p) +
-np + mn) for md: the Newton systems are built a chunk of rows at a time
-(~512 kB of stacked matrices).  A row's scores on X come
+systems are padded to a size k alone sets.  md fits batch the same
+way.  A single fit, of either rule, is a batch of one.  Memory is
+O(n² + np + mn), O(np + mn) for md: the Newton systems are built a chunk
+of rows at a time (~512 kB of stacked matrices).  A DWD row's scores on X come
 from the row space, X w + beta = sign Z1 x / (sqrt(C) ||a||), so only a
 row that asks for w (or fails) pays the O(np) product that forms it.
 """
@@ -118,11 +117,50 @@ class Loading(NamedTuple):
     name: str | None = None
 
 
+def _md_batch(X: np.ndarray, Y: np.ndarray, form_w):
+    """md fits of X to each row of the label stack Y (m x n), yielded as
+    _dwd_batch yields DWD's, with model None.  A row's w is its class-mean
+    difference c Xc for c = y / (size of y's class) and Xc = X less its
+    column means (exact far from the origin), normalized; its scores are
+    Xc w less their class means' midpoint.  Stacked np.matmul and
+    last-axis sums give each row a one-row batch's bits; rows go ~512 kB
+    of stacked arrays at a time."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        center = X.mean(axis=0)
+        Xc = X - center
+        d = np.einsum("ij,ij->i", Xc, Xc)
+    _check_scale(X, d)
+    small = 1e-12 * math.sqrt(d.max())  # relative to the data's scale
+    pos = Y == 1
+    n_pos, n_neg = pos.sum(axis=1), (~pos).sum(axis=1)
+    step = max(1, (1 << 19) // (8 * (len(X) + X.shape[1])))
+    for k in range(0, len(Y), step):
+        rows, p = slice(k, k + step), pos[k:k + step]
+        c = Y[rows] / np.where(p, n_pos[rows, None], n_neg[rows, None])
+        diff = np.matmul(c[:, None, :], Xc)[:, 0, :]
+        nrm = np.sqrt((diff * diff).sum(axis=1))
+        W = diff / np.where(nrm > small, nrm, np.inf)[:, None]  # 0 if the means coincide
+        s = np.matmul(Xc, W[:, :, None])[:, :, 0]
+        b = -0.5 * ((s * p).sum(axis=1) / n_pos[rows] + (s * ~p).sum(axis=1) / n_neg[rows])
+        s += b[:, None]
+        s.setflags(write=False)
+        for i, (w, row_scores) in enumerate(zip(W, s)):
+            if not nrm[i] > small:
+                raise ZeroDirectionError("class means coincide; mean-difference direction undefined")
+            direction = None
+            if form_w[k + i]:  # copies, which do not hold the chunk; X w + beta = Xc w + b
+                w, row_scores = w.copy(), row_scores.copy()
+                row_scores.setflags(write=False)
+                direction = Direction(w, b[i] - center @ w)
+                direction._fit = X, row_scores
+            yield direction, None, row_scores
+
+
 def md_direction(ds: LabeledDataset) -> Direction:
-    """Unit mean-difference direction with the midpoint intercept: a DWD
-    fit's warm start, as a batch of one with no Newton round, as
-    diproperm() fits it (project() gives it the run's scores on X)."""
-    return next(_dwd_batch(ds.features, ds.labels[None, :], _factor(ds.features), [True]))[0]
+    """Unit mean-difference direction with the midpoint intercept, as a
+    batch of one, as diproperm() fits it (project() gives it the run's
+    scores on X)."""
+    return next(_md_batch(ds.features, ds.labels[None, :], [True]))[0]
 
 
 def _check_scale(X: np.ndarray, d: np.ndarray) -> None:  # d = diag(X Xᵀ)
@@ -208,30 +246,23 @@ def dwd_loss_grad(u, C: float):
     return _loss(np.asarray(u, dtype=np.float64), C, True)[1]
 
 
-def _factor(X: np.ndarray, K: np.ndarray | None = None):
-    """(Z, P, center): Xc Xcᵀ = Z Zᵀ by Cholesky with diagonal pivoting to
-    the numerical rank r <= min(n, p); P (n x r) makes w = Xcᵀ P a satisfy
-    Xc w = Z a and ||w|| = ||a||.  Xc is X given K = X Xᵀ (DWD), else (md)
-    X less its column means `center`, which keeps md accurate far from the
-    origin, with columns Xc xc_i formed as needed: no n x n array."""
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        center = None if K is not None else X.mean(axis=0)
-        Xc = X if K is not None else X - center
-        d = K.diagonal().copy() if K is not None else np.einsum("ij,ij->i", Xc, Xc)
-    _check_scale(X, d)
-    Z, piv = np.zeros((len(X), min(X.shape))), []
-    floor = len(X) * np.finfo(np.float64).eps * d.max()
+def _factor(X: np.ndarray, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K = X Xᵀ = Z Zᵀ by Cholesky with diagonal pivoting, stopped at the
+    numerical rank r <= min(n, p): Z is n x r, and P (n x r, nonzero on
+    the r pivot rows) makes w = Xᵀ P a satisfy X w = Z a and ||w|| = ||a||.
+    Shared by every DWD fit on X whatever its labels."""
+    d, Z, piv = K.diagonal().copy(), np.zeros((len(X), min(X.shape))), []
+    floor = len(K) * np.finfo(np.float64).eps * d.max()
     while len(piv) < Z.shape[1] and d.max() > floor:
         i, j = int(np.argmax(d)), len(piv)
-        column = Xc @ Xc[i] if K is None else K[:, i]
-        Z[:, j] = (column - Z[:, :j] @ Z[i, :j]) / math.sqrt(d[i])
+        Z[:, j] = (K[:, i] - Z[:, :j] @ Z[i, :j]) / math.sqrt(d[i])
         d -= Z[:, j] * Z[:, j]
         piv.append(i)
         d[piv] = 0.0
     Z = Z[:, :len(piv)].copy()  # C order, as in any process it is sent to
     P = np.zeros_like(Z)
     P[piv] = np.linalg.inv(Z[piv]).T
-    return Z, P, center
+    return Z, P
 
 
 def _check_stopping(tol, max_iter) -> None:
@@ -290,26 +321,24 @@ def _active_step(Za, Ga, x, G, curv, lam, mu, size):
     return D
 
 
-def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, form_w, C: float | None = None,
-               tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
-    """DWD fits of X to each row of the label stack Y (m x n), in lockstep;
-    with C None, md fits: their warm starts, with no Newton round.
+def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, form_w, C: float,
+               tol: float, max_iter: int):
+    """DWD fits of X to each row of the label stack Y (m x n), in lockstep.
 
-    `factors` is _factor(X, X Xᵀ) (md: _factor(X)).  Yields (direction,
-    DwdModel or None for md, scores on X) of each row in row order,
-    raising that row's ZeroDirectionError or NonConvergedError when its
-    turn comes; each row's are bit-identical to a one-row batch's.  The
-    scores come from the row space; the O(np) w and the direction are
-    formed only for rows where the mask `form_w` is set and for a row
-    that fails, one row at a time."""
-    md = C is None
-    if not (md or np.isfinite(C) and C > 0.0):
+    `factors` is _factor(X, X Xᵀ).  Yields (direction, DwdModel, scores
+    on X) of each row in row order, raising that row's ZeroDirectionError
+    or NonConvergedError when its turn comes; each row's are
+    bit-identical to a one-row batch's.  The scores come from the row
+    space; the O(np) w (and the direction) is formed only for rows where
+    the mask `form_w` is set and for a row that fails, one row at a time.
+    """
+    if not (np.isfinite(C) and C > 0.0):
         raise DegenerateScaleError(f"penalty C must be positive and finite, got {C!r}")
     _check_stopping(tol, max_iter)
 
-    Z, P, center = factors
+    Z, P = factors
     n, r = Z.shape
-    root_c = 1.0 if md else math.sqrt(C)
+    root_c = math.sqrt(C)
     # Iterate on x = (a, b), w = Xᵀ P a, beta = b / sqrt(C): the margins
     # are y Z1 x / sqrt(C) for Z1 = [sqrt(C) Z, 1], and since
     # V_C(u) = sqrt(C) V_1(sqrt(C) u) the problem is the C = 1 one on Z1
@@ -318,6 +347,7 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, form_w, C: float | None = 
     Z2 = np.hstack([Z1, np.zeros((n, 1))])  # Z2ᵀ diag(c) Z2: a bordered system
     Za = np.vstack([Z1[:, :r], np.zeros((1, r))])  # _active_step's gathers
     gram_a = cache(lambda: Za @ Za.T)  # (n + 1)², formed by the first active-sample step
+    Yf = Y.astype(np.float64)
 
     def chunks(step, budget, *rows):
         # step on ~512 kB of stacked matrices at a time, `budget` entries
@@ -381,85 +411,80 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, form_w, C: float | None = 
                              *(v[rows] for v in (x, G, curv, lam, mu)))
         return D
 
-    # warm start from the md rule when it exists: a = Zᵀc / ||Zᵀc|| for
-    # c = y / (size of y's class), class-mean midpoint at 0
+    # warm start from the mean-difference rule when it exists: a = Zᵀc /
+    # ||Zᵀc|| for c = y / (size of y's class), class-mean midpoint at 0
     pos = Y == 1
     n_pos, n_neg = pos.sum(axis=1), (~pos).sum(axis=1)
 
     def class_means(s):  # of each row's scores over its +1 and its -1 samples
         return (s * pos).sum(axis=1) / n_pos, (s * ~pos).sum(axis=1) / n_neg
 
-    A = np.matmul((Y / np.where(pos, n_pos[:, None], n_neg[:, None]))[:, None, :], Z)[:, 0, :]
+    c = Yf / np.where(pos, n_pos[:, None], n_neg[:, None])
+    A = np.matmul(c[:, None, :], Z)[:, 0, :]
     nrm = np.sqrt((A * A).sum(axis=1, keepdims=True))
     small = 1e-12 * math.sqrt((Z * Z).sum(axis=1).max())  # relative to the data's scale
     x = np.zeros((len(Y), r + 1))
     x[:, :r] = A / np.where(nrm >= small, nrm, np.inf)  # a = 0 if the means coincide
     mean_pos, mean_neg = class_means(scores(x))
     x[:, r] = -0.5 * (mean_pos + mean_neg)
+
+    # Lockstep rounds: each live row takes a Newton direction, then an
+    # Armijo step along it (halving from 1), with a rescaled into the ball
+    # (on the sphere, a retraction).  A row leaves when its KKT residual
+    # reaches tol, after max_iter iterations, or when no step decreases f.
+    state = [x, *at(x, Yf)]  # x, f, G, curv, lam, na, res of every row
     iters = np.zeros(len(Y), dtype=np.int64)
-    if not md:  # md is the warm start
-        # Lockstep rounds: each live row takes a Newton direction, then an
-        # Armijo step along it (halving from 1), with a rescaled into the ball
-        # (on the sphere, a retraction).  A row leaves when its KKT residual
-        # reaches tol, after max_iter iterations, or when no step decreases f.
-        Yf = Y.astype(np.float64)
-        state = [x, *at(x, Yf)]  # x, f, G, curv, lam, na, res of every row
-        stuck = np.zeros(len(Y), dtype=bool)
-        live = np.arange(len(Y))
-        while True:
-            live = live[(state[-1][live] > tol) & (iters[live] < max_iter) & ~stuck[live]]
-            if not live.size:
-                break
-            now = [v[live] for v in state]
-            x, f, G = now[:3]
-            D = newton(x, *now[2:])
-            slope = (G * D).sum(axis=1)
-            t = np.ones(live.size)
-            todo = np.arange(live.size)
-            while todo.size:
-                x_t = x[todo] + t[todo, None] * D[todo]
-                a_t = x_t[:, :r]
-                a_t /= np.maximum(np.sqrt((a_t * a_t).sum(axis=1)), 1.0)[:, None]
-                trial = (x_t, *at(x_t, Yf[live[todo]]))
-                # Armijo up to rounding in f: near the optimum a Newton step
-                # lowers f by less than f's own rounding error
-                ok = trial[1] <= f[todo] * (1.0 + 1e-13) + 1e-4 * t[todo] * slope[todo]
-                for out, v in zip(state, trial):
-                    out[live[todo[ok]]] = v[ok]
-                todo = todo[~ok]
-                t[todo] *= 0.5
-                stuck[live[todo]] = t[todo] < 1e-12  # no representable descent left
-                todo = todo[t[todo] >= 1e-12]
-            moved = live[~stuck[live]]
-            iters[moved] += 1
-        x, f, res = state[0], state[1], state[-1]
-    na = np.sqrt((x[:, :r] * x[:, :r]).sum(axis=1))  # for md 1, or 0 where the means coincide
+    stuck = np.zeros(len(Y), dtype=bool)
+    live = np.arange(len(Y))
+    while True:
+        live = live[(state[-1][live] > tol) & (iters[live] < max_iter) & ~stuck[live]]
+        if not live.size:
+            break
+        now = [v[live] for v in state]
+        x, f, G = now[:3]
+        D = newton(x, *now[2:])
+        slope = (G * D).sum(axis=1)
+        t = np.ones(live.size)
+        todo = np.arange(live.size)
+        while todo.size:
+            x_t = x[todo] + t[todo, None] * D[todo]
+            a_t = x_t[:, :r]
+            a_t /= np.maximum(np.sqrt((a_t * a_t).sum(axis=1)), 1.0)[:, None]
+            trial = (x_t, *at(x_t, Yf[live[todo]]))
+            # Armijo up to rounding in f: near the optimum a Newton step
+            # lowers f by less than f's own rounding error
+            ok = trial[1] <= f[todo] * (1.0 + 1e-13) + 1e-4 * t[todo] * slope[todo]
+            for out, v in zip(state, trial):
+                out[live[todo[ok]]] = v[ok]
+            todo = todo[~ok]
+            t[todo] *= 0.5
+            stuck[live[todo]] = t[todo] < 1e-12  # no representable descent left
+            todo = todo[t[todo] >= 1e-12]
+        moved = live[~stuck[live]]
+        iters[moved] += 1
 
     # Z1 x is X w + beta scaled by sqrt(C) ||a|| > 0: it orients each
     # row, signs its training margins and gives its scores without an
     # n x p product
-    s = scores(x)
+    s = scores(state[0])
     mean_pos, mean_neg = class_means(s)
     signs = np.where(mean_pos < mean_neg, -1.0, 1.0)
-    errors = None if md else (signs[:, None] * Yf * s <= 0.0).sum(axis=1)
-    for i, sign in enumerate(signs):
-        if na[i] < 1e-12:  # ||a|| is scale-free: a solves the problem rescaled to C = 1
-            raise ZeroDirectionError("class means coincide; mean-difference direction undefined"
-                                     if md else "DWD solution collapsed to the zero direction")
-        row_scores = (sign / (root_c * na[i])) * s[i]
+    errors = (signs[:, None] * Yf * s <= 0.0).sum(axis=1)
+    for i, (sign, x, f, na, res) in enumerate(
+            zip(signs, state[0], state[1], state[5], state[-1])):
+        if na < 1e-12:  # ||a|| is scale-free: a solves the problem rescaled to C = 1
+            raise ZeroDirectionError("DWD solution collapsed to the zero direction")
+        row_scores = (sign / (root_c * na)) * s[i]
         row_scores.setflags(write=False)
-        converged = md or res[i] <= tol
         direction = None
-        if form_w[i] or not converged:
-            Xc = X if center is None else X - center  # X w + beta = Xc w + b / sqrt(C)
-            w = Xc.T @ (P @ x[i, :r])
+        if form_w[i] or not res <= tol:
+            w = X.T @ (P @ x[:r])
             nw = float(np.linalg.norm(w))
-            beta = x[i, r] / root_c - (0.0 if center is None else center @ w)
-            direction = Direction(sign * w / nw, sign * beta / nw)
+            direction = Direction(sign * w / nw, sign * (x[r] / root_c) / nw)
             direction._fit = X, row_scores
-        model = None if md else DwdModel(direction, C, int(iters[i]), root_c * float(f[i]),
-                                         float(res[i]), training_error=float(errors[i] / n))
-        if not converged:
+        model = DwdModel(direction, C, int(iters[i]), root_c * float(f), float(res),
+                         training_error=float(errors[i] / n))
+        if not res <= tol:
             raise NonConvergedError(model.iterations, model.kkt_residual, model=model)
         yield direction, model, row_scores
 

@@ -6,12 +6,13 @@ and empirical critical value.  A run's fits are numbered 0..B, 0 the
 observed labels and the first row of block 1; they run in at most
 `workers` contiguous blocks of at least _MIN_BLOCK re-fits (or one
 block), the caller running the first, a process pool the rest.  Each
-block is relabeled whole, its fits run as one lockstep batch
-(direction._dwd_batch, each row bit-identical to a single fit; md's are
-its warm starts, with no Newton round), then its rows are scored as one
-stack from their row-space solutions.  Only permutation 0 forms a
-Direction and its w; no re-fit does.  A block returns arrays, which the
-run concatenates once.  Every permutation b >= 1 draws from its own
+block is relabeled whole, its fits run as one batch (DWD's a lockstep
+batch of Newton solves, direction._dwd_batch; md's stacked class-mean
+differences, direction._md_batch; each row bit-identical to a single
+fit), then its rows are scored as one stack, DWD's from their row-space
+solutions.  Only permutation 0 forms a Direction (and for DWD its w); no
+re-fit of either classifier does.  A block returns arrays, which the run
+concatenates once.  Every permutation b >= 1 draws from its own
 (seed, b) stream, so the answer does not depend on the worker count.
 
 Null hypothesis: the two classes are draws from one distribution; it is
@@ -45,6 +46,7 @@ from .direction import (
     _dwd_batch,
     _factor,
     _gram,
+    _md_batch,
     _penalty,
     loadings_of,
 )
@@ -227,13 +229,14 @@ def cutoff(perm_stats, alpha: float) -> float:
 #   700    0.246 / 0.166  18/20       0.348 / 0.236  10/10
 #   1000   0.370 / 0.241  10/10       0.517 / 0.307  10/10
 #
-# These are DWD runs.  An md permutation costs ~50 us, mostly relabeling,
+# These are DWD runs.  An md permutation costs ~55 us, mostly relabeling,
 # so a fork pays for md only near B = 2000 (the rule counts re-fits, not
-# their cost); 200 x 10 blobs, md, med statistic, retain_all:
+# their cost); 200 x 10 blobs, md, med statistic, retain_all, medians of
+# 10 fresh-process pairs, each the median of 5 calls:
 #
 #   B      one process / two blocks
-#   700    0.038 / 0.054   0/10
-#   2000   0.109 / 0.105   7/10
+#   700    0.044 / 0.052   2/10
+#   2000   0.120 / 0.110   6/10
 _MIN_BLOCK = 350
 
 
@@ -253,8 +256,9 @@ def _permutations(state, indices):
     t0 = time.perf_counter()
     relabel = partial(permute_labels, y, config.scheme)
     labels = np.array([relabel(derive_stream(config.seed, b)) if b else y for b in indices])
-    fits = _dwd_batch(X, labels, factors, np.equal(indices, 0), C,  # md if C is None
-                      config.dwd_tol, config.dwd_max_iter)
+    form_w = np.equal(indices, 0)
+    fits = (_md_batch(X, labels, form_w) if C is None  # md has no penalty
+            else _dwd_batch(X, labels, factors, form_w, C, config.dwd_tol, config.dwd_max_iter))
     S, iterations, first, failure = np.empty(labels.shape), [], None, None
     try:
         for b, (direction, model, scores) in zip(indices, fits):
@@ -287,21 +291,21 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
               dwd_max_iter: int = DEFAULT_MAX_ITER) -> DppResult:
     """Run the full test and assemble a DppResult.
 
-    The factor of the data (of X Xᵀ for DWD, which shares that one Gram
-    matrix with the penalty C; of the centered X, a column at a time,
-    for md) is computed once and reused for every permutation re-fit.
-    `workers` is an upper bound (default: the usable cores, per the CPU
-    affinity mask): the fits 0..B are split into max(1, min(workers,
-    B // _MIN_BLOCK)) contiguous blocks, so blocks of fewer than
-    _MIN_BLOCK re-fits are not forked; this process runs the first block
-    and a pool the rest.  Permutation 0, the observed labels, is the first
-    row of block 1 (row 0 of its batch), so block 1's DEBUG wall time
-    includes it; it alone forms a Direction.  From the blocks,
-    concatenated once, the run copies the statistics of 1..B and the rows
-    it keeps as one stack: of every permutation if `retain_all`, else of
-    0, 1, 2 and the first minimum and maximum.  Each b >= 1 draws from its
-    own (seed, b) stream, so results are bit-identical for any worker
-    count.  An error in the observed fit has no perm_index; one in re-fitting or scoring
+    The DWD penalty C and the factor of X Xᵀ are computed once, from
+    one Gram matrix of the observed data, and reused for every
+    permutation re-fit; an md run forms neither.  `workers` is an upper
+    bound (default: the usable cores, per the CPU affinity mask): the
+    fits 0..B are split into max(1, min(workers, B // _MIN_BLOCK))
+    contiguous blocks, so blocks of fewer than _MIN_BLOCK re-fits are not
+    forked; this process runs the first block and a pool the rest.
+    Permutation 0, the observed labels, is the first row of block 1 (row
+    0 of its batch), so block 1's DEBUG wall time includes it; it alone
+    forms a Direction.  From the blocks, concatenated once, the run copies
+    the statistics of 1..B and the rows it keeps as one stack: of every
+    permutation if `retain_all`, else of 0, 1, 2 and the first minimum and
+    maximum.  Each b >= 1 draws from its own (seed, b) stream, so
+    results are bit-identical for any worker count.  An error
+    in the observed fit has no perm_index; one in re-fitting or scoring
     permutation b (NonConvergedError, ...) aborts the run with perm_index
     the lowest failing b; a pool worker that dies raises WorkerLostError
     naming its block; no permutation is silently dropped.
@@ -321,9 +325,11 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
             "(%d, %d); using the composition-matched relabeling",
             *ds.class_counts(),
         )
-    K = _gram(ds.features) if classifier == "dwd" else None  # the penalty's and the factor's
-    C = None if K is None else _penalty(ds.features, ds.labels, K)  # md if None
-    state = (ds.features, ds.labels, config, C, _factor(ds.features, K))
+    X, C, factors = ds.features, None, None
+    if classifier == "dwd":  # both from the run's one Gram matrix
+        K = _gram(X)
+        C, factors = _penalty(X, ds.labels, K), _factor(X, K)
+    state = (X, ds.labels, config, C, factors)
 
     # contiguous blocks of indices 0..B in index order, each worth a
     # process; block 1 starts at 0, the observed labels, in the same batch

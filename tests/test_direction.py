@@ -21,6 +21,7 @@ from diproperm.direction import (
     _dwd_batch,
     _factor,
     _gram,
+    _md_batch,
     _penalty,
 )
 from conftest import (
@@ -88,21 +89,46 @@ def _md_reference(X, y):
 
 
 @pytest.mark.parametrize("case", ["n > p", "p > n", "rank-deficient", "translated",
-                                  "scaled up", "scaled down"])
+                                  "scaled up", "scaled down", "unequal scales",
+                                  "small spread"])
 def test_md_matches_its_closed_form(case, mushrooms):
-    # md is a DWD fit's warm start, taken from the row space of the
-    # centered X; its w, beta and projected scores are the formula's
+    # md is the class-mean difference of the centered X; its w, beta and
+    # projected scores are the formula's, also on features whose scales
+    # differ by 1e8 and along a direction whose spread is 1e-9 of the
+    # largest sample norm, which a factor of X Xᵀ to its numerical rank cuts
     blobs = dp.synthetic_blobs(200, 10, seed=0)
     X, y = blobs.features, blobs.labels
     ds = {"n > p": blobs, "p > n": dp.synthetic_blobs(60, 500, seed=0),
           "rank-deficient": mushrooms, "translated": dp.LabeledDataset(X + 1e6, y),
           "scaled up": dp.LabeledDataset(X * 1e150, y),
-          "scaled down": dp.LabeledDataset(X * 1e-150, y)}[case]
+          "scaled down": dp.LabeledDataset(X * 1e-150, y),
+          "unequal scales": dp.LabeledDataset(X * np.repeat([1e4, 1e-4], 5), y),
+          "small spread": dp.LabeledDataset(
+              [[1e6, 1e-3], [-1e6, 1e-3], [1e6, 0.0], [-1e6, 0.0]], [1, 1, -1, -1])}[case]
     w, beta, scores = _md_reference(ds.features, ds.labels)
     d = dp.md_direction(ds)
-    assert np.linalg.norm(d.w - w) <= 1e-12
+    for half in np.array_split(np.arange(len(w)), 2):  # each to its own scale
+        assert np.linalg.norm(d.w[half] - w[half]) <= 1e-12 * max(np.linalg.norm(w[half]), 1.0)
     assert d.beta == pytest.approx(beta, rel=1e-12, abs=0)
     assert np.abs(dp.project(ds, d).scores - scores).max() <= 1e-12 * np.abs(scores).max()
+
+
+def test_md_batch_rows_match_single_fits_bit_for_bit():
+    # rows of an md batch, in and across its ~512 kB chunks (31 rows
+    # here), have the bits of one-row batches, as md_direction and project
+    # give them; only the rows that ask form a Direction
+    ds = dp.synthetic_blobs(60, 2000, seed=0)
+    X = ds.features
+    Y = np.array([ds.labels] + [dp.permute_labels(ds.labels, "unbalanced", dp.derive_stream(0, b))
+                                for b in range(1, 70)])
+    form_w = np.arange(len(Y)) % 3 == 0
+    for y, asked, (d, model, scores) in zip(Y, form_w, _md_batch(X, Y, form_w)):
+        ds_y = dp.LabeledDataset(X, y)
+        single = dp.md_direction(ds_y)
+        assert model is None and (d is not None) == asked
+        assert scores.tobytes() == dp.project(ds_y, single).scores.tobytes()
+        if asked:
+            assert (d.w.tobytes(), d.beta) == (single.w.tobytes(), single.beta)
 
 
 def test_md_refuses_class_means_that_coincide_at_the_data_scale():
@@ -492,9 +518,9 @@ def test_no_fit_forms_an_n_by_n_array_it_does_not_need():
     K = _gram(X)
     C, peak = traced(lambda: _penalty(X, y, K))
     assert peak < 3.5 * 8 * 1500 * 1500  # 58.5 MB on numpy 2.4.6
-    (Z, P, center), peak = traced(lambda: _factor(X, K))
+    (Z, P), peak = traced(lambda: _factor(X, K))
     assert Z.shape[1] <= X.shape[1] and peak < n_by_n / 2
-    _, peak = traced(lambda: next(_dwd_batch(X, y[None], (Z, P, center), [True], C)))
+    _, peak = traced(lambda: next(_dwd_batch(X, y[None], (Z, P), [True], C, DEFAULT_TOL, 5000)))
     assert peak < n_by_n / 2
 
 

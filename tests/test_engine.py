@@ -687,8 +687,8 @@ def test_dwd_run_memory_stays_small():
 
 
 def test_md_run_holds_no_n_by_n_array():
-    # md is fit from the factor of the centered X, formed a column at a
-    # time: a run never holds X Xᵀ, which takes 72 MB here
+    # md is fit in feature space: a run never holds X Xᵀ, which takes
+    # 72 MB here
     ds = dp.synthetic_blobs(3000, 5, seed=0)
     tracemalloc.start()
     try:
