@@ -6,11 +6,13 @@ and empirical critical value.  A run's fits are numbered 0..B, 0 the
 observed labels and the first row of block 1; they run in at most
 `workers` contiguous blocks of at least _MIN_BLOCK re-fits (or one
 block), the caller running the first, a process pool the rest.  Each
-block is relabeled whole, its fits run as one batch (DWD's a lockstep
-batch of Newton solves, direction._dwd_batch; md's stacked class-mean
-differences, direction._md_batch; each row bit-identical to a single
-fit), then its rows are scored as one stack, DWD's from their row-space
-solutions.  Only permutation 0 forms a Direction (and for DWD its w); no
+block is relabeled in one pass (permute.relabel_block: y is checked once
+and every row's stream seeded from one vectorized hash of its seed, each
+row bit-identical to permute_labels with derive_stream's stream), its
+fits run as one batch (DWD's a lockstep batch of Newton solves,
+direction._dwd_batch; md's stacked class-mean differences,
+direction._md_batch; each row bit-identical to a single fit), then its
+rows are scored as one stack, DWD's from their row-space solutions.  Only permutation 0 forms a Direction (and for DWD its w); no
 re-fit of either classifier does.  A block returns arrays, which the run
 concatenates once.  Every permutation b >= 1 draws from its own
 (seed, b) stream, so the answer does not depend on the worker count.
@@ -58,7 +60,7 @@ from .errors import (
     ZeroVarianceError,
     is_integer,
 )
-from .permute import PermutationPlan, derive_stream, half_split_fits, permute_labels
+from .permute import PermutationPlan, half_split_fits, relabel_block
 from .unistat import STATISTICS, ProjectionScores
 
 log = logging.getLogger(__name__)
@@ -246,16 +248,15 @@ def _permutations(state, indices):
     their statistics and solver iterations, and its wall time.
 
     Pure in (state, indices); `state` is the run's (X, y, config, C,
-    factors).  Index 0 takes y itself, any other b the relabeling of its
-    (seed, b) stream.  The rows are fit in order as one batch and
+    factors).  relabel_block gives index 0 y itself and any other b the
+    relabeling of its (seed, b) stream, in one pass.  The rows are fit in order as one batch and
     scored as one stack; only row 0 forms a Direction.  An error carries
     its row's index as perm_index (None for 0); the lowest failing index
     wins across fits and statistics, whatever the block bounds.
     """
     X, y, config, C, factors = state
     t0 = time.perf_counter()
-    relabel = partial(permute_labels, y, config.scheme)
-    labels = np.array([relabel(derive_stream(config.seed, b)) if b else y for b in indices])
+    labels = relabel_block(y, config.scheme, config.seed, indices)
     form_w = np.equal(indices, 0)
     fits = (_md_batch(X, labels, form_w) if C is None  # md has no penalty
             else _dwd_batch(X, labels, factors, form_w, C, config.dwd_tol, config.dwd_max_iter))

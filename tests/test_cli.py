@@ -95,6 +95,11 @@ def test_run_rejects_bad_b(blob_files, tmp_path):
     assert out.returncode == 2
     assert out.stderr.startswith("error:")
     assert "B" in out.stderr
+    # a B whose indices need spawn keys of two words is refused before the run
+    out = run_cli("run", "--data", data, "--labels", labels,
+                  "--out", tmp_path / "y", "-B", 2**32)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: B ") and out.stderr.count("\n") == 1
 
 
 def test_run_rejects_non_finite_dwd_tol(blob_files, tmp_path, capsys):

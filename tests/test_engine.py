@@ -472,14 +472,14 @@ def test_dead_worker_is_a_typed_error(monkeypatch, tmp_path, capsys):
     # a pool worker that dies (here by os._exit; a kill for memory looks
     # the same) fails the run naming its block, and leaves no child behind
     monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
-    caller, real = os.getpid(), engine.permute_labels
+    caller, real = os.getpid(), engine.relabel_block
 
     def dying(*args):
         if os.getpid() != caller:
             os._exit(9)
         return real(*args)
 
-    monkeypatch.setattr(engine, "permute_labels", dying)
+    monkeypatch.setattr(engine, "relabel_block", dying)
     ds = make_blobs(n=20, p=4, distance=2.0, seed=6)
     with pytest.raises(WorkerLostError, match="permutations 11-20"):
         dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 3), workers=2)

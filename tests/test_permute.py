@@ -1,13 +1,18 @@
 """Permutation scheme and stream-derivation tests."""
 
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import diproperm as dp
 from diproperm import derive_stream, permute_labels
 from diproperm.errors import InfeasibleBalanceError, SingleClassError, ValidationError
-from diproperm.permute import PermutationPlan, half_split_fits
+from diproperm.permute import PermutationPlan, _seed_words, half_split_fits, relabel_block
 
 
 def counts(y):
@@ -21,10 +26,12 @@ def test_plan_validation():
     with pytest.raises(Exception):
         PermutationPlan("balanced", 0, 0)
     PermutationPlan("balanced", np.int64(100), np.uint64(2**64 - 1))
+    PermutationPlan("balanced", 2**32 - 1, 0)
     # a float is refused even when integral: range() would fail on it later;
     # so is a bool, which Python counts as an int
     for B, seed, name in ((100.0, 0, "B"), (100.5, 0, "B"), (100, 0.5, "seed"),
-                          (100, 2**64, "seed"), (True, 0, "B"), (20, True, "seed")):
+                          (100, 2**64, "seed"), (True, 0, "B"), (20, True, "seed"),
+                          (2**32, 0, "B")):  # a spawn key of two words
         with pytest.raises(ValidationError, match=name):
             PermutationPlan("balanced", B, seed)
 
@@ -163,3 +170,58 @@ def test_exhaustive_count_preservation_small_n():
             if (y == -1).sum() >= 2 and (y == 1).sum() >= 2:
                 out = permute_labels(y, "balanced", derive_stream(6, rng_index))
                 assert counts(out) == counts(y)
+
+
+def test_seed_words_match_seed_sequence():
+    # the block's vectorized hash gives numpy's own SeedSequence words
+    indices = [*range(1, 3001), 2**32 - 1]
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 - 1):
+        words = _seed_words(seed, indices)
+        assert words.dtype == np.uint64 and words.shape == (len(indices), 4)
+        for b, row in zip(indices, words):
+            ref = np.random.SeedSequence(seed, spawn_key=(b,)).generate_state(4, np.uint64)
+            assert np.array_equal(row, ref), (seed, b)
+
+
+@pytest.mark.parametrize("labels, scheme, seed, indices", [
+    (np.repeat([-1, 1], [6, 7]), "balanced", 2, range(0, 300)),  # even n-
+    (np.repeat([1, -1], [8, 7]), "balanced", 3, range(0, 300)),  # odd n-
+    (dp.mushrooms50().labels, "balanced", 5, range(0, 300)),  # 38/12: composition-matched
+    (np.array([1, -1, -1, 1, 1, -1, 1, 1, 1]), "unbalanced", 4, range(0, 300)),
+    (np.repeat([-1, 1], [9, 12]), "balanced", 2**64 - 1, range(350, 1050)),  # mid-run
+], ids=["even", "odd", "composition-matched", "unbalanced", "mid-run"])
+def test_block_rows_match_permute_labels(labels, scheme, seed, indices):
+    block = relabel_block(labels, scheme, seed, indices)
+    assert block.dtype == np.int64 and block.shape == (len(indices), labels.size)
+    for row, b in zip(block, indices):
+        ref = permute_labels(labels, scheme, derive_stream(seed, b)) if b else labels
+        assert np.array_equal(row, ref), b
+
+
+@pytest.mark.parametrize("ds, scheme, seed, digest", [
+    (dp.mushrooms50(), "balanced", 5,
+     "2bf10947d3aa2c07730c34a5d64258056457c2d96f155e1b4722ad6d01e7e358"),
+    (dp.synthetic_blobs(31, 3, seed=2), "unbalanced", 7,
+     "790f37c9f4488e76d3cf512e812d056758a04371734fe00ae67e7549512747ac"),
+], ids=["mushrooms50-balanced", "blobs31-unbalanced"])
+def test_run_labels_are_golden(ds, scheme, seed, digest):
+    # the (B + 1) x n label stack of a run, recorded before the block
+    # relabeler existed: a numpy that draws differently fails here by name
+    result = dp.diproperm(ds, PermutationPlan(scheme, 100, seed), classifier="md",
+                          retain_all=True, workers=1)
+    stack = np.ascontiguousarray(result.kept_scores.labels, dtype="<i8")
+    assert stack.shape == (101, ds.n_samples)
+    assert hashlib.sha256(stack.tobytes()).hexdigest() == digest
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random costs ~15 ms to import; the block relabeler loads it on
+    # first use, not on import (numpy < 2 imports it with numpy itself)
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+            "import diproperm; print(before, 'numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dp.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout.split()
+    if out[0] == "True":
+        pytest.skip("this numpy imports numpy.random with numpy")
+    assert out == ["False", "False"]
