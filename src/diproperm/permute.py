@@ -190,11 +190,11 @@ def relabel_block(labels, scheme: str, seed: int, indices) -> np.ndarray:
     seeded from _seed_words, which hashes all the rows' seeds at once.
     """
     y, draw = _relabeler(labels, scheme)
-    generator, pcg64, seed_words = np.random.Generator, np.random.PCG64, _seed_words_type()
+    seed_words = _seed_words_type()
     out = np.empty((len(indices), y.size), dtype=np.int64)
     for row, b, words in zip(out, indices, _seed_words(seed, indices)):
         if b:
-            draw(generator(pcg64(seed_words(words))), row)
+            draw(np.random.Generator(np.random.PCG64(seed_words(words))), row)
         else:
             row[:] = y
     return out
