@@ -7,19 +7,21 @@ unit ball ||w|| <= 1, where
     V_C(u) = 2 sqrt(C) - C u   for u <  1/sqrt(C)
 
 is the slack-eliminated margin loss: convex, strictly decreasing, and
-continuously differentiable at the knot.  The default C comes from the
-between-class distances, read off K = X Xᵀ: only the few pairs whose
-rounding interval can reach the median are recomputed from X, so the
-median is the one the n- x n+ x p difference tensor gives, bit for bit,
-in O(n² + np) memory.  K = Z Zᵀ is factored once per run (pivoted
-Cholesky to the rank r of X; relabeling only flips signs); with
-w = Xᵀ P a, X w = Z a and ||w|| = ||a||, so a fit has r + 1 <= n + 1
-unknowns (a, beta) whatever p.  The solver is semismooth Newton on them
-(V_C'' = 2/u³ above the knot, 0 below): the bordered KKT system on the
-sphere ||a|| = 1 while its multiplier is positive, else the plain Newton
-system, either shifted on the diagonal by min(res, res²) for the KKT
-residual res (Levenberg-Marquardt with mu = ||F||² near the optimum;
-Yamashita & Fukushima 2001), then an Armijo step rescaled into the ball.
+continuously differentiable at the knot.  The intercept is free, so only
+Xc w matters, for Xc = X less its column means.  The default C comes from
+the between-class distances, read off K = Xc Xcᵀ: only the few pairs
+whose rounding interval can reach the median are recomputed from X, so
+the median is the one the n- x n+ x p difference tensor gives, bit for
+bit, in O(n² + np) memory.  K = Z Zᵀ is factored once per run (pivoted
+Cholesky to the rank r <= min(n - 1, p) of Xc; relabeling only flips
+signs); with w = Xcᵀ P a, Xc w = Z a and ||w|| = ||a||, so a fit has
+r + 1 <= n unknowns (a, beta) whatever p and wherever the data sits.
+The solver is semismooth Newton on them (V_C'' = 2/u³ above the knot, 0
+below): the bordered KKT system on the sphere ||a|| = 1 while its
+multiplier is positive, else the plain Newton system, either shifted on
+the diagonal by min(res, res²) for the KKT residual res
+(Levenberg-Marquardt with mu = ||F||² near the optimum; Yamashita &
+Fukushima 2001), then an Armijo step rescaled into the ball.
 A bordered system whose Hessian has k < r/2 active samples (above the
 knot; at a p >> n optimum most samples are not) is solved through a
 k x k one by Sherman-Morrison-Woodbury.  A fit stops when the KKT
@@ -163,28 +165,35 @@ def md_direction(ds: LabeledDataset) -> Direction:
     return next(_md_batch(ds.features, ds.labels[None, :], [True]))[0]
 
 
-def _check_scale(X: np.ndarray, d: np.ndarray) -> None:  # d = diag(X Xᵀ)
+def _check_scale(X: np.ndarray, d: np.ndarray) -> None:  # d = diag(Xc Xcᵀ)
     if not math.isfinite(8.0 * float(d.max())):
         raise DegenerateScaleError(f"X Xᵀ is too large for float64: the data's largest "
                                    f"magnitude is {np.abs(X).max():.3g}; rescale the features")
 
 
-def _gram(X: np.ndarray) -> np.ndarray:
-    """K = X Xᵀ, refused unless 8 max K_ii is finite (data below ~1e153):
+def _gram(X: np.ndarray):
+    """(center, K): X's column means and K = Xc Xcᵀ for Xc = X - center (not
+    kept), refused unless 8 max K_ii is finite (spread below ~1e153):
     _penalty's rounding bounds reach 6 max K_ii, and |K_ij| <= max K_ii."""
     with np.errstate(over="ignore", invalid="ignore"):
-        K = X @ X.T
+        center = X.mean(axis=0)
+        Xc = X - center
+        K = Xc @ Xc.T
     _check_scale(X, K.diagonal())
-    return K
+    return center, K
 
 
 def _penalty(X: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:
-    """penalty_parameter from K = X Xᵀ, in O(n² + np) memory.
+    """penalty_parameter from K = Xc Xcᵀ (_gram), in O(n² + np) memory.
 
     A between-class distance² is K_ii + K_jj - 2 K_ij up to a rounding
     bound; a pair whose interval cannot reach the middle order statistics
-    stands in as 0 or inf, the others are recomputed from their rows as
-    the n- x n+ x p difference tensor would, so the median is its bits.
+    stands in as 0 or inf, the others are recomputed from their rows of X
+    as the n- x n+ x p difference tensor would, so the median is its bits.
+    The bound 8 (p + 4) u (K_ii + K_jj + |d²|), u = 2⁻⁵³, covers the p-term
+    sums of K (~2 p u (K_ii + K_jj)) and of the tensor (~(p + 2) u d²), and
+    Xc = X - center: translated rows keep their differences, and rounding
+    each entry of Xc moves d² by at most 4 u (K_ii + K_jj).
     """
     neg, pos = np.flatnonzero(y == -1), np.flatnonzero(y == 1)
     d = K.diagonal()
@@ -219,11 +228,11 @@ def penalty_parameter(ds: LabeledDataset) -> float:
     """Scale-adaptive DWD penalty: C = 100 / median between-class distance^2.
 
     Exact: the median is the one the n- x n+ x p tensor of class
-    differences gives, bit for bit, taken from the n x n Gram matrix
-    X Xᵀ with only the pairs near the middle recomputed from X, so memory
-    is O(n² + np).
+    differences gives, bit for bit, taken from the n x n Gram matrix of
+    the centered X with only the pairs near the middle recomputed from X,
+    so memory is O(n² + np).
     """
-    return _penalty(ds.features, ds.labels, _gram(ds.features))
+    return _penalty(ds.features, ds.labels, _gram(ds.features)[1])
 
 
 def _loss(u: np.ndarray, C: float, grad: bool):
@@ -246,23 +255,25 @@ def dwd_loss_grad(u, C: float):
     return _loss(np.asarray(u, dtype=np.float64), C, True)[1]
 
 
-def _factor(X: np.ndarray, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K = X Xᵀ = Z Zᵀ by Cholesky with diagonal pivoting, stopped at the
-    numerical rank r <= min(n, p): Z is n x r, and P (n x r, nonzero on
-    the r pivot rows) makes w = Xᵀ P a satisfy X w = Z a and ||w|| = ||a||.
-    Shared by every DWD fit on X whatever its labels."""
-    d, Z, piv = K.diagonal().copy(), np.zeros((len(X), min(X.shape))), []
+def _factor(center: np.ndarray, K: np.ndarray):
+    """K = Xc Xcᵀ = Z Zᵀ, for Xc = X - center, by Cholesky with diagonal
+    pivoting, stopped at the numerical rank r <= min(n - 1, p): Z is
+    n x r, and P (n x r, nonzero on the r pivot rows) makes w = Xcᵀ P a
+    satisfy Xc w = Z a and ||w|| = ||a||.  Returns (center, Z, P),
+    shared by every DWD fit on X whatever its labels."""
+    d, Z = K.diagonal().copy(), np.zeros((len(K), min(len(K) - 1, len(center))))
+    piv, r = np.empty(Z.shape[1], dtype=np.intp), 0
     floor = len(K) * np.finfo(np.float64).eps * d.max()
-    while len(piv) < Z.shape[1] and d.max() > floor:
-        i, j = int(np.argmax(d)), len(piv)
-        Z[:, j] = (K[:, i] - Z[:, :j] @ Z[i, :j]) / math.sqrt(d[i])
-        d -= Z[:, j] * Z[:, j]
-        piv.append(i)
-        d[piv] = 0.0
-    Z = Z[:, :len(piv)].copy()  # C order, as in any process it is sent to
+    while r < Z.shape[1] and d[i := d.argmax()] > floor:
+        # the row K[i] is the column K[:, i] bit for bit: K is symmetric
+        Z[:, r] = (K[i] - Z[:, :r] @ Z[i, :r]) / math.sqrt(d[i])
+        d -= Z[:, r] * Z[:, r]
+        piv[r], r = i, r + 1
+        d[piv[:r]] = 0.0
+    Z, piv = Z[:, :r].copy(), piv[:r]  # C order, as in any process it is sent to
     P = np.zeros_like(Z)
     P[piv] = np.linalg.inv(Z[piv]).T
-    return Z, P
+    return center, Z, P
 
 
 def _check_stopping(tol, max_iter) -> None:
@@ -274,8 +285,8 @@ def _check_stopping(tol, max_iter) -> None:
 
 
 # A bordered step with k active samples goes through _active_step when
-# k < _FEW_ACTIVE * r: on 60 x 5000 blobs (r = 60) every step of a B=100
-# run qualifies, on mushrooms50 (r = 25) none does.
+# k < _FEW_ACTIVE * r: on 60 x 5000 blobs (r = 59) every step of a B=100
+# run qualifies, on mushrooms50 (r = 24) none does.
 _FEW_ACTIVE = 0.5
 
 
@@ -325,7 +336,7 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, form_w, C: float,
                tol: float, max_iter: int):
     """DWD fits of X to each row of the label stack Y (m x n), in lockstep.
 
-    `factors` is _factor(X, X Xᵀ).  Yields (direction, DwdModel, scores
+    `factors` is _factor(*_gram(X)).  Yields (direction, DwdModel, scores
     on X) of each row in row order, raising that row's ZeroDirectionError
     or NonConvergedError when its turn comes; each row's are
     bit-identical to a one-row batch's.  The scores come from the row
@@ -336,11 +347,11 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, form_w, C: float,
         raise DegenerateScaleError(f"penalty C must be positive and finite, got {C!r}")
     _check_stopping(tol, max_iter)
 
-    Z, P = factors
+    center, Z, P = factors
     n, r = Z.shape
     root_c = math.sqrt(C)
-    # Iterate on x = (a, b), w = Xᵀ P a, beta = b / sqrt(C): the margins
-    # are y Z1 x / sqrt(C) for Z1 = [sqrt(C) Z, 1], and since
+    # Iterate on x = (a, b), w = Xcᵀ P a, beta = b / sqrt(C) - center w:
+    # the margins are y Z1 x / sqrt(C) for Z1 = [sqrt(C) Z, 1], and since
     # V_C(u) = sqrt(C) V_1(sqrt(C) u) the problem is the C = 1 one on Z1
     # over ||a|| <= 1, which no rescaling of X changes.
     Z1 = np.hstack([root_c * Z, np.ones((n, 1))])
@@ -478,9 +489,9 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, form_w, C: float,
         row_scores.setflags(write=False)
         direction = None
         if form_w[i] or not res <= tol:
-            w = X.T @ (P @ x[:r])
+            w = (X - center).T @ (P @ x[:r])
             nw = float(np.linalg.norm(w))
-            direction = Direction(sign * w / nw, sign * (x[r] / root_c) / nw)
+            direction = Direction(sign * w / nw, sign * (x[r] / root_c - center @ w) / nw)
             direction._fit = X, row_scores
         model = DwdModel(direction, C, int(iters[i]), root_c * float(f), float(res),
                          training_error=float(errors[i] / n))
@@ -498,10 +509,9 @@ def dwd_direction(ds: LabeledDataset, C: float | None = None,
     if the KKT residual does not reach `tol` within max_iter iterations.
     """
     X = ds.features
-    K = _gram(X)
-    if C is None:
-        C = _penalty(X, ds.labels, K)
-    return next(_dwd_batch(X, ds.labels[None, :], _factor(X, K), [True], C, tol, max_iter))[1]
+    center, K = _gram(X)
+    C = _penalty(X, ds.labels, K) if C is None else C
+    return next(_dwd_batch(X, ds.labels[None, :], _factor(center, K), [True], C, tol, max_iter))[1]
 
 
 def loadings_of(direction: Direction, loadnum: int | None = None,

@@ -292,9 +292,11 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
               dwd_max_iter: int = DEFAULT_MAX_ITER) -> DppResult:
     """Run the full test and assemble a DppResult.
 
-    The DWD penalty C and the factor of X Xᵀ are computed once, from
-    one Gram matrix of the observed data, and reused for every
-    permutation re-fit; an md run forms neither.  `workers` is an upper
+    The DWD penalty C and the factor are computed once, from one Gram
+    matrix of the observed data less its column means, and reused for
+    every permutation re-fit (DWD's intercept is free, so a translation
+    of X moves p and the statistics only by rounding, however far from
+    the origin); an md run forms neither.  `workers` is an upper
     bound (default: the usable cores, per the CPU affinity mask): the
     fits 0..B are split into max(1, min(workers, B // _MIN_BLOCK))
     contiguous blocks, so blocks of fewer than _MIN_BLOCK re-fits are not
@@ -328,8 +330,8 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
         )
     X, C, factors = ds.features, None, None
     if classifier == "dwd":  # both from the run's one Gram matrix
-        K = _gram(X)
-        C, factors = _penalty(X, ds.labels, K), _factor(X, K)
+        center, K = _gram(X)
+        C, factors = _penalty(X, ds.labels, K), _factor(center, K)
     state = (X, ds.labels, config, C, factors)
 
     # contiguous blocks of indices 0..B in index order, each worth a

@@ -83,7 +83,8 @@ def mushrooms():
 # control, so a batched row can be compared with it bit for bit.
 
 def reference_dwd(X, y, C, tol, max_iter=5000):
-    """Newton's method on the coefficients (a, b) of a factor K = Z Zᵀ:
+    """Newton's method on the coefficients (a, b) of a factor
+    K = Xc Xcᵀ = Z Zᵀ of the centered X:
     bordered KKT steps on the sphere ||a|| = 1 while its multiplier is
     positive, plain Newton steps otherwise, both shifted on the diagonal
     by min(res, res²) for the KKT residual res, an Armijo step rescaled into
@@ -94,10 +95,12 @@ def reference_dwd(X, y, C, tol, max_iter=5000):
     trace, whether the residual reached tol, ||w|| at the solution (1 on
     the sphere; w and beta are the solution's divided by it), and the
     number of steps that took the k x k form."""
-    K = X @ X.T  # = Z Zᵀ, by Cholesky with diagonal pivoting to the rank r
+    center = X.mean(axis=0)  # the intercept is free: factor the centered X
+    Xc = X - center
+    K = Xc @ Xc.T  # = Z Zᵀ, by Cholesky with diagonal pivoting to the rank r
     n, d, piv = len(K), K.diagonal().copy(), []
     Z = np.zeros((n, n))
-    for j in range(n):
+    for j in range(min(n - 1, X.shape[1])):  # the rank of Xc
         i = int(np.argmax(d))
         if d[i] <= n * np.finfo(np.float64).eps * K.diagonal().max():
             break
@@ -108,7 +111,7 @@ def reference_dwd(X, y, C, tol, max_iter=5000):
     r = len(piv)
     Z = Z[:, :r].copy()
     P = np.zeros((n, r))
-    P[piv] = np.linalg.inv(Z[piv]).T  # w = Xᵀ P a: X w = Z a, ||w|| = ||a||
+    P[piv] = np.linalg.inv(Z[piv]).T  # w = Xcᵀ P a: Xc w = Z a, ||w|| = ||a||
     root_c = math.sqrt(C)
     Z1 = np.hstack([root_c * Z, np.ones((n, 1))])
     Z2 = np.hstack([Z1, np.zeros((n, 1))])
@@ -198,9 +201,10 @@ def reference_dwd(X, y, C, tol, max_iter=5000):
         x, (f, g, curv, lam, na, res) = x_t, new
         iterations += 1
         trace.append(root_c * f)
-    w = X.T @ (P @ x[:r])
+    w = Xc.T @ (P @ x[:r])
     nw = float(np.linalg.norm(w))
     mean_pos, mean_neg = class_means(Z1 @ x)
     sign = -1.0 if mean_pos < mean_neg else 1.0
-    return (sign * w / nw, sign * (x[r] / root_c) / nw, iterations, root_c * f,
+    beta = x[r] / root_c - center @ w  # Xc w + b / sqrt(C) = X w + beta
+    return (sign * w / nw, sign * beta / nw, iterations, root_c * f,
             res, tuple(trace), res <= tol, nw, active)

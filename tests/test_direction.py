@@ -188,8 +188,12 @@ def test_penalty_parameter_matches_tensor_formula_in_small_memory(mushrooms):
         mushrooms, make_blobs(n=15, p=3, seed=1), hdlss,
         # every distance nine times: ties at the median
         dp.LabeledDataset(np.repeat(blobs.features, 3, axis=0), np.repeat(blobs.labels, 3)),
-        # a common offset: K's entries ~1e9, the distances² ~1e2
+        # a common offset: X Xᵀ's entries ~1e9, the distances² ~1e2; the
+        # centered Gram is read off X - center, whose rounding the bound covers
         dp.LabeledDataset(blobs.features + 1e4, blobs.labels),
+        dp.LabeledDataset(mushrooms.features + 1e3, mushrooms.labels),
+        dp.LabeledDataset(mushrooms.features + 1e6, mushrooms.labels),
+        dp.LabeledDataset(hdlss.features + 1e6, hdlss.labels),
         # n- n+ = 15 (odd) and 16 (even); p = 1
         dp.LabeledDataset(make_blobs(n=8, p=4, seed=2).features, [-1] * 3 + [1] * 5),
         make_blobs(n=8, p=4, seed=2),
@@ -366,7 +370,7 @@ def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms):
             dp.permute_labels(ds.labels, "unbalanced", dp.derive_stream(seed, b))
             for b in range(1, 16)] + alone)
         form_w = np.arange(len(Y)) % 2 == 0  # w for every other row
-        batch = list(_dwd_batch(X, Y, _factor(X, X @ X.T), form_w, C, DEFAULT_TOL, 5000))
+        batch = list(_dwd_batch(X, Y, _factor(*_gram(X)), form_w, C, DEFAULT_TOL, 5000))
         iterations = [m.iterations for _, m, _ in batch]
         assert max(iterations) >= 2 * min(iterations)
         for y, asked, (_, m, scores) in zip(Y, form_w, batch):
@@ -515,12 +519,13 @@ def test_no_fit_forms_an_n_by_n_array_it_does_not_need():
         finally:
             tracemalloc.stop()
 
-    K = _gram(X)
+    center, K = _gram(X)
     C, peak = traced(lambda: _penalty(X, y, K))
     assert peak < 3.5 * 8 * 1500 * 1500  # 58.5 MB on numpy 2.4.6
-    (Z, P), peak = traced(lambda: _factor(X, K))
+    (_, Z, P), peak = traced(lambda: _factor(center, K))
     assert Z.shape[1] <= X.shape[1] and peak < n_by_n / 2
-    _, peak = traced(lambda: next(_dwd_batch(X, y[None], (Z, P), [True], C, DEFAULT_TOL, 5000)))
+    _, peak = traced(lambda: next(_dwd_batch(X, y[None], (center, Z, P), [True], C,
+                                             DEFAULT_TOL, 5000)))
     assert peak < n_by_n / 2
 
 
@@ -544,7 +549,7 @@ def test_dwd_batch_failures_in_row_order():
     raised = []
     for Y, error in (((fast, slow, no_w), NonConvergedError),
                      ((fast, no_w, slow), ZeroDirectionError)):
-        rows = _dwd_batch(X, np.array(Y), _factor(X, X @ X.T), np.array([True, False, False]),
+        rows = _dwd_batch(X, np.array(Y), _factor(*_gram(X)), np.array([True, False, False]),
                           1.0, DEFAULT_TOL, 3)
         assert np.array_equal(next(rows)[0].w, single(fast).direction.w)
         with pytest.raises(error) as exc:

@@ -273,6 +273,27 @@ def test_exhaustive_balanced_point_mass():
     assert np.allclose(r.perm_statistics, 10.0 / 3.0)
     assert r.p_value == 0.0
     assert math.isnan(r.z_score)  # a constant null has no z-score
+    # DWD's w lies in the row space of the centered X, which is the first
+    # axis alone wherever the points sit, so every relabeling gives one
+    # statistic too
+    for shift in (0.0, 0.1, 1 / 3, 1e3):
+        stats = run_small(dp.LabeledDataset(X + shift, ds.labels), scheme="balanced",
+                          B=50, seed=3, classifier="dwd").perm_statistics
+        assert stats.max() - stats.min() <= 1e-12 * stats.max()
+
+
+def test_dwd_answers_do_not_depend_on_where_the_data_sits(mushrooms):
+    # DWD's intercept is free and its factor is of the centered X, so a
+    # translation by 1e6 leaves p and the statistics as they were, up to
+    # rounding; a factor of the uncentered X did not converge there
+    plan = dp.PermutationPlan("balanced", 100, 5)
+    for ds in (dp.synthetic_blobs(200, 10, seed=3), mushrooms,
+               dp.synthetic_blobs(60, 5000, seed=0)):
+        near, far = (dp.diproperm(dp.LabeledDataset(ds.features + shift, ds.labels), plan,
+                                  workers=1) for shift in (0.0, 1e6))
+        assert far.p_value == near.p_value
+        assert far.observed_statistic == pytest.approx(near.observed_statistic, rel=1e-9, abs=0)
+        assert np.allclose(far.perm_statistics, near.perm_statistics, rtol=1e-9, atol=0)
 
 
 def test_constant_null_gives_undefined_z(monkeypatch):
@@ -678,11 +699,12 @@ def test_dwd_run_memory_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the peak, 3.03 MB on numpy 2.4.6, is set inside the lockstep DWD
-    # batch: its 201 rows' solver state and one ~0.5 MB chunk of stacked
-    # Newton systems (the penalty alone peaks at 0.31 MB).  The bound is the
-    # one-fit-at-a-time engine's 4.81 MB plus 0.5 MB: 200 held w's would
-    # add 8 MB
+    # the peak, 3.62 MB on numpy 2.4.6, is set when the observed fit forms
+    # its w from X less its column means (2.4 MB, not kept) beside the
+    # batch's 201 rows of solver state; the Newton steps peak at 2.83 MB
+    # (state and one ~0.5 MB chunk of stacked systems), the centered Gram
+    # at 2.47 MB.  The bound is the one-fit-at-a-time engine's 4.81 MB plus
+    # 0.5 MB: 200 held w's would add 8 MB
     assert peak <= 4.81e6 + 0.5e6
 
 

@@ -59,7 +59,7 @@ def test_project_gives_a_dwd_fit_its_own_scores():
     ds = dp.synthetic_blobs(60, 5000, seed=0)
     X, C = ds.features, dp.penalty_parameter(ds)
     d = dp.dwd_direction(ds, C=C).direction
-    _, _, scores = next(_dwd_batch(X, ds.labels[None], _factor(X, _gram(X)),
+    _, _, scores = next(_dwd_batch(X, ds.labels[None], _factor(*_gram(X)),
                                    np.zeros(1, dtype=bool), C, DEFAULT_TOL, DEFAULT_MAX_ITER))
     run = dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 0), workers=1)
     assert dp.LabeledDataset(X, ds.labels[::-1]).features is X
