@@ -40,9 +40,10 @@ each of which gives a row the bits of its single operation; the k x k
 systems are padded to a size k alone sets.  md fits batch the same
 way.  A single fit, of either rule, is a batch of one.  Memory is
 O(n² + np + mn), O(np + mn) for md: the Newton systems are built a chunk
-of rows at a time (~512 kB of stacked matrices).  A DWD row's scores on X come
-from the row space, X w + beta = sign Z1 x / (sqrt(C) ||a||), so only a
-row that asks for w (or fails) pays the O(np) product that forms it.
+of rows at a time (~2 MB of stacked matrices, _CHUNK_BYTES).  A DWD row's
+scores on X come from the row space, X w + beta = sign Z1 x / (sqrt(C)
+||a||), so only a row that asks for w (or fails) pays the O(np) product
+that forms it.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ from .errors import (
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 5000
+# Stacked per-row arrays are built this many bytes of rows at a time, so a
+# batch's solver memory does not grow with the batch: at 2 MB a B=100
+# block's Newton round is one call per step kind and size class
+_CHUNK_BYTES = 1 << 21
 
 
 @dataclass(eq=False)
@@ -125,8 +130,8 @@ def _md_batch(X: np.ndarray, Y: np.ndarray, form_w):
     difference c Xc for c = y / (size of y's class) and Xc = X less its
     column means (exact far from the origin), normalized; its scores are
     Xc w less their class means' midpoint.  Stacked np.matmul and
-    last-axis sums give each row a one-row batch's bits; rows go ~512 kB
-    of stacked arrays at a time."""
+    last-axis sums give each row a one-row batch's bits; rows go
+    ~_CHUNK_BYTES of stacked arrays at a time."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         center = X.mean(axis=0)
         Xc = X - center
@@ -135,7 +140,7 @@ def _md_batch(X: np.ndarray, Y: np.ndarray, form_w):
     small = 1e-12 * math.sqrt(d.max())  # relative to the data's scale
     pos = Y == 1
     n_pos, n_neg = pos.sum(axis=1), (~pos).sum(axis=1)
-    step = max(1, (1 << 19) // (8 * (len(X) + X.shape[1])))
+    step = max(1, _CHUNK_BYTES // (8 * (len(X) + X.shape[1])))
     for k in range(0, len(Y), step):
         rows, p = slice(k, k + step), pos[k:k + step]
         c = Y[rows] / np.where(p, n_pos[rows, None], n_neg[rows, None])
@@ -284,6 +289,14 @@ def _check_stopping(tol, max_iter) -> None:
         raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
 
+def _chunks(step, budget, *rows):
+    """step(*chunk) over ~_CHUNK_BYTES of `rows` at a time, `budget`
+    float64 entries a row, concatenated."""
+    size = max(1, _CHUNK_BYTES // (8 * budget))
+    return np.concatenate([step(*(v[k:k + size] for v in rows))
+                           for k in range(0, len(rows[0]), size)])
+
+
 # A bordered step with k active samples goes through _active_step when
 # k < _FEW_ACTIVE * r: on 60 x 5000 blobs (r = 59) every step of a B=100
 # run qualifies, on mushrooms50 (r = 24) none does.
@@ -298,34 +311,36 @@ def _active_step(Za, Ga, x, G, curv, lam, mu, size):
     rows of Z1[:, :r] (k x r) and D their curvatures, so N⁻¹V =
     (V - Uᵀ T⁻¹ U V) / s for the k x k T = s D⁻¹ + U Uᵀ.  One solve takes
     V = [-g_a, h_ab, a] (h_ab = Uᵀ c, the a-b block); a 2 x 2 system in
-    d_b and the ball multiplier nu is left, and d_a = Y0 - Y1 d_b - Y2 nu
-    for Y = N⁻¹V.  Za is Z1[:, :r] with a zero row n below, Ga = Za Zaᵀ.
-    Every row's k is padded to `size` with index n (a zero row of U, zero
-    curvature, identity in T), so its bits depend on its own k alone.
+    d_b and the ball multiplier nu is left, solved in closed form, and
+    d_a = Y0 - Y1 d_b - Y2 nu for Y = N⁻¹V.  Za is Z1[:, :r] with a zero
+    row n below, Ga = Za Zaᵀ.  Every row's k is padded to `size` (which
+    may exceed n) with index n (a zero row of U, zero curvature, identity
+    in T), so its bits depend on its own k alone.
     """
     m, n = curv.shape
     r = Za.shape[1]
-    act = curv > 0.0
-    idx = np.full((m, size), n)  # each row's active samples in order, then n
-    rows, cols = np.nonzero(act)
-    idx[rows, np.cumsum(act, axis=1)[rows, cols] - 1] = cols
+    # each row's active samples in order, then n (size may exceed n)
+    idx = np.full((m, size), n)
+    act = np.sort(np.where(curv > 0.0, np.arange(n), n), axis=1)[:, :size]
+    idx[:, :act.shape[1]] = act
     c = np.take_along_axis(np.hstack([curv, np.zeros((m, 1))]), idx, axis=1)
     s = lam + mu
-    U = Za[idx]
+    U = Za.take(idx, axis=0)
     Ut = U.transpose(0, 2, 1)
-    T = Ga[idx[:, :, None], idx[:, None, :]]
+    T = Ga.take(idx[:, :, None] * (n + 1) + idx[:, None, :])  # Ga[idx, idx] of each row
     T.reshape(m, -1)[:, ::size + 1] += s[:, None] / np.where(idx < n, c, s[:, None])
     h, a = np.matmul(Ut, c[:, :, None])[:, :, 0], x[:, :r]
     V = np.stack([-G[:, :r], h, a], axis=2)
     Y = (V - np.matmul(Ut, np.linalg.solve(T, np.matmul(U, V)))) / s[:, None, None]
     Q = np.matmul(np.stack([h, a], axis=1), Y)  # hᵀY, aᵀY
-    # rows b and nu of the bordered system once d_a is eliminated
-    E = np.empty((m, 2, 2))
-    E[:, 0, 0] = c.sum(axis=1) + mu - Q[:, 0, 1]
-    E[:, 0, 1] = -Q[:, 0, 2]
-    E[:, 1] = Q[:, 1, 1:]
-    rhs = np.stack([-G[:, r] - Q[:, 0, 0], Q[:, 1, 0]], axis=1)
-    db, nu = np.linalg.solve(E, rhs[:, :, None])[:, :, 0].T
+    # rows b and nu of the bordered system once d_a is eliminated,
+    # [[e, -q], [p, g]] (d_b, nu) = (f0, f1), by Cramer's rule: e (a Schur
+    # complement) and g = aᵀN⁻¹a are positive and q = p up to rounding, so
+    # the determinant e g + q p does not cancel
+    e, q, p, g = c.sum(axis=1) + mu - Q[:, 0, 1], Q[:, 0, 2], Q[:, 1, 1], Q[:, 1, 2]
+    f0, f1 = -G[:, r] - Q[:, 0, 0], Q[:, 1, 0]
+    det = e * g + q * p
+    db, nu = (f0 * g + q * f1) / det, (e * f1 - p * f0) / det
     D = np.empty_like(x)
     D[:, :r] = Y[:, :, 0] - Y[:, :, 1] * db[:, None] - Y[:, :, 2] * nu[:, None]
     D[:, r] = db
@@ -359,13 +374,6 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, form_w, C: float,
     Za = np.vstack([Z1[:, :r], np.zeros((1, r))])  # _active_step's gathers
     gram_a = cache(lambda: Za @ Za.T)  # (n + 1)², formed by the first active-sample step
     Yf = Y.astype(np.float64)
-
-    def chunks(step, budget, *rows):
-        # step on ~512 kB of stacked matrices at a time, `budget` entries
-        # a row, so solver memory does not grow with the batch
-        size = max(1, (1 << 19) // (8 * budget))
-        return np.concatenate([step(*(v[k:k + size] for v in rows))
-                               for k in range(0, len(rows[0]), size)])
 
     def scores(x):  # Z1 x of each row
         return np.matmul(Z1, x[:, :, None])[:, :, 0]
@@ -404,22 +412,22 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, form_w, C: float,
         # along a direction of zero curvature (linear loss).  A row on the
         # sphere with few active samples solves its bordered system
         # through a k x k one (_active_step), padded to the next power of
-        # two >= 4 so that rows group by a size their own k sets.
+        # two >= 16 so that rows group by a size their own k sets.
         mu = np.minimum(res, res * res)
         on = (na > 1.0 - 1e-9) & (lam > 0.0)
         k = (curv > 0.0).sum(axis=1)
         few = on & (k < _FEW_ACTIVE * r)
         dense_budget = (r + 2) * (n + r + 2)
         if not few.any():
-            return chunks(dense, dense_budget, x, G, curv, lam, mu, on)
+            return _chunks(dense, dense_budget, x, G, curv, lam, mu, on)
         D = np.empty_like(x)
         if not few.all():
-            D[~few] = chunks(dense, dense_budget, *(v[~few] for v in (x, G, curv, lam, mu, on)))
-        size = np.maximum(4, 1 << np.frexp(k - 1.0)[1])  # next power of two >= k
+            D[~few] = _chunks(dense, dense_budget, *(v[~few] for v in (x, G, curv, lam, mu, on)))
+        size = np.maximum(16, 1 << np.frexp(k - 1.0)[1])  # next power of two >= k
         for kb in np.unique(size[few]):
             rows = few & (size == kb)
-            D[rows] = chunks(partial(_active_step, Za, gram_a(), size=kb), kb * (r + kb),
-                             *(v[rows] for v in (x, G, curv, lam, mu)))
+            D[rows] = _chunks(partial(_active_step, Za, gram_a(), size=kb), kb * (r + kb),
+                              *(v[rows] for v in (x, G, curv, lam, mu)))
         return D
 
     # warm start from the mean-difference rule when it exists: a = Zᵀc /

@@ -90,7 +90,8 @@ def reference_dwd(X, y, C, tol, max_iter=5000):
     by min(res, res²) for the KKT residual res, an Armijo step rescaled into
     the ball, stopping on the KKT residual.  A bordered step with k < r/2
     active samples (V_1'' > 0) goes through a k x k system padded to the
-    next power of two >= 4 (Sherman-Morrison-Woodbury).  Returns the
+    next power of two >= 16 (Sherman-Morrison-Woodbury), its last 2 x 2
+    system solved by Cramer's rule.  Returns the
     oriented unit w, beta, iterations, objective, KKT residual, objective
     trace, whether the residual reached tol, ||w|| at the solution (1 on
     the sphere; w and beta are the solution's divided by it), and the
@@ -136,7 +137,7 @@ def reference_dwd(X, y, C, tol, max_iter=5000):
 
     def active_step(x, g, curv, lam, mu):  # N = s I + Uᵀ D U by Woodbury
         act = np.flatnonzero(curv > 0.0)
-        size = 4
+        size = 16
         while size < len(act):
             size *= 2
         idx = np.r_[act, np.full(size - len(act), n)]
@@ -148,8 +149,11 @@ def reference_dwd(X, y, C, tol, max_iter=5000):
         V = np.stack([-g[:r], h, x[:r]], axis=1)
         Y = (V - U.T @ np.linalg.solve(T, U @ V)) / s
         Q = np.stack([h, x[:r]]) @ Y
-        E = np.array([[c.sum() + mu - Q[0, 1], -Q[0, 2]], [Q[1, 1], Q[1, 2]]])
-        db, nu = np.linalg.solve(E, np.array([[-g[r] - Q[0, 0]], [Q[1, 0]]]))[:, 0]
+        # [[e, -q], [p, gg]] (db, nu) = (f0, f1) by Cramer's rule
+        e, q, p, gg = c.sum() + mu - Q[0, 1], Q[0, 2], Q[1, 1], Q[1, 2]
+        f0, f1 = -g[r] - Q[0, 0], Q[1, 0]
+        det = e * gg + q * p
+        db, nu = (f0 * gg + q * f1) / det, (e * f1 - p * f0) / det
         return np.r_[Y[:, 0] - Y[:, 1] * db - Y[:, 2] * nu, db]
 
     pos = y == 1

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import diproperm as dp
+import diproperm.direction as direction
 from diproperm.errors import (
     DegenerateScaleError,
     NonConvergedError,
@@ -114,10 +115,10 @@ def test_md_matches_its_closed_form(case, mushrooms):
 
 
 def test_md_batch_rows_match_single_fits_bit_for_bit():
-    # rows of an md batch, in and across its ~512 kB chunks (31 rows
+    # rows of an md batch, in and across its ~2 MB chunks (32 rows
     # here), have the bits of one-row batches, as md_direction and project
     # give them; only the rows that ask form a Direction
-    ds = dp.synthetic_blobs(60, 2000, seed=0)
+    ds = dp.synthetic_blobs(60, 8000, seed=0)
     X = ds.features
     Y = np.array([ds.labels] + [dp.permute_labels(ds.labels, "unbalanced", dp.derive_stream(0, b))
                                 for b in range(1, 70)])
@@ -411,6 +412,43 @@ def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms):
     assert interior > 0 and active > 0
 
 
+def test_dwd_batch_rows_match_across_chunks(monkeypatch):
+    # a round whose dense steps and whose size-16 active-sample class each
+    # span two or more ~2 MB chunks (35 and 218 rows at n = 60): every row
+    # still has the bits of a one-row batch.  A sample alone against the
+    # rest takes dense steps here, a relabeling active-sample ones; the spy
+    # makes sure that the chunks do split
+    ds = dp.synthetic_blobs(60, 5000, seed=0)
+    X, C = ds.features, dp.penalty_parameter(ds)
+    factors = _factor(*_gram(X))
+    alone = [np.where(np.arange(len(X)) == i, 1, -1) for i in range(len(X))]
+    Y = np.array([ds.labels] + [
+        dp.permute_labels(ds.labels, "unbalanced", dp.derive_stream(7, b))
+        for b in range(1, 300)] + alone)
+    split = set()  # step kinds whose rows went through >= 2 chunks in a round
+    real = direction._chunks
+
+    def spy(step, budget, *rows):
+        calls = []
+
+        def counted(*chunk):
+            calls.append(len(chunk[0]))
+            return step(*chunk)
+        out = real(counted, budget, *rows)
+        if len(calls) >= 2:
+            split.add("active" if isinstance(step, partial) else "dense")
+        return out
+    monkeypatch.setattr(direction, "_chunks", spy)
+    batch = list(_dwd_batch(X, Y, factors, np.zeros(len(Y), dtype=bool), C, DEFAULT_TOL, 5000))
+    monkeypatch.undo()
+    assert split == {"active", "dense"}
+    for y, (_, m, scores) in zip(Y, batch):
+        (_, one, one_scores), = _dwd_batch(X, y[None], factors, [False], C, DEFAULT_TOL, 5000)
+        assert scores.tobytes() == one_scores.tobytes()
+        assert (m.iterations, m.objective, m.kkt_residual) == (
+            one.iterations, one.objective, one.kkt_residual)
+
+
 def test_stacked_kernels_give_each_row_its_single_bits():
     # the premise of batch rows = single fits, on whatever numpy runs this:
     # every stacked kernel the solver calls gives a row of a k-row stack
@@ -456,8 +494,8 @@ def test_stacked_kernels_give_each_row_its_single_bits():
                 (shifted, lambda i: (Z2.T * d[i]) @ Z2 + np.diag(np.r_[np.full(r + 1, shift[i]), 0.0])),
                 (lambda i: (q[i] * mask[i]).sum(axis=1) / mask[i].sum(axis=1),
                  lambda i: float((q[i] * mask[i]).sum()) / int(mask[i].sum())),
-                (lambda i: Za[idx[i]], lambda i: Za[idx[i]]),
-                (lambda i: Ga[idx[i][:, :, None], idx[i][:, None, :]],
+                (lambda i: Za.take(idx[i], axis=0), lambda i: Za[idx[i]]),
+                (lambda i: Ga.take(idx[i][:, :, None] * (n + 1) + idx[i][:, None, :]),
                  lambda i: Ga[np.ix_(idx[i], idx[i])]),
                 (lambda i: np.take_along_axis(q[i], idx[i] % n, axis=1), lambda i: q[i][idx[i] % n]),
                 (lambda i: np.linalg.solve(T[i], W[i]), lambda i: np.linalg.solve(T[i], W[i])),
@@ -479,12 +517,14 @@ def test_stacked_kernels_give_each_row_its_single_bits():
 def test_active_sample_step_solves_the_bordered_system():
     # the k x k Woodbury form of a bordered Newton step against the full
     # (r + 2) x (r + 2) system, on random states on the sphere with lam > 0;
-    # k = 0 and rows padded from k to the group's size among them
+    # k = 0, rows padded from k to the group's size, and, with n = 12
+    # samples, the smallest size padded past n (all samples active too)
+    # among them.  Each row has the bits of a one-row call
     rng = np.random.default_rng(1)
-    n, r = 40, 30
-    Z1 = np.hstack([rng.normal(size=(n, r)), np.ones((n, 1))])
-    Za = np.vstack([Z1[:, :r], np.zeros((1, r))])
-    for size, ks in ((4, (0, 1, 4)), (8, (5, 7, 8)), (16, (9, 14))):
+    for n, r, size, ks in ((40, 30, 16, (0, 1, 4, 9, 16)), (40, 30, 32, (17, 30)),
+                           (12, 8, 16, (0, 1, 3, 6, 12))):
+        Z1 = np.hstack([rng.normal(size=(n, r)), np.ones((n, 1))])
+        Za = np.vstack([Z1[:, :r], np.zeros((1, r))])
         m = len(ks)
         curv = np.zeros((m, n))
         for i, k in enumerate(ks):
@@ -495,12 +535,14 @@ def test_active_sample_step_solves_the_bordered_system():
         lam, mu = rng.uniform(0.05, 2.0, m), 10.0 ** rng.uniform(-8, 0, m)
         D = _active_step(Za, Za @ Za.T, x, G, curv, lam, mu, size)
         for i in range(m):
+            one = _active_step(Za, Za @ Za.T, *(v[i:i + 1] for v in (x, G, curv, lam, mu)), size)
+            assert one[0].tobytes() == D[i].tobytes()
             M = np.zeros((r + 2, r + 2))
             M[:r + 1, :r + 1] = (Z1.T * curv[i]) @ Z1 + mu[i] * np.eye(r + 1)
             M[:r, :r] += lam[i] * np.eye(r)
             M[:r, r + 1] = M[r + 1, :r] = a[i]
             dense = np.linalg.solve(M, np.r_[-G[i], 0.0])[:r + 1]
-            assert np.linalg.norm(D[i] - dense) <= 1e-9 * np.linalg.norm(dense)
+            assert np.linalg.norm(D[i] - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
 def test_no_fit_forms_an_n_by_n_array_it_does_not_need():

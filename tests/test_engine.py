@@ -699,12 +699,12 @@ def test_dwd_run_memory_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the peak, 3.62 MB on numpy 2.4.6, is set when the observed fit forms
-    # its w from X less its column means (2.4 MB, not kept) beside the
-    # batch's 201 rows of solver state; the Newton steps peak at 2.83 MB
-    # (state and one ~0.5 MB chunk of stacked systems), the centered Gram
-    # at 2.47 MB.  The bound is the one-fit-at-a-time engine's 4.81 MB plus
-    # 0.5 MB: 200 held w's would add 8 MB
+    # the peak, 4.79 MB on numpy 2.4.6, is set by the Newton steps: the
+    # batch's 201 rows of solver state and one ~2 MB chunk of stacked
+    # systems with its solve's copy (the batch alone peaks at 4.46 MB);
+    # the centered Gram peaks at 2.47 MB, the observed fit's w from X less
+    # its column means at 3.62 MB.  The bound is the one-fit-at-a-time
+    # engine's 4.81 MB plus 0.5 MB: 200 held w's would add 8 MB
     assert peak <= 4.81e6 + 0.5e6
 
 
