@@ -42,8 +42,8 @@ way.  A single fit, of either rule, is a batch of one.  Memory is
 O(n² + np + mn), O(np + mn) for md: the Newton systems are built a chunk
 of rows at a time (~2 MB of stacked matrices, _CHUNK_BYTES).  A DWD row's
 scores on X come from the row space, X w + beta = sign Z1 x / (sqrt(C)
-||a||), so only a row that asks for w (or fails) pays the O(np) product
-that forms it.
+||a||), so a batch forms no w: only forming a row's Direction (the
+observed fit's, or a failed row's for its error) pays the O(np) product.
 """
 
 from __future__ import annotations
@@ -107,10 +107,9 @@ class Direction:
 
 @dataclass(eq=False)
 class DwdModel:
-    """Fitted DWD solution with solver telemetry (direction None for a
-    batch row that did not ask for w)."""
+    """Fitted DWD solution with solver telemetry."""
 
-    direction: Direction | None
+    direction: Direction
     C: float
     iterations: int
     objective: float
@@ -124,50 +123,52 @@ class Loading(NamedTuple):
     name: str | None = None
 
 
-def _md_batch(X: np.ndarray, Y: np.ndarray, form_w):
-    """md fits of X to each row of the label stack Y (m x n), yielded as
-    _dwd_batch yields DWD's, with model None.  A row's w is its class-mean
-    difference c Xc for c = y / (size of y's class) and Xc = X less its
-    column means (exact far from the origin), normalized; its scores are
-    Xc w less their class means' midpoint.  Stacked np.matmul and
-    last-axis sums give each row a one-row batch's bits; rows go
-    ~_CHUNK_BYTES of stacked arrays at a time."""
+def _md_batch(X: np.ndarray, Y: np.ndarray):
+    """md fits of X to each row of the label stack Y (m x n), returned as
+    _dwd_batch returns DWD's, with zero iterations and model None.  A
+    row's w is its class-mean difference c Xc for c = y / (size of y's
+    class) and Xc = X less its column means (exact far from the origin),
+    normalized; its scores are Xc w less their class means' midpoint (NaN
+    where the means coincide).  Stacked np.matmul and last-axis sums give
+    each row a one-row batch's bits, ~_CHUNK_BYTES of rows at a time."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         center = X.mean(axis=0)
         Xc = X - center
         d = np.einsum("ij,ij->i", Xc, Xc)
     _check_scale(X, d)
     small = 1e-12 * math.sqrt(d.max())  # relative to the data's scale
-    pos = Y == 1
-    n_pos, n_neg = pos.sum(axis=1), (~pos).sum(axis=1)
-    step = max(1, _CHUNK_BYTES // (8 * (len(X) + X.shape[1])))
-    for k in range(0, len(Y), step):
-        rows, p = slice(k, k + step), pos[k:k + step]
-        c = Y[rows] / np.where(p, n_pos[rows, None], n_neg[rows, None])
+
+    def fit(y):  # rows' (scores, w, b)
+        p = y == 1
+        n_pos, n_neg = p.sum(axis=1), (~p).sum(axis=1)
+        c = y / np.where(p, n_pos[:, None], n_neg[:, None])
         diff = np.matmul(c[:, None, :], Xc)[:, 0, :]
         nrm = np.sqrt((diff * diff).sum(axis=1))
         W = diff / np.where(nrm > small, nrm, np.inf)[:, None]  # 0 if the means coincide
         s = np.matmul(Xc, W[:, :, None])[:, :, 0]
-        b = -0.5 * ((s * p).sum(axis=1) / n_pos[rows] + (s * ~p).sum(axis=1) / n_neg[rows])
+        b = -0.5 * ((s * p).sum(axis=1) / n_pos + (s * ~p).sum(axis=1) / n_neg)
         s += b[:, None]
+        s[~(nrm > small)] = np.nan
+        return s, W, b
+
+    def row(i):  # row i refit alone, with the bits it has in the batch
+        (s,), (w,), (b,) = fit(Y[i:i + 1])
+        if np.isnan(s[0]):
+            raise ZeroDirectionError("class means coincide; mean-difference direction undefined")
         s.setflags(write=False)
-        for i, (w, row_scores) in enumerate(zip(W, s)):
-            if not nrm[i] > small:
-                raise ZeroDirectionError("class means coincide; mean-difference direction undefined")
-            direction = None
-            if form_w[k + i]:  # copies, which do not hold the chunk; X w + beta = Xc w + b
-                w, row_scores = w.copy(), row_scores.copy()
-                row_scores.setflags(write=False)
-                direction = Direction(w, b[i] - center @ w)
-                direction._fit = X, row_scores
-            yield direction, None, row_scores
+        direction = Direction(w, b - center @ w)  # X w + beta = Xc w + b
+        direction._fit = X, s
+        return direction, None
+
+    S = _chunks(lambda y: fit(y)[0], len(X) + X.shape[1], Y)
+    return S, np.zeros(len(Y), np.int64), int(np.append(np.isnan(S[:, 0]), True).argmax()), row
 
 
 def md_direction(ds: LabeledDataset) -> Direction:
     """Unit mean-difference direction with the midpoint intercept, as a
     batch of one, as diproperm() fits it (project() gives it the run's
     scores on X)."""
-    return next(_md_batch(ds.features, ds.labels[None, :], [True]))[0]
+    return _md_batch(ds.features, ds.labels[None, :])[3](0)[0]
 
 
 def _check_scale(X: np.ndarray, d: np.ndarray) -> None:  # d = diag(Xc Xcᵀ)
@@ -347,16 +348,15 @@ def _active_step(Za, Ga, x, G, curv, lam, mu, size):
     return D
 
 
-def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, form_w, C: float,
-               tol: float, max_iter: int):
+def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float, tol: float, max_iter: int):
     """DWD fits of X to each row of the label stack Y (m x n), in lockstep.
 
-    `factors` is _factor(*_gram(X)).  Yields (direction, DwdModel, scores
-    on X) of each row in row order, raising that row's ZeroDirectionError
-    or NonConvergedError when its turn comes; each row's are
-    bit-identical to a one-row batch's.  The scores come from the row
-    space; the O(np) w (and the direction) is formed only for rows where
-    the mask `form_w` is set and for a row that fails, one row at a time.
+    `factors` is _factor(*_gram(X)).  Returns (S, iterations, k, row):
+    the rows' (m x n) scores on X, from the row space, and iterations;
+    the number k of rows before the first that failed; and row(i), which
+    forms row i's (Direction, DwdModel), w and all, or raises its
+    ZeroDirectionError or NonConvergedError (model included).  Each row's
+    are bit-identical to a one-row batch's.
     """
     if not (np.isfinite(C) and C > 0.0):
         raise DegenerateScaleError(f"penalty C must be positive and finite, got {C!r}")
@@ -484,28 +484,30 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, form_w, C: float,
 
     # Z1 x is X w + beta scaled by sqrt(C) ||a|| > 0: it orients each
     # row, signs its training margins and gives its scores without an
-    # n x p product
-    s = scores(state[0])
+    # n x p product (NaN where a collapsed to 0)
+    x, f, na, res = state[0], state[1], state[5], state[-1]
+    s = scores(x)
     mean_pos, mean_neg = class_means(s)
     signs = np.where(mean_pos < mean_neg, -1.0, 1.0)
-    errors = (signs[:, None] * Yf * s <= 0.0).sum(axis=1)
-    for i, (sign, x, f, na, res) in enumerate(
-            zip(signs, state[0], state[1], state[5], state[-1])):
-        if na < 1e-12:  # ||a|| is scale-free: a solves the problem rescaled to C = 1
+    collapsed = na < 1e-12  # ||a|| is scale-free: a solves the problem rescaled to C = 1
+    S = (signs / (root_c * np.where(collapsed, np.nan, na)))[:, None] * s
+
+    def row(i):
+        if collapsed[i]:
             raise ZeroDirectionError("DWD solution collapsed to the zero direction")
-        row_scores = (sign / (root_c * na)) * s[i]
+        w = (X - center).T @ (P @ x[i, :r])
+        nw = float(np.linalg.norm(w))
+        direction = Direction(signs[i] * w / nw, signs[i] * (x[i, r] / root_c - center @ w) / nw)
+        row_scores = S[i].copy()  # a copy, which does not hold the stack
         row_scores.setflags(write=False)
-        direction = None
-        if form_w[i] or not res <= tol:
-            w = (X - center).T @ (P @ x[:r])
-            nw = float(np.linalg.norm(w))
-            direction = Direction(sign * w / nw, sign * (x[r] / root_c - center @ w) / nw)
-            direction._fit = X, row_scores
-        model = DwdModel(direction, C, int(iters[i]), root_c * float(f), float(res),
-                         training_error=float(errors[i] / n))
-        if not res <= tol:
+        direction._fit = X, row_scores
+        model = DwdModel(direction, C, int(iters[i]), root_c * float(f[i]), float(res[i]),
+                         training_error=float((signs[i] * Yf[i] * s[i] <= 0.0).sum() / n))
+        if not res[i] <= tol:
             raise NonConvergedError(model.iterations, model.kkt_residual, model=model)
-        yield direction, model, row_scores
+        return direction, model
+
+    return S, iters, int(np.append(collapsed | ~(res <= tol), True).argmax()), row
 
 
 def dwd_direction(ds: LabeledDataset, C: float | None = None,
@@ -519,7 +521,7 @@ def dwd_direction(ds: LabeledDataset, C: float | None = None,
     X = ds.features
     center, K = _gram(X)
     C = _penalty(X, ds.labels, K) if C is None else C
-    return next(_dwd_batch(X, ds.labels[None, :], _factor(center, K), [True], C, tol, max_iter))[1]
+    return _dwd_batch(X, ds.labels[None, :], _factor(center, K), C, tol, max_iter)[3](0)[1]
 
 
 def loadings_of(direction: Direction, loadnum: int | None = None,

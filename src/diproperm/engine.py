@@ -9,11 +9,12 @@ block), the caller running the first, a process pool the rest.  Each
 block is relabeled in one pass (permute.relabel_block: y is checked once
 and every row's stream seeded from one vectorized hash of its seed, each
 row bit-identical to permute_labels with derive_stream's stream), its
-fits run as one batch (DWD's a lockstep batch of Newton solves,
+fits run as one batch that returns their scores as one stack (DWD's a
+lockstep batch of Newton solves, scored from the row space,
 direction._dwd_batch; md's stacked class-mean differences,
-direction._md_batch; each row bit-identical to a single fit), then its
-rows are scored as one stack, DWD's from their row-space solutions.  Only permutation 0 forms a Direction (and for DWD its w); no
-re-fit of either classifier does.  A block returns arrays, which the run
+direction._md_batch; each row bit-identical to a single fit), which is
+scored at once.  Only permutation 0 forms a Direction (and for DWD its
+w), and a failed fit for its error.  A block returns arrays, which the run
 concatenates once.  Every permutation b >= 1 draws from its own
 (seed, b) stream, so the answer does not depend on the worker count.
 
@@ -249,27 +250,19 @@ def _permutations(state, indices):
 
     Pure in (state, indices); `state` is the run's (X, y, config, C,
     factors).  relabel_block gives index 0 y itself and any other b the
-    relabeling of its (seed, b) stream, in one pass.  The rows are fit in order as one batch and
-    scored as one stack; only row 0 forms a Direction.  An error carries
-    its row's index as perm_index (None for 0); the lowest failing index
-    wins across fits and statistics, whatever the block bounds.
+    relabeling of its (seed, b) stream, in one pass.  The rows are fit as
+    one batch and its scores stack scored up to the first failed fit; only
+    row 0 forms a Direction.  An error carries its row's index as
+    perm_index (None for 0); the lowest failing index wins, fit or statistic.
     """
     X, y, config, C, factors = state
     t0 = time.perf_counter()
     labels = relabel_block(y, config.scheme, config.seed, indices)
-    form_w = np.equal(indices, 0)
-    fits = (_md_batch(X, labels, form_w) if C is None  # md has no penalty
-            else _dwd_batch(X, labels, factors, form_w, C, config.dwd_tol, config.dwd_max_iter))
-    S, iterations, first, failure = np.empty(labels.shape), [], None, None
-    try:
-        for b, (direction, model, scores) in zip(indices, fits):
-            if b == 0:
-                first = direction, model
-            S[len(iterations)] = scores
-            iterations.append(model.iterations if model else 0)
-    except DppError as err:  # the rows after it are not fit
-        err.perm_index, failure = indices[len(iterations)] or None, err
-    k, statistic = len(iterations), STATISTICS[config.statistic]
+    S, iterations, k, row = (
+        _md_batch(X, labels) if C is None  # md has no penalty
+        else _dwd_batch(X, labels, factors, C, config.dwd_tol, config.dwd_max_iter))
+    first = row(0) if k and indices[0] == 0 else None
+    statistic = STATISTICS[config.statistic]
     try:
         stats = statistic(ProjectionScores(S[:k], labels[:k])) if k else None
     except DppError:  # find the lowest failing row, one row at a time
@@ -280,8 +273,12 @@ def _permutations(state, indices):
                 err.perm_index = b or None
                 raise err from None
         raise
-    if failure is not None:
-        raise failure
+    if k < len(S):  # row k failed, and no lower statistic did
+        try:
+            row(k)
+        except DppError as err:
+            err.perm_index = indices[k] or None
+            raise
     return first, labels, S, stats, iterations, time.perf_counter() - t0
 
 
@@ -353,7 +350,7 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     fits, labels, scores, stats, block_iterations, seconds = zip(*block_outputs)
     observed_direction, observed_model = fits[0]
     perm_statistics = np.concatenate(stats, dtype=np.float64)[1:].copy()
-    iterations = [i for block in block_iterations for i in block][1:]
+    iterations = np.concatenate(block_iterations)[1:]
 
     if log.isEnabledFor(logging.DEBUG):
         for block, block_seconds in zip(blocks, seconds):
@@ -364,7 +361,7 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     log.info(
         "ran B=%d permutations (%s/%s, scheme=%s): solver iterations "
         "total=%d, statistic range [%.4g, %.4g]",
-        config.B, classifier, statistic, config.scheme, sum(iterations),
+        config.B, classifier, statistic, config.scheme, iterations.sum(),
         perm_statistics.min(), perm_statistics.max(),
     )
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from functools import partial
 
@@ -114,22 +115,37 @@ def test_md_matches_its_closed_form(case, mushrooms):
     assert np.abs(dp.project(ds, d).scores - scores).max() <= 1e-12 * np.abs(scores).max()
 
 
-def test_md_batch_rows_match_single_fits_bit_for_bit():
-    # rows of an md batch, in and across its ~2 MB chunks (32 rows
-    # here), have the bits of one-row batches, as md_direction and project
-    # give them; only the rows that ask form a Direction
+def _directions_made(monkeypatch):
+    """A list that gains an entry for each Direction constructed."""
+    made, real = [], dp.Direction.__post_init__
+    monkeypatch.setattr(dp.Direction, "__post_init__", lambda self: real(self) or made.append(1))
+    return made
+
+
+def test_md_batch_rows_match_single_fits_bit_for_bit(monkeypatch):
+    # rows of an md batch, in and across its ~2 MB chunks (32 rows here;
+    # the spy makes sure that the chunks do split), have the bits of
+    # one-row batches, as md_direction and project give them; the batch
+    # forms no Direction until row(i) is called
     ds = dp.synthetic_blobs(60, 8000, seed=0)
     X = ds.features
     Y = np.array([ds.labels] + [dp.permute_labels(ds.labels, "unbalanced", dp.derive_stream(0, b))
                                 for b in range(1, 70)])
-    form_w = np.arange(len(Y)) % 3 == 0
-    for y, asked, (d, model, scores) in zip(Y, form_w, _md_batch(X, Y, form_w)):
+    chunks, real = [], direction._chunks
+    monkeypatch.setattr(direction, "_chunks", lambda step, budget, *rows: real(
+        lambda *chunk: chunks.append(len(chunk[0])) or step(*chunk), budget, *rows))
+    made = _directions_made(monkeypatch)
+    S, iterations, k, row = _md_batch(X, Y)
+    assert len(chunks) >= 2 and made == []
+    assert k == len(Y) and iterations.tolist() == [0] * len(Y)
+    for i, y in enumerate(Y):
         ds_y = dp.LabeledDataset(X, y)
         single = dp.md_direction(ds_y)
-        assert model is None and (d is not None) == asked
-        assert scores.tobytes() == dp.project(ds_y, single).scores.tobytes()
-        if asked:
-            assert (d.w.tobytes(), d.beta) == (single.w.tobytes(), single.beta)
+        assert S[i].tobytes() == dp.project(ds_y, single).scores.tobytes()
+        before = len(made)
+        d, model = row(i)
+        assert len(made) == before + 1 and model is None
+        assert (d.w.tobytes(), d.beta) == (single.w.tobytes(), single.beta)
 
 
 def test_md_refuses_class_means_that_coincide_at_the_data_scale():
@@ -348,9 +364,10 @@ def test_dwd_non_converged_carries_model():
     assert exc.value.model.direction.w.shape == (2,)
 
 
-def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms):
+def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms, monkeypatch):
     # each row of a lockstep batch is the single-problem iteration, bit for
-    # bit, whether its neighbours stop far earlier or far later than it
+    # bit, whether its neighbours stop far earlier or far later than it;
+    # the batch forms no Direction (no w) until row(i) is called
     cases = [
         (make_blobs(n=12, p=3, distance=1.0, seed=1), 1),
         (mushrooms, 2),
@@ -370,17 +387,19 @@ def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms):
         Y = np.array([ds.labels] + [
             dp.permute_labels(ds.labels, "unbalanced", dp.derive_stream(seed, b))
             for b in range(1, 16)] + alone)
-        form_w = np.arange(len(Y)) % 2 == 0  # w for every other row
-        batch = list(_dwd_batch(X, Y, _factor(*_gram(X)), form_w, C, DEFAULT_TOL, 5000))
-        iterations = [m.iterations for _, m, _ in batch]
-        assert max(iterations) >= 2 * min(iterations)
-        for y, asked, (_, m, scores) in zip(Y, form_w, batch):
+        made = _directions_made(monkeypatch)
+        S, iterations, k, row = _dwd_batch(X, Y, _factor(*_gram(X)), C, DEFAULT_TOL, 5000)
+        assert made == [] and k == len(Y)
+        assert iterations.max() >= 2 * iterations.min()
+        for i, (y, scores) in enumerate(zip(Y, S)):
             ds_y = dp.LabeledDataset(X, y)
             single = dp.dwd_direction(ds_y, C=C)
-            assert (m.direction is not None) == asked
             # a row's scores are the one-row batch's (project gives a fit
-            # its own), with or without its w
+            # its own), formed without its w
             assert scores.tobytes() == dp.project(ds_y, single.direction).scores.tobytes()
+            before = len(made)
+            _, m = row(i)
+            assert len(made) == before + 1 and m.iterations == iterations[i]
             w, beta, iters, objective, res, _, converged, nw, row_active = reference_dwd(
                 X, y, C, DEFAULT_TOL)
             assert converged
@@ -403,7 +422,7 @@ def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms):
             # the row-space scores are X w + beta up to rounding
             exact = X @ w + beta
             assert np.abs(scores - exact).max() <= 1e-13 * np.abs(exact).max()
-            for d in filter(None, (m.direction, single.direction)):
+            for d in (m.direction, single.direction):
                 assert np.array_equal(d.w, w) and d.beta == beta
             for fit in (m, single):
                 assert fit.iterations == iters and isinstance(fit.iterations, int)
@@ -439,14 +458,15 @@ def test_dwd_batch_rows_match_across_chunks(monkeypatch):
             split.add("active" if isinstance(step, partial) else "dense")
         return out
     monkeypatch.setattr(direction, "_chunks", spy)
-    batch = list(_dwd_batch(X, Y, factors, np.zeros(len(Y), dtype=bool), C, DEFAULT_TOL, 5000))
+    S, _, k, row = _dwd_batch(X, Y, factors, C, DEFAULT_TOL, 5000)
     monkeypatch.undo()
-    assert split == {"active", "dense"}
-    for y, (_, m, scores) in zip(Y, batch):
-        (_, one, one_scores), = _dwd_batch(X, y[None], factors, [False], C, DEFAULT_TOL, 5000)
-        assert scores.tobytes() == one_scores.tobytes()
-        assert (m.iterations, m.objective, m.kkt_residual) == (
-            one.iterations, one.objective, one.kkt_residual)
+    assert split == {"active", "dense"} and k == len(Y)
+    for i, y in enumerate(Y):
+        one_S, _, _, one_row = _dwd_batch(X, y[None], factors, C, DEFAULT_TOL, 5000)
+        assert S[i].tobytes() == one_S[0].tobytes()
+        m, one = row(i)[1], one_row(0)[1]
+        assert (m.iterations, m.objective, m.kkt_residual, m.direction.w.tobytes()) == (
+            one.iterations, one.objective, one.kkt_residual, one.direction.w.tobytes())
 
 
 def test_stacked_kernels_give_each_row_its_single_bits():
@@ -566,15 +586,16 @@ def test_no_fit_forms_an_n_by_n_array_it_does_not_need():
     assert peak < 3.5 * 8 * 1500 * 1500  # 58.5 MB on numpy 2.4.6
     (_, Z, P), peak = traced(lambda: _factor(center, K))
     assert Z.shape[1] <= X.shape[1] and peak < n_by_n / 2
-    _, peak = traced(lambda: next(_dwd_batch(X, y[None], (center, Z, P), [True], C,
-                                             DEFAULT_TOL, 5000)))
+    _, peak = traced(lambda: _dwd_batch(X, y[None], (center, Z, P), C, DEFAULT_TOL, 5000)[3](0))
     assert peak < n_by_n / 2
 
 
 def test_dwd_batch_failures_in_row_order():
-    # rows are handed out in order; the first failing row raises, and its
+    # a batch counts the rows before the first failing one, which keep
+    # their one-row bits; row(k) raises that row's own error, and a
     # NonConvergedError carries the single fit's iterations and model, w
-    # included though the row did not ask for it
+    # included.  An md row whose class means coincide fails the same way,
+    # its scores marked NaN without a floating-point warning
     A = np.array([[0.1, -0.1], [0.6, 0.1], [-0.5, 0.4], [1.3, 0.9]])
     X = np.vstack([A, -A])
     fast = np.array([1, 1, 1, 1, -1, -1, -1, -1])  # converges in 3 iterations
@@ -591,12 +612,25 @@ def test_dwd_batch_failures_in_row_order():
     raised = []
     for Y, error in (((fast, slow, no_w), NonConvergedError),
                      ((fast, no_w, slow), ZeroDirectionError)):
-        rows = _dwd_batch(X, np.array(Y), _factor(*_gram(X)), np.array([True, False, False]),
-                          1.0, DEFAULT_TOL, 3)
-        assert np.array_equal(next(rows)[0].w, single(fast).direction.w)
+        S, _, k, row = _dwd_batch(X, np.array(Y), _factor(*_gram(X)), 1.0, DEFAULT_TOL, 3)
+        assert k == 1
+        assert np.array_equal(row(0)[0].w, single(fast).direction.w)
         with pytest.raises(error) as exc:
-            next(rows)
+            row(1)
         raised.append(exc.value)
+    ds_fast = dp.LabeledDataset(X, fast)
+    with pytest.raises(ZeroDirectionError) as expected_md:
+        dp.md_direction(dp.LabeledDataset(X, no_w))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S, _, k, row = _md_batch(X, np.array([fast, no_w, slow]))
+    one = dp.md_direction(ds_fast)
+    assert k == 1 and np.isnan(S[1]).all()
+    assert S[0].tobytes() == dp.project(ds_fast, one).scores.tobytes()
+    assert (row(0)[0].w.tobytes(), row(0)[0].beta) == (one.w.tobytes(), one.beta)
+    with pytest.raises(ZeroDirectionError) as exc:
+        row(1)
+    assert str(exc.value) == str(expected_md.value)
     err, ref = raised[0], expected.value
     assert err.iterations == ref.iterations == 3
     assert err.kkt_residual == ref.kkt_residual

@@ -53,14 +53,15 @@ def test_project_dimension_mismatch():
 
 def test_project_gives_a_dwd_fit_its_own_scores():
     # on the features array a DWD direction was fit to, project() returns
-    # the fit's row-space scores: a batch row's without w, and the
-    # engine's observed scores, bit for bit; on any other array, and once
-    # pickled (which does not carry X), it computes X w + beta
+    # the fit's row-space scores: a batch's row of its scores stack, formed
+    # without w, and the engine's observed scores, bit for bit; on any
+    # other array, and once pickled (which does not carry X), it computes
+    # X w + beta
     ds = dp.synthetic_blobs(60, 5000, seed=0)
     X, C = ds.features, dp.penalty_parameter(ds)
     d = dp.dwd_direction(ds, C=C).direction
-    _, _, scores = next(_dwd_batch(X, ds.labels[None], _factor(*_gram(X)),
-                                   np.zeros(1, dtype=bool), C, DEFAULT_TOL, DEFAULT_MAX_ITER))
+    (scores,), *_ = _dwd_batch(X, ds.labels[None], _factor(*_gram(X)), C, DEFAULT_TOL,
+                               DEFAULT_MAX_ITER)
     run = dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 0), workers=1)
     assert dp.LabeledDataset(X, ds.labels[::-1]).features is X
     assert (dp.project(ds, d).scores.tobytes() == scores.tobytes()
