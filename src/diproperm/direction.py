@@ -12,24 +12,24 @@ Xc w matters, for Xc = X less its column means.  The default C comes from
 the between-class distances, read off K = Xc Xcᵀ: only the few pairs
 whose rounding interval can reach the median are recomputed from X, so
 the median is the one the n- x n+ x p difference tensor gives, bit for
-bit, in O(n² + np) memory.  K = Z Zᵀ is factored once per run (pivoted
+bit, in O(n² + np) memory.  K = Z Zᵀ is factored once per X (pivoted
 Cholesky to the rank r <= min(n - 1, p) of Xc; relabeling only flips
 signs); with w = Xcᵀ P a, Xc w = Z a and ||w|| = ||a||, so a fit has
 r + 1 <= n unknowns (a, beta) whatever p and wherever the data sits.
 The solver is semismooth Newton on them (V_C'' = 2/u³ above the knot, 0
-below): the bordered KKT system on the sphere ||a|| = 1 while its
-multiplier is positive, else the plain Newton system, either shifted on
-the diagonal by min(res, res²) for the KKT residual res
-(Levenberg-Marquardt with mu = ||F||² near the optimum; Yamashita &
-Fukushima 2001), then an Armijo step rescaled into the ball.
-A bordered system whose Hessian has k < r/2 active samples (above the
-knot; at a p >> n optimum most samples are not) is solved through a
-k x k one by Sherman-Morrison-Woodbury.  A fit stops when the KKT
+below; _loss gives V_C, V_C' and V_C'' from one knot test): the bordered
+KKT system on the sphere ||a|| = 1 while its multiplier is positive,
+else the plain Newton system, shifted on the diagonal by min(res, res²)
+for the KKT residual res (Levenberg-Marquardt with mu = ||F||² near the
+optimum; Yamashita & Fukushima 2001), then an Armijo step rescaled into
+the ball.  A bordered system whose Hessian has k < r/2 active samples
+(above the knot; at a p >> n optimum most samples are not) is solved
+through a k x k one by Sherman-Morrison-Woodbury.  A fit stops when the KKT
 residual (tangential gradient, d/d beta and complementarity, for the
 problem rescaled to C = 1) falls to `tol`.  It starts from the
-mean-difference (md) rule in the row space, a = Zᵀc / ||Zᵀc|| for
-c = y / (size of y's class), with the class-mean midpoint; an md fit
-itself is taken in feature space, exactly, in O(np) (_md_batch).
+mean-difference (md) rule (_md_rule) in the row space, a = Zᵀc / ||Zᵀc||
+with the class-mean midpoint; an md fit itself is taken in feature
+space, exactly, in O(np) (_md_batch).
 
 Fits to m label vectors on the same X run as one lockstep batch: each
 round, every unfinished row takes its own Newton step, so each row does
@@ -37,13 +37,13 @@ exactly the iterations it would do alone.  The batch is bit-identical to
 single fits because every per-row product is a stacked np.matmul,
 np.linalg.solve or gather and every per-row reduction a last-axis sum,
 each of which gives a row the bits of its single operation; the k x k
-systems are padded to a size k alone sets.  md fits batch the same
-way.  A single fit, of either rule, is a batch of one.  Memory is
-O(n² + np + mn), O(np + mn) for md: the Newton systems are built a chunk
-of rows at a time (~2 MB of stacked matrices, _CHUNK_BYTES).  A DWD row's
+systems are padded to a size k alone sets.  md fits batch the same way,
+and all go through _fitter, a single fit as a batch of one.  Memory is
+O(n² + np + mn), O(np + mn) for md: Newton systems are built a chunk of
+rows at a time (~2 MB of stacked matrices, _CHUNK_BYTES).  A DWD row's
 scores on X come from the row space, X w + beta = sign Z1 x / (sqrt(C)
-||a||), so a batch forms no w: only forming a row's Direction (the
-observed fit's, or a failed row's for its error) pays the O(np) product.
+||a||), so a batch forms no w: only a row's Direction (the observed
+fit's, or a failed row's for its error) pays the O(np) product.
 """
 
 from __future__ import annotations
@@ -123,6 +123,28 @@ class Loading(NamedTuple):
     name: str | None = None
 
 
+def _md_rule(Y: np.ndarray):
+    """The md rule of each row y of Y: c = y / (size of y's class), c X its class-mean
+    difference; middle(S), each row's offset to the means' midpoint and whether -1's is higher."""
+    pos = Y == 1
+    n_pos, n_neg = pos.sum(axis=1), (~pos).sum(axis=1)
+
+    def middle(S):
+        mean_pos, mean_neg = (S * pos).sum(axis=1) / n_pos, (S * ~pos).sum(axis=1) / n_neg
+        return -0.5 * (mean_pos + mean_neg), mean_pos < mean_neg
+
+    return Y / np.where(pos, n_pos[:, None], n_neg[:, None]), middle
+
+
+def _fitted(w, beta: float, X: np.ndarray, scores: np.ndarray) -> Direction:
+    """Direction(w, beta) fit to X, with a read-only copy of its scores."""
+    scores = scores.copy()  # a copy, which does not hold a batch's stack
+    scores.setflags(write=False)
+    direction = Direction(w, beta)
+    direction._fit = X, scores
+    return direction
+
+
 def _md_batch(X: np.ndarray, Y: np.ndarray):
     """md fits of X to each row of the label stack Y (m x n), returned as
     _dwd_batch returns DWD's, with zero iterations and model None.  A
@@ -139,14 +161,12 @@ def _md_batch(X: np.ndarray, Y: np.ndarray):
     small = 1e-12 * math.sqrt(d.max())  # relative to the data's scale
 
     def fit(y):  # rows' (scores, w, b)
-        p = y == 1
-        n_pos, n_neg = p.sum(axis=1), (~p).sum(axis=1)
-        c = y / np.where(p, n_pos[:, None], n_neg[:, None])
+        c, middle = _md_rule(y)
         diff = np.matmul(c[:, None, :], Xc)[:, 0, :]
         nrm = np.sqrt((diff * diff).sum(axis=1))
         W = diff / np.where(nrm > small, nrm, np.inf)[:, None]  # 0 if the means coincide
         s = np.matmul(Xc, W[:, :, None])[:, :, 0]
-        b = -0.5 * ((s * p).sum(axis=1) / n_pos + (s * ~p).sum(axis=1) / n_neg)
+        b = middle(s)[0]
         s += b[:, None]
         s[~(nrm > small)] = np.nan
         return s, W, b
@@ -155,10 +175,7 @@ def _md_batch(X: np.ndarray, Y: np.ndarray):
         (s,), (w,), (b,) = fit(Y[i:i + 1])
         if np.isnan(s[0]):
             raise ZeroDirectionError("class means coincide; mean-difference direction undefined")
-        s.setflags(write=False)
-        direction = Direction(w, b - center @ w)  # X w + beta = Xc w + b
-        direction._fit = X, s
-        return direction, None
+        return _fitted(w, b - center @ w, X, s), None  # X w + beta = Xc w + b
 
     S = _chunks(lambda y: fit(y)[0], len(X) + X.shape[1], Y)
     return S, np.zeros(len(Y), np.int64), int(np.append(np.isnan(S[:, 0]), True).argmax()), row
@@ -231,34 +248,31 @@ def _penalty(X: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:
 
 
 def penalty_parameter(ds: LabeledDataset) -> float:
-    """Scale-adaptive DWD penalty: C = 100 / median between-class distance^2.
-
-    Exact: the median is the one the n- x n+ x p tensor of class
-    differences gives, bit for bit, taken from the n x n Gram matrix of
-    the centered X with only the pairs near the middle recomputed from X,
-    so memory is O(n² + np).
-    """
+    """Scale-adaptive DWD penalty: C = 100 / median between-class distance^2,
+    the n- x n+ x p tensor's median bit for bit, in O(n² + np) memory."""
     return _penalty(ds.features, ds.labels, _gram(ds.features)[1])
 
 
-def _loss(u: np.ndarray, C: float, grad: bool):
-    """V_C(u) elementwise, plus V_C'(u) when `grad` is set (else None)."""
+def _loss(u: np.ndarray, C: float):
+    """V_C(u), V_C'(u) and V_C''(u) elementwise, from one knot test."""
     sqrt_c = math.sqrt(C)
     knot = 1.0 / sqrt_c
-    recip = 1.0 / np.maximum(u, knot)
+    top = np.maximum(u, knot)
+    recip = 1.0 / top
     hi = u >= knot
-    value = np.where(hi, recip, 2.0 * sqrt_c - C * u)
-    return value, (np.where(hi, -recip * recip, -C) if grad else None)
+    grad = np.where(hi, -recip * recip, -C)
+    curv = np.where(hi, -2.0 * grad / top, 0.0)  # 2/u³ above the knot, 0 below
+    return np.where(hi, recip, 2.0 * sqrt_c - C * u), grad, curv
 
 
 def dwd_loss(u, C: float):
     """Per-sample DWD margin loss V_C evaluated elementwise."""
-    return _loss(np.asarray(u, dtype=np.float64), C, False)[0]
+    return _loss(np.asarray(u, dtype=np.float64), C)[0]
 
 
 def dwd_loss_grad(u, C: float):
     """First derivative of V_C evaluated elementwise."""
-    return _loss(np.asarray(u, dtype=np.float64), C, True)[1]
+    return _loss(np.asarray(u, dtype=np.float64), C)[1]
 
 
 def _factor(center: np.ndarray, K: np.ndarray):
@@ -351,17 +365,13 @@ def _active_step(Za, Ga, x, G, curv, lam, mu, size):
 def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float, tol: float, max_iter: int):
     """DWD fits of X to each row of the label stack Y (m x n), in lockstep.
 
-    `factors` is _factor(*_gram(X)).  Returns (S, iterations, k, row):
-    the rows' (m x n) scores on X, from the row space, and iterations;
-    the number k of rows before the first that failed; and row(i), which
-    forms row i's (Direction, DwdModel), w and all, or raises its
-    ZeroDirectionError or NonConvergedError (model included).  Each row's
-    are bit-identical to a one-row batch's.
+    `factors`, C, tol and max_iter are _fitter's, checked.  Returns (S,
+    iterations, k, row): the rows' (m x n) scores on X, from the row
+    space, and iterations; the number k of rows before the first that
+    failed; and row(i), which forms row i's (Direction, DwdModel), w and
+    all, or raises its ZeroDirectionError or NonConvergedError (model
+    included).  Each row's are bit-identical to a one-row batch's.
     """
-    if not (np.isfinite(C) and C > 0.0):
-        raise DegenerateScaleError(f"penalty C must be positive and finite, got {C!r}")
-    _check_stopping(tol, max_iter)
-
     center, Z, P = factors
     n, r = Z.shape
     root_c = math.sqrt(C)
@@ -379,10 +389,7 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float, tol: float, max_
         return np.matmul(Z1, x[:, :, None])[:, :, 0]
 
     def at(x, Ya):  # objective, gradient, V_1'' and KKT residual
-        u = Ya * scores(x)
-        v, gu = _loss(u, 1.0, True)
-        hi = u >= 1.0
-        curv = np.where(hi, -2.0 * gu / np.maximum(u, 1.0), 0.0)  # 2/u³
+        v, gu, curv = _loss(Ya * scores(x), 1.0)
         G = np.matmul((Ya * gu)[:, None, :], Z1)[:, 0, :]
         a, ga, gb = x[:, :r], G[:, :r], G[:, r]
         lam = np.maximum(-(a * ga).sum(axis=1), 0.0)  # multiplier of the ball
@@ -431,21 +438,14 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float, tol: float, max_
         return D
 
     # warm start from the mean-difference rule when it exists: a = Zᵀc /
-    # ||Zᵀc|| for c = y / (size of y's class), class-mean midpoint at 0
-    pos = Y == 1
-    n_pos, n_neg = pos.sum(axis=1), (~pos).sum(axis=1)
-
-    def class_means(s):  # of each row's scores over its +1 and its -1 samples
-        return (s * pos).sum(axis=1) / n_pos, (s * ~pos).sum(axis=1) / n_neg
-
-    c = Yf / np.where(pos, n_pos[:, None], n_neg[:, None])
+    # ||Zᵀc||, class-mean midpoint at 0
+    c, middle = _md_rule(Y)
     A = np.matmul(c[:, None, :], Z)[:, 0, :]
     nrm = np.sqrt((A * A).sum(axis=1, keepdims=True))
     small = 1e-12 * math.sqrt((Z * Z).sum(axis=1).max())  # relative to the data's scale
     x = np.zeros((len(Y), r + 1))
     x[:, :r] = A / np.where(nrm >= small, nrm, np.inf)  # a = 0 if the means coincide
-    mean_pos, mean_neg = class_means(scores(x))
-    x[:, r] = -0.5 * (mean_pos + mean_neg)
+    x[:, r] = middle(scores(x))[0]
 
     # Lockstep rounds: each live row takes a Newton direction, then an
     # Armijo step along it (halving from 1), with a rescaled into the ball
@@ -487,8 +487,7 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float, tol: float, max_
     # n x p product (NaN where a collapsed to 0)
     x, f, na, res = state[0], state[1], state[5], state[-1]
     s = scores(x)
-    mean_pos, mean_neg = class_means(s)
-    signs = np.where(mean_pos < mean_neg, -1.0, 1.0)
+    signs = np.where(middle(s)[1], -1.0, 1.0)
     collapsed = na < 1e-12  # ||a|| is scale-free: a solves the problem rescaled to C = 1
     S = (signs / (root_c * np.where(collapsed, np.nan, na)))[:, None] * s
 
@@ -497,10 +496,8 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float, tol: float, max_
             raise ZeroDirectionError("DWD solution collapsed to the zero direction")
         w = (X - center).T @ (P @ x[i, :r])
         nw = float(np.linalg.norm(w))
-        direction = Direction(signs[i] * w / nw, signs[i] * (x[i, r] / root_c - center @ w) / nw)
-        row_scores = S[i].copy()  # a copy, which does not hold the stack
-        row_scores.setflags(write=False)
-        direction._fit = X, row_scores
+        direction = _fitted(signs[i] * w / nw, signs[i] * (x[i, r] / root_c - center @ w) / nw,
+                            X, S[i])
         model = DwdModel(direction, C, int(iters[i]), root_c * float(f[i]), float(res[i]),
                          training_error=float((signs[i] * Yf[i] * s[i] <= 0.0).sum() / n))
         if not res[i] <= tol:
@@ -510,18 +507,35 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float, tol: float, max_
     return S, iters, int(np.append(collapsed | ~(res <= tol), True).argmax()), row
 
 
+def _check_penalty(C: float) -> float:
+    if not (np.isfinite(C) and C > 0.0):
+        raise DegenerateScaleError(f"penalty C must be positive and finite, got {C!r}")
+    return C
+
+
+def _fitter(classifier: str, X: np.ndarray, y: np.ndarray, tol: float, max_iter: int,
+            C: float | None = None):
+    """The picklable fit(Y) -> (S, iterations, k, row) on X: _md_batch, or _dwd_batch
+    with one Gram matrix's factor and C (y's by default), formed once C, tol and max_iter pass."""
+    if classifier == "md":
+        return partial(_md_batch, X)
+    if C is not None:
+        _check_penalty(C)
+    _check_stopping(tol, max_iter)
+    center, K = _gram(X)
+    C = _check_penalty(_penalty(X, y, K)) if C is None else C
+    return partial(_dwd_batch, X, factors=_factor(center, K), C=C, tol=tol, max_iter=max_iter)
+
+
 def dwd_direction(ds: LabeledDataset, C: float | None = None,
                   tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> DwdModel:
     """Fit the DWD classifier; C defaults to penalty_parameter(ds).
 
-    Raises ValidationError unless `tol` is in (0, inf) and `max_iter` an
-    integer >= 1, and NonConvergedError (with the partial model attached)
-    if the KKT residual does not reach `tol` within max_iter iterations.
+    Refuses C other than finite > 0 (DegenerateScaleError), `tol` outside (0, inf) and
+    `max_iter` other than an integer >= 1 (ValidationError) before the Gram matrix is
+    formed; NonConvergedError (with the partial model) if KKT residual > tol at max_iter.
     """
-    X = ds.features
-    center, K = _gram(X)
-    C = _penalty(X, ds.labels, K) if C is None else C
-    return _dwd_batch(X, ds.labels[None, :], _factor(center, K), C, tol, max_iter)[3](0)[1]
+    return _fitter("dwd", ds.features, ds.labels, tol, max_iter, C)(ds.labels[None, :])[3](0)[1]
 
 
 def loadings_of(direction: Direction, loadnum: int | None = None,

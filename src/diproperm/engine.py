@@ -6,16 +6,12 @@ and empirical critical value.  A run's fits are numbered 0..B, 0 the
 observed labels and the first row of block 1; they run in at most
 `workers` contiguous blocks of at least _MIN_BLOCK re-fits (or one
 block), the caller running the first, a process pool the rest.  Each
-block is relabeled in one pass (permute.relabel_block: y is checked once
-and every row's stream seeded from one vectorized hash of its seed, each
-row bit-identical to permute_labels with derive_stream's stream), its
-fits run as one batch that returns their scores as one stack (DWD's a
-lockstep batch of Newton solves, scored from the row space,
-direction._dwd_batch; md's stacked class-mean differences,
-direction._md_batch; each row bit-identical to a single fit), which is
-scored at once.  Only permutation 0 forms a Direction (and for DWD its
-w), and a failed fit for its error.  A block returns arrays, which the run
-concatenates once.  Every permutation b >= 1 draws from its own
+block is relabeled in one pass (permute.relabel_block, each row
+bit-identical to permute_labels with derive_stream's stream) and fit as
+one batch by the run's one direction._fitter, whose scores stack (each
+row a single fit's bits) is scored at once.  Only permutation 0 forms a
+Direction (and for DWD its w), and a failed fit for its error.  A block
+returns arrays, which the run concatenates once.  Every permutation b >= 1 draws from its own
 (seed, b) stream, so the answer does not depend on the worker count.
 
 Null hypothesis: the two classes are draws from one distribution; it is
@@ -46,11 +42,7 @@ from .direction import (
     DwdModel,
     Loading,
     _check_stopping,
-    _dwd_batch,
-    _factor,
-    _gram,
-    _md_batch,
-    _penalty,
+    _fitter,
     loadings_of,
 )
 from .errors import (
@@ -248,19 +240,17 @@ def _permutations(state, indices):
     holds it (else None), its rows' labels and scores as (m x n) stacks,
     their statistics and solver iterations, and its wall time.
 
-    Pure in (state, indices); `state` is the run's (X, y, config, C,
-    factors).  relabel_block gives index 0 y itself and any other b the
-    relabeling of its (seed, b) stream, in one pass.  The rows are fit as
-    one batch and its scores stack scored up to the first failed fit; only
-    row 0 forms a Direction.  An error carries its row's index as
+    Pure in (state, indices); `state` is the run's (y, config, fit), fit
+    from direction._fitter.  relabel_block gives index 0 y itself and any
+    other b the relabeling of its (seed, b) stream, in one pass.  The rows
+    are fit(labels), one batch, whose scores stack is scored up to the
+    first failed fit; only row 0 forms a Direction.  An error carries its row's index as
     perm_index (None for 0); the lowest failing index wins, fit or statistic.
     """
-    X, y, config, C, factors = state
+    y, config, fit = state
     t0 = time.perf_counter()
     labels = relabel_block(y, config.scheme, config.seed, indices)
-    S, iterations, k, row = (
-        _md_batch(X, labels) if C is None  # md has no penalty
-        else _dwd_batch(X, labels, factors, C, config.dwd_tol, config.dwd_max_iter))
+    S, iterations, k, row = fit(labels)
     first = row(0) if k and indices[0] == 0 else None
     statistic = STATISTICS[config.statistic]
     try:
@@ -289,26 +279,26 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
               dwd_max_iter: int = DEFAULT_MAX_ITER) -> DppResult:
     """Run the full test and assemble a DppResult.
 
-    The DWD penalty C and the factor are computed once, from one Gram
-    matrix of the observed data less its column means, and reused for
-    every permutation re-fit (DWD's intercept is free, so a translation
-    of X moves p and the statistics only by rounding, however far from
-    the origin); an md run forms neither.  `workers` is an upper
-    bound (default: the usable cores, per the CPU affinity mask): the
-    fits 0..B are split into max(1, min(workers, B // _MIN_BLOCK))
-    contiguous blocks, so blocks of fewer than _MIN_BLOCK re-fits are not
-    forked; this process runs the first block and a pool the rest.
-    Permutation 0, the observed labels, is the first row of block 1 (row
-    0 of its batch), so block 1's DEBUG wall time includes it; it alone
-    forms a Direction.  From the blocks, concatenated once, the run copies
-    the statistics of 1..B and the rows it keeps as one stack: of every
-    permutation if `retain_all`, else of 0, 1, 2 and the first minimum and
-    maximum.  Each b >= 1 draws from its own (seed, b) stream, so
-    results are bit-identical for any worker count.  An error
-    in the observed fit has no perm_index; one in re-fitting or scoring
-    permutation b (NonConvergedError, ...) aborts the run with perm_index
-    the lowest failing b; a pool worker that dies raises WorkerLostError
-    naming its block; no permutation is silently dropped.
+    The fits share one direction._fitter, whose DWD penalty C (from the
+    observed labels) and factor come from one Gram matrix of the data less
+    its column means (the intercept is free: a translation of X moves p
+    and the statistics only by rounding); an md run forms neither.
+    `workers` is an upper bound (default: the usable cores, per the CPU
+    affinity mask): the fits 0..B are split into max(1, min(workers,
+    B // _MIN_BLOCK)) contiguous blocks, so blocks of fewer than
+    _MIN_BLOCK re-fits are not forked; this process runs the first block
+    and a pool the rest.  Permutation 0, the observed labels, is the first
+    row of block 1 (row 0 of its batch), so block 1's DEBUG wall time
+    includes it; it alone forms a Direction.  From the blocks,
+    concatenated once, the run copies the statistics of 1..B and the rows
+    it keeps as one stack: of every permutation if `retain_all`, else of
+    0, 1, 2 and the first minimum and maximum.  Each b >= 1 draws from its
+    own (seed, b) stream, so results are bit-identical for any worker
+    count.  An error in the observed fit has no perm_index; one in
+    re-fitting or scoring permutation b (NonConvergedError, ...) aborts
+    the run with perm_index the lowest failing b; a pool worker that dies
+    raises WorkerLostError naming its block; no permutation is silently
+    dropped.
     """
     plan = plan or PermutationPlan()
     config = TestConfig(classifier, statistic, plan.scheme, plan.B,
@@ -325,11 +315,7 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
             "(%d, %d); using the composition-matched relabeling",
             *ds.class_counts(),
         )
-    X, C, factors = ds.features, None, None
-    if classifier == "dwd":  # both from the run's one Gram matrix
-        center, K = _gram(X)
-        C, factors = _penalty(X, ds.labels, K), _factor(center, K)
-    state = (X, ds.labels, config, C, factors)
+    state = (ds.labels, config, _fitter(classifier, ds.features, ds.labels, dwd_tol, dwd_max_iter))
 
     # contiguous blocks of indices 0..B in index order, each worth a
     # process; block 1 starts at 0, the observed labels, in the same batch

@@ -335,8 +335,8 @@ def test_parser_restates_no_library_choice_or_default(monkeypatch, tmp_path):
 
     seen = []
 
-    def spy(state, *args, **kw):  # state is (X, y, config, C, factors)
-        seen.append(state[2])
+    def spy(state, *args, **kw):  # state is (y, config, fit)
+        seen.append(state[1])
         raise Captured
 
     monkeypatch.setattr(engine, "_permutations", spy)

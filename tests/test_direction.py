@@ -638,8 +638,11 @@ def test_dwd_batch_failures_in_row_order():
     assert err.model.objective == ref.model.objective
 
 
-def test_dwd_invalid_parameters():
+def test_dwd_invalid_parameters(monkeypatch):
+    # each is refused before the O(n²p) set-up: no Gram matrix is formed
     ds = make_blobs(n=10, seed=0)
+    grams, real = [], direction._gram
+    monkeypatch.setattr(direction, "_gram", lambda X: grams.append(X) or real(X))
     with pytest.raises(DegenerateScaleError):
         dp.dwd_direction(ds, C=-1.0)
     for tol in (-1.0, 0.0, math.inf, math.nan, True):
@@ -650,7 +653,9 @@ def test_dwd_invalid_parameters():
     for max_iter in (0, 2.5, 3.0, "3", None, True):
         with pytest.raises(ValidationError, match="max_iter"):
             dp.dwd_direction(ds, C=1.0, max_iter=max_iter)
+    assert grams == []
     assert dp.dwd_direction(ds, C=1.0, max_iter=np.int64(50)).iterations <= 50
+    assert len(grams) == 1
 
 
 def test_direction_requires_unit_norm():

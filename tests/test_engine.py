@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import diproperm as dp
-from diproperm import cli, engine
+from diproperm import cli, direction, engine
 from diproperm.errors import (
     DppError,
     EmptyError,
@@ -567,19 +567,23 @@ def test_abort_in_callers_block_leaves_no_worker_behind(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _dwd_batch_spy(X, Y, **kw):
+    # at module level, so that pool blocks can unpickle the fitter that
+    # holds it; forked workers inherit _SPIED and append to the same file
+    calls, observed, real = _SPIED
+    with open(calls, "a") as f:
+        f.write(f"{len(Y)} {int(np.array_equal(Y[0], observed))}\n")
+    return real(X, Y, **kw)
+
+
 def test_observed_fit_is_row_0_of_block_1(monkeypatch, tmp_path):
     # one _dwd_batch per block, block 1's with the observed labels first;
     # the observed model is dwd_direction's bit for bit at any worker count
     monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
-    calls, real = tmp_path / "calls", engine._dwd_batch
-
-    def spy(X, Y, *args):  # pool workers append to the same file
-        with open(calls, "a") as f:
-            f.write(f"{len(Y)} {int(np.array_equal(Y[0], ds.labels))}\n")
-        return real(X, Y, *args)
-
-    monkeypatch.setattr(engine, "_dwd_batch", spy)
     ds = make_blobs(n=20, p=4, distance=2.0, seed=6)
+    calls = tmp_path / "calls"
+    monkeypatch.setitem(globals(), "_SPIED", (calls, ds.labels, direction._dwd_batch))
+    monkeypatch.setattr(direction, "_dwd_batch", _dwd_batch_spy)
     single = dp.dwd_direction(ds, C=dp.penalty_parameter(ds))
     plan = dp.PermutationPlan("balanced", 20, 3)
     for workers, sizes in ((1, [20]), (2, [10, 10]), (3, [6, 7, 7])):
