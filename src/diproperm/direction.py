@@ -549,6 +549,8 @@ def loadings_of(direction: Direction, loadnum: int | None = None,
     p = w.shape[0]
     if loadnum is None:
         loadnum = p
+    if not is_integer(loadnum):
+        raise ValidationError(f"loadnum must be an integer, got {loadnum!r}")
     if not 1 <= loadnum <= p:
         raise IndexError(f"loadnum must be in 1..{p}, got {loadnum}")
     if names is not None and len(names) != p:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .direction import DEFAULT_MAX_ITER, DEFAULT_TOL, Direction, DwdModel
 from .engine import DppResult, TestConfig
-from .errors import PanelUnavailableError, ValidationError
+from .errors import LabelDomainError, PanelUnavailableError, ValidationError, is_integer
 from .unistat import ProjectionScores
 
 SCHEMA_VERSION = 1
@@ -46,8 +46,8 @@ class DiagnosticsBundle:
 
 
 def _check_bins(bins: int | None) -> None:
-    if bins is not None and bins < 1:
-        raise ValidationError(f"bins must be >= 1, got {bins}")
+    if bins is not None and not (is_integer(bins) and bins >= 1):
+        raise ValidationError(f"bins must be an integer >= 1, got {bins!r}")
 
 
 def _panel_scores(result: DppResult, panel: str) -> ProjectionScores:
@@ -330,16 +330,35 @@ def _holds(v, obj) -> bool:
     return v is obj or any(_holds(child, obj) for child in children)
 
 
+def _numbers(v, kind=(int, float)):
+    """v, refused unless it is a JSON number or a list of them, of `kind`
+    ((int,) for integers): numpy would read the string "0.5" and true as numbers."""
+    for x in v if type(v) is list else [v]:
+        if type(x) not in kind:
+            raise ValueError(f"{x!r} is not a JSON {'number' if float in kind else 'integer'}")
+    return v
+
+
+def _labels(v):
+    """v, refused unless each label is a JSON integer: numpy would read true as 1."""
+    for x in v:
+        if type(x) is not int:
+            raise LabelDomainError(x)
+    return v
+
+
 def load_result_json(path) -> DppResult:
     """Rebuild a DppResult from emit_result_json output.
 
     The observed scores and the records, in index order, become the
     result's one stack of kept rows, checked once.  A missing or malformed
     field raises ValidationError naming it: so do perm_statistics other
-    than config.B finite numbers, an unknown key in dwd, a label other
-    than -1 and 1, and a record key other than the plain decimal of an
-    index in 1..B, or a record not one entry per sample or whose class
-    counts differ from the observed ones.  So does a key repeated in any
+    than config.B finite numbers, a number not written as a JSON number
+    (a string, true or false), an unknown key in dwd, dwd.iterations other
+    than a JSON integer, a label other than the JSON integers -1 and 1,
+    and a record key other than the plain decimal of an index in 1..B, or
+    a record not one entry per sample or whose class counts differ from
+    the observed ones.  So does a key repeated in any
     object, naming the field that holds it.  `observed_statistic`,
     records' `statistic`, `loadings`, `p_value`, `z_score` and `cutoff`
     are not read.
@@ -359,7 +378,8 @@ def load_result_json(path) -> DppResult:
             raise ValidationError(f"result.json field {name!r} missing or "
                                   f"malformed ({type(err).__name__}: {err})") from None
 
-    direction = field("direction", lambda d: Direction(np.array(d["w"]), d["beta"]))
+    direction = field("direction", lambda d: Direction(np.array(_numbers(d["w"])),
+                                                       _numbers(d["beta"])))
     config = field("config", lambda c: TestConfig(**{
         "dwd_tol": DEFAULT_TOL, "dwd_max_iter": DEFAULT_MAX_ITER, **c}))
 
@@ -368,16 +388,18 @@ def load_result_json(path) -> DppResult:
             raise ValueError(f"{len(v)} entries, expected {n}")
         return v
 
-    def finite(a):  # json reads NaN and Infinity, and float64 makes null a nan
+    def finite(v):  # json reads NaN and Infinity, and float64 makes null a nan;
+        # those are named by permutation, then anything else not a JSON number
+        a = np.array(one_each(v, config.B), dtype=np.float64)
         bad = np.flatnonzero(~np.isfinite(a))
         if bad.size:
             raise ValueError(f"permutation {bad[0] + 1} has statistic {a[bad[0]]}")
+        _numbers(v)
         return a
 
-    perm_statistics = field("perm_statistics", lambda v: finite(np.array(
-        one_each(v, config.B), dtype=np.float64)))
+    perm_statistics = field("perm_statistics", finite)
     observed = field("observed_scores", lambda d: ProjectionScores(
-        np.array(d["scores"]), np.array(d["labels"])))
+        np.array(_numbers(d["scores"])), np.array(_labels(d["labels"]))))
 
     n, n_pos = observed.labels.size, int((observed.labels == 1).sum())
 
@@ -388,14 +410,18 @@ def load_result_json(path) -> DppResult:
                 raise ValueError(f"record key {key!r} is not written as {b}")
             if not 1 <= b <= config.B:
                 raise ValueError(f"permutation {b} outside 1..{config.B}")
-            y = one_each(recs[key]["labels"], n)
-            one_each(recs[key]["scores"], n)
+            y = _labels(one_each(recs[key]["labels"], n))
+            _numbers(one_each(recs[key]["scores"], n))
             # every scheme keeps the class counts; a label other than -1 and 1 the stack names
             if y.count(1) != n_pos and y.count(1) + y.count(-1) == n:
                 raise ValueError(f"permutation {b}'s labels change the observed class counts")
         return np.array([0, *map(int, keys)]), ProjectionScores(
             np.array([observed.scores, *(recs[key]["scores"] for key in keys)]),
             np.array([observed.labels, *(recs[key]["labels"] for key in keys)]))
+
+    def model(d):  # a JSON number in each field, an integer in iterations
+        return DwdModel(direction=direction, **{
+            k: _numbers(v, (int,) if k == "iterations" else (int, float)) for k, v in d.items()})
 
     kept, kept_scores = field("records", stack)
     return DppResult(
@@ -404,8 +430,7 @@ def load_result_json(path) -> DppResult:
         perm_statistics=perm_statistics,
         kept=kept,
         kept_scores=kept_scores,
-        observed_model=(field("dwd", lambda d: DwdModel(direction=direction, **d))
-                        if doc.get("dwd") is not None else None),
+        observed_model=field("dwd", model) if doc.get("dwd") is not None else None,
         feature_names=(field("feature_names", lambda v: tuple(one_each(v, direction.w.size)))
                        if doc.get("feature_names") else None),
     )

@@ -686,6 +686,10 @@ def test_loadings_names_and_range():
         dp.loadings_of(d, 3)
     with pytest.raises(IndexError):
         dp.loadings_of(d, 0)
+    # loadnum is an integer: 2.5 and "2" used to raise TypeError, True gave 1 row
+    for loadnum in (2.5, "2", True):
+        with pytest.raises(ValidationError, match="loadnum must be an integer"):
+            dp.loadings_of(d, loadnum)
 
 
 def test_dwd_mushrooms_training_error_zero(mushrooms):

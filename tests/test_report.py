@@ -247,8 +247,11 @@ def test_result_json_dwd_block_is_the_model(result, tmp_path, capsys):
     for name in names:
         assert getattr(loaded, name) == getattr(result.observed_model, name)
     tampered = tmp_path / "tampered.json"
+    # and so is a field other than a JSON number (iterations: integer)
     for dwd in ({**doc["dwd"], "margin": 1.0},
-                {k: v for k, v in doc["dwd"].items() if k != "C"}):
+                {k: v for k, v in doc["dwd"].items() if k != "C"},
+                {**doc["dwd"], "C": "abc"}, {**doc["dwd"], "objective": True},
+                {**doc["dwd"], "iterations": float(doc["dwd"]["iterations"])}):
         tampered.write_text(json.dumps({**doc, "dwd": dwd}))
         with pytest.raises(ValidationError, match="'dwd'"):
             dp.load_result_json(tampered)
@@ -302,6 +305,20 @@ def test_result_json_non_finite_statistic_is_refused(tmp_path, capsys):
             assert err == ("error: result.json field 'perm_statistics' missing or malformed "
                            f"(ValueError: permutation 4 has statistic {read})\n")
             assert not out.exists()
+    # so is a number written as a string or as true, which numpy would read
+    # as a number, whether a statistic, a coordinate of w, beta or a score
+    for keys in (("perm_statistics", 3), ("direction", "w", 0), ("direction", "beta"),
+                 ("observed_scores", "scores", 0), ("records", "1", "scores", 0)):
+        for value in ("0.5", True):
+            doc = json.loads(path.read_text())
+            parent = doc
+            for key in keys[:-1]:
+                parent = parent[key]
+            parent[keys[-1]] = value
+            edited.write_text(json.dumps(doc))
+            with pytest.raises(ValidationError,
+                               match=rf"'{keys[0]}'.*{value!r} is not a JSON number"):
+                dp.load_result_json(edited)
     # so is a document of another schema
     doc = json.loads(path.read_text())
     edited.write_text(json.dumps({**doc, "schema_version": 2}))
@@ -348,6 +365,10 @@ def test_emit_bundle_default_panels(result, tmp_path):
     )
     with pytest.raises(ValidationError):
         dp.DiagnosticsBundle(panels=("bogus",), out_dir=tmp_path)
+    # bins is an integer >= 1: numpy would fail on 2.5, and True is 1 bin
+    for bins in (0, 2.5, True, "2"):
+        with pytest.raises(ValidationError, match="bins must be an integer"):
+            dp.DiagnosticsBundle(bins=bins, out_dir=tmp_path)
 
 
 def test_permdist_csv(result, tmp_path):
@@ -426,8 +447,11 @@ def test_result_labels_are_exactly_minus_one_or_one(tmp_path):
     # a label that the int64 cast would change is refused with its value,
     # in the observed scores or in a record; the data-file advice ("recode
     # ... before loading") is not given for a stored result
+    # nor one that is not a JSON integer, which numpy would read as -1 or 1
     for field, label in (("observed_scores", -1.9), ("observed_scores", 7),
-                         ("records", 1.5), ("records", -1.0000001)):
+                         ("records", 1.5), ("records", -1.0000001),
+                         ("observed_scores", True), ("records", True),
+                         ("observed_scores", -1.0), ("records", 1.0)):
         edited = json.loads(RESULT_V1.read_text())
         labels = (edited["observed_scores"] if field == "observed_scores"
                   else edited["records"]["4"])["labels"]
