@@ -7,11 +7,11 @@ observed labels and the first row of block 1; they run in at most
 `workers` contiguous blocks of at least _MIN_BLOCK re-fits (or one
 block), the caller running the first, a process pool the rest.  Each
 block is relabeled in one pass (permute.relabel_block, each row
-bit-identical to permute_labels with derive_stream's stream) and fit as
-one batch by the run's one direction._fitter, whose scores stack (each
-row a single fit's bits) is scored at once.  Only permutation 0 forms a
-Direction (and for DWD its w), and a failed fit for its error.  A block
-returns arrays, which the run concatenates once.  Every permutation b >= 1 draws from its own
+bit-identical to permute_labels with derive_stream's stream), fit as one
+batch by the run's direction._fitter (each row a single fit's bits) and
+scored at once.  Only permutation 0 forms a Direction (and for DWD its
+w), and a failed fit for its error.  A block returns arrays, which the
+run concatenates once.  Every permutation b >= 1 draws from its own
 (seed, b) stream, so the answer does not depend on the worker count.
 
 Null hypothesis: the two classes are draws from one distribution; it is
@@ -242,10 +242,10 @@ def _permutations(state, indices):
 
     Pure in (state, indices); `state` is the run's (y, config, fit), fit
     from direction._fitter.  relabel_block gives index 0 y itself and any
-    other b the relabeling of its (seed, b) stream, in one pass.  The rows
-    are fit(labels), one batch, whose scores stack is scored up to the
-    first failed fit; only row 0 forms a Direction.  An error carries its row's index as
-    perm_index (None for 0); the lowest failing index wins, fit or statistic.
+    other b its (seed, b) stream's relabeling, in one pass; fit(labels)
+    is one batch, its stack scored up to the first failed fit; only row 0
+    forms a Direction.  An error carries its row's index as perm_index
+    (None for 0); the lowest failing index wins, fit or statistic.
     """
     y, config, fit = state
     t0 = time.perf_counter()
