@@ -28,22 +28,26 @@ through a k x k one by Sherman-Morrison-Woodbury.  A fit stops when the KKT
 residual (tangential gradient, d/d beta and complementarity, for the
 problem rescaled to C = 1) falls to `tol`.  It starts from the
 mean-difference (md) rule (_md_rule) in the row space, a = Zᵀc / ||Zᵀc||
-with the class-mean midpoint; an md fit itself is taken in feature
-space, exactly, in O(np) (_md_batch).
+with the class-mean midpoint; where the classes differ in size (whose
+optimal intercept moves off the midpoint) b then takes one Newton step
+alone, clipped to the knot's width 1.  An md fit itself is taken in
+feature space, exactly, in O(np) (_md_batch).
 
 Fits to m label vectors on the same X run as one lockstep batch: each
 round, every unfinished row takes its own Newton step, so each row does
-exactly the iterations it would do alone.  The batch is bit-identical to
-single fits because every per-row product is a stacked np.matmul,
-np.linalg.solve or gather and every per-row reduction a last-axis sum,
-each of which gives a row the bits of its single operation; the k x k
-systems are padded to a size k alone sets.  md fits batch the same way,
-and all go through _fitter, a single fit as a batch of one.  Memory is
-O(n² + np + mn), O(np + mn) for md: Newton systems are built a chunk of
-rows at a time (~2 MB of stacked matrices, _CHUNK_BYTES).  A DWD row's
-scores on X come from the row space, X w + beta = sign Z1 x / (sqrt(C)
-||a||), so a batch forms no w: only a row's Direction (the observed
-fit's, or a failed row's for its error) pays the O(np) product.
+exactly the iterations it would do alone; a row that finishes writes its
+state out once, and the rounds carry the others, compacted.  The batch
+is bit-identical to single fits because every per-row product is a
+stacked np.matmul, np.linalg.solve or gather and every per-row reduction
+a last-axis sum, each of which gives a row the bits of its single
+operation; the k x k systems are padded to a size k alone sets.  md
+fits batch the same way, and all go through _fitter, a single fit as a
+batch of one.  Memory is O(n² + np + mn), O(np + mn) for md: Newton
+systems are built a chunk of rows at a time (~2 MB of stacked matrices,
+_CHUNK_BYTES).  A DWD row's scores on X come from the row space, X w +
+beta = sign Z1 x / (sqrt(C) ||a||), so a batch forms no w: only a row's
+Direction (the observed fit's, or a failed row's for its error) pays the
+O(np) product.
 """
 
 from __future__ import annotations
@@ -244,12 +248,18 @@ def _penalty(X: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:
     med = float(np.median(np.sqrt(sq)))
     if not med > 1e-12 * math.sqrt(d.max()):  # relative to the data's scale
         raise DegenerateScaleError("all between-class distances are ~0")
-    return 100.0 / (med * med)
+    C = 100.0 / (med * med)
+    if not math.isfinite(C):
+        raise DegenerateScaleError(f"the default penalty 100 / {med:.3g}² overflows float64: "
+                                   f"the data's largest magnitude is {np.abs(X).max():.3g}; "
+                                   "rescale the features")
+    return C
 
 
 def penalty_parameter(ds: LabeledDataset) -> float:
     """Scale-adaptive DWD penalty: C = 100 / median between-class distance^2,
-    the n- x n+ x p tensor's median bit for bit, in O(n² + np) memory."""
+    the n- x n+ x p tensor's median bit for bit, in O(n² + np) memory;
+    DegenerateScaleError if the distances are ~0 or C overflows."""
     return _penalty(ds.features, ds.labels, _gram(ds.features)[1])
 
 
@@ -446,46 +456,70 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float, tol: float, max_
     x = np.zeros((len(Y), r + 1))
     x[:, :r] = A / np.where(nrm >= small, nrm, np.inf)  # a = 0 if the means coincide
     x[:, r] = middle(scores(x))[0]
+    # With unequal classes the optimal intercept moves off the midpoint:
+    # one Newton step in b alone, b -= g_b / h_bb clipped to the knot's
+    # width 1 (sign(g_b) where h_bb = 0).  Equal classes keep the midpoint.
+    unequal = 2 * (Y == 1).sum(axis=1) != n
+    if unequal.any():
+        Yu = Yf[unequal]
+        _, gu, curv = _loss(Yu * scores(x[unequal]), 1.0)
+        gb, hb = (Yu * gu).sum(axis=1), curv.sum(axis=1)
+        x[unequal, r] -= np.clip(np.divide(gb, hb, out=np.sign(gb), where=hb > 0.0), -1.0, 1.0)
 
-    # Lockstep rounds: each live row takes a Newton direction, then an
-    # Armijo step along it (halving from 1), with a rescaled into the ball
-    # (on the sphere, a retraction).  A row leaves when its KKT residual
-    # reaches tol, after max_iter iterations, or when no step decreases f.
-    state = [x, *at(x, Yf)]  # x, f, G, curv, lam, na, res of every row
-    iters = np.zeros(len(Y), dtype=np.int64)
-    stuck = np.zeros(len(Y), dtype=bool)
-    live = np.arange(len(Y))
+    def tried(x, D, t, Ya):  # x + t D with a rescaled into the ball, and `at` there
+        x_t = x + t[:, None] * D
+        a_t = x_t[:, :r]
+        a_t /= np.maximum(np.sqrt((a_t * a_t).sum(axis=1)), 1.0)[:, None]
+        return [x_t, *at(x_t, Ya)]
+
+    # Lockstep rounds over the live rows alone: each takes a Newton
+    # direction, then an Armijo step along it (halving from 1), with a
+    # rescaled into the ball (on the sphere, a retraction).  A row leaves
+    # when its KKT residual reaches tol, after max_iter iterations, or when
+    # no step decreases f: its x, f, ||a||, residual and iterations are written
+    # out then, and the rows left are compacted.  A round whose rows all pass
+    # at t = 1 keeps its trial arrays as they are.
+    m = len(Y)
+    out = [np.empty_like(x), np.empty(m), np.empty(m), np.empty(m), np.empty(m, np.int64)]
+    live, it, Ya = np.arange(m), np.zeros(m, dtype=np.int64), Yf
+    now = [x, *at(x, Yf)]  # x, f, G, curv, lam, na, res of each live row
+    stuck = np.zeros(m, dtype=bool)
     while True:
-        live = live[(state[-1][live] > tol) & (iters[live] < max_iter) & ~stuck[live]]
+        keep = (now[-1] > tol) & (it < max_iter) & ~stuck
+        if not keep.all():
+            gone = ~keep
+            for o, v in zip(out, (now[0], now[1], now[5], now[6], it)):
+                o[live[gone]] = v[gone]
+            live, it, Ya = live[keep], it[keep], Ya[keep]
+            now = [v[keep] for v in now]
         if not live.size:
             break
-        now = [v[live] for v in state]
         x, f, G = now[:3]
         D = newton(x, *now[2:])
         slope = (G * D).sum(axis=1)
         t = np.ones(live.size)
-        todo = np.arange(live.size)
+        new = tried(x, D, t, Ya)
+        # Armijo up to rounding in f: near the optimum a Newton step
+        # lowers f by less than f's own rounding error
+        todo = np.flatnonzero(~(new[1] <= f * (1.0 + 1e-13) + 1e-4 * t * slope))
         while todo.size:
-            x_t = x[todo] + t[todo, None] * D[todo]
-            a_t = x_t[:, :r]
-            a_t /= np.maximum(np.sqrt((a_t * a_t).sum(axis=1)), 1.0)[:, None]
-            trial = (x_t, *at(x_t, Yf[live[todo]]))
-            # Armijo up to rounding in f: near the optimum a Newton step
-            # lowers f by less than f's own rounding error
-            ok = trial[1] <= f[todo] * (1.0 + 1e-13) + 1e-4 * t[todo] * slope[todo]
-            for out, v in zip(state, trial):
-                out[live[todo[ok]]] = v[ok]
-            todo = todo[~ok]
             t[todo] *= 0.5
-            stuck[live[todo]] = t[todo] < 1e-12  # no representable descent left
-            todo = todo[t[todo] >= 1e-12]
-        moved = live[~stuck[live]]
-        iters[moved] += 1
+            todo = todo[t[todo] >= 1e-12]  # else no representable descent is left
+            trial = tried(x[todo], D[todo], t[todo], Ya[todo])
+            ok = trial[1] <= f[todo] * (1.0 + 1e-13) + 1e-4 * t[todo] * slope[todo]
+            for v, u in zip(new, trial):
+                v[todo[ok]] = u[ok]
+            todo = todo[~ok]
+        stuck = t < 1e-12
+        if stuck.any():  # a stuck row keeps its state
+            for v, u in zip(new, now):
+                v[stuck] = u[stuck]
+        now, it = new, it + ~stuck
 
     # Z1 x is X w + beta scaled by sqrt(C) ||a|| > 0: it orients each
     # row, signs its training margins and gives its scores without an
     # n x p product (NaN where a collapsed to 0)
-    x, f, na, res = state[0], state[1], state[5], state[-1]
+    x, f, na, res, iters = out
     s = scores(x)
     signs = np.where(middle(s)[1], -1.0, 1.0)
     collapsed = na < 1e-12  # ||a|| is scale-free: a solves the problem rescaled to C = 1
@@ -507,23 +541,17 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float, tol: float, max_
     return S, iters, int(np.append(collapsed | ~(res <= tol), True).argmax()), row
 
 
-def _check_penalty(C: float) -> float:
-    if not (np.isfinite(C) and C > 0.0):
-        raise DegenerateScaleError(f"penalty C must be positive and finite, got {C!r}")
-    return C
-
-
 def _fitter(classifier: str, X: np.ndarray, y: np.ndarray, tol: float, max_iter: int,
             C: float | None = None):
     """The picklable fit(Y) -> (S, iterations, k, row) on X: _md_batch, or _dwd_batch
     with one Gram matrix's factor and C (y's by default), formed once C, tol and max_iter pass."""
     if classifier == "md":
         return partial(_md_batch, X)
-    if C is not None:
-        _check_penalty(C)
+    if C is not None and (isinstance(C, bool) or not (np.isfinite(C) and C > 0.0)):
+        raise DegenerateScaleError(f"penalty C must be positive and finite, got {C!r}")
     _check_stopping(tol, max_iter)
     center, K = _gram(X)
-    C = _check_penalty(_penalty(X, y, K)) if C is None else C
+    C = _penalty(X, y, K) if C is None else C
     return partial(_dwd_batch, X, factors=_factor(center, K), C=C, tol=tol, max_iter=max_iter)
 
 

@@ -210,24 +210,25 @@ def cutoff(perm_stats, alpha: float) -> float:
 
 
 # Fewest re-fits a block needs to pay for a worker process (fork, pickled
-# run state, BLAS thread wake-up: ~0.05-0.1 s on 2 cores).  One process
-# against two forked blocks, median wall s over 10 alternating pairs of
-# fresh processes (20 at B=600 and 700 on mushrooms50), and the pairs
-# the two blocks won:
+# run state, BLAS thread wake-up).  One process against two forked blocks
+# (two at every B here), median wall s over 10 alternating pairs of fresh
+# processes, each the median of 5 calls, and the pairs the two blocks
+# won, in two sessions on 2 cores:
 #
 #   B      mushrooms50                60 x 5000 blobs
-#   150    0.065 / 0.087   1/10       0.078 / 0.115   0/10
-#   200    0.081 / 0.119   0/10       0.093 / 0.134   0/10
-#   400    0.177 / 0.206   1/10       0.186 / 0.228   0/10
-#   500    0.192 / 0.238   3/10       0.249 / 0.182  10/10
-#   600    0.226 / 0.159  15/20       0.291 / 0.199  20/20
-#   700    0.246 / 0.166  18/20       0.348 / 0.236  10/10
-#   1000   0.370 / 0.241  10/10       0.517 / 0.307  10/10
+#   500    0.067 / 0.066   6/10       0.043 / 0.063   1/10
+#          0.065 / 0.063   6/10       0.046 / 0.058   2/10
+#   700    0.093 / 0.084   8/10       0.058 / 0.072   0/10
+#          0.089 / 0.093   5/10       0.063 / 0.074   5/10
+#   1000   0.122 / 0.097  10/10       0.078 / 0.085   4/10
+#          0.128 / 0.107   9/10       0.080 / 0.081   5/10
 #
-# These are DWD runs.  An md permutation costs ~55 us, mostly relabeling,
-# so a fork pays for md only near B = 2000 (the rule counts re-fits, not
-# their cost); 200 x 10 blobs, md, med statistic, retain_all, medians of
-# 10 fresh-process pairs, each the median of 5 calls:
+# These are DWD runs: a fork breaks even on mushrooms50 near B = 700 and
+# pays at 1000, and on 60 x 5000, whose re-fits cost less, not below
+# B = 1000.  An md permutation costs ~55 us, mostly relabeling, so a fork
+# pays for md only near B = 2000 (the rule counts re-fits, not their
+# cost); 200 x 10 blobs, md, med statistic, retain_all, medians of 10
+# fresh-process pairs, each the median of 5 calls:
 #
 #   B      one process / two blocks
 #   700    0.044 / 0.052   2/10

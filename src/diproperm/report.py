@@ -354,9 +354,10 @@ def load_result_json(path) -> DppResult:
     result's one stack of kept rows, checked once.  A missing or malformed
     field raises ValidationError naming it: so do perm_statistics other
     than config.B finite numbers, a number not written as a JSON number
-    (a string, true or false), an unknown key in dwd, dwd.iterations other
-    than a JSON integer, a label other than the JSON integers -1 and 1,
-    and a record key other than the plain decimal of an index in 1..B, or
+    (a string, true or false), an unknown key in dwd, a dwd number that
+    is not finite, dwd.iterations other than a JSON integer, a label
+    other than the JSON integers -1 and 1, and a record key other than
+    the plain decimal of an index in 1..B, or
     a record not one entry per sample or whose class counts differ from
     the observed ones.  So does a key repeated in any
     object, naming the field that holds it.  `observed_statistic`,
@@ -419,9 +420,12 @@ def load_result_json(path) -> DppResult:
             np.array([observed.scores, *(recs[key]["scores"] for key in keys)]),
             np.array([observed.labels, *(recs[key]["labels"] for key in keys)]))
 
-    def model(d):  # a JSON number in each field, an integer in iterations
-        return DwdModel(direction=direction, **{
-            k: _numbers(v, (int,) if k == "iterations" else (int, float)) for k, v in d.items()})
+    def model(d):  # a finite JSON number in each field, an integer in iterations
+        for k, v in d.items():
+            _numbers(v, (int,) if k == "iterations" else (int, float))
+            if type(v) is float and not math.isfinite(v):  # json reads NaN and Infinity
+                raise ValueError(f"{k} is {v}")
+        return DwdModel(direction=direction, **d)
 
     kept, kept_scores = field("records", stack)
     return DppResult(

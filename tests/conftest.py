@@ -88,7 +88,10 @@ def reference_dwd(X, y, C, tol, max_iter=5000):
     bordered KKT steps on the sphere ||a|| = 1 while its multiplier is
     positive, plain Newton steps otherwise, both shifted on the diagonal
     by min(res, res²) for the KKT residual res, an Armijo step rescaled into
-    the ball, stopping on the KKT residual.  A bordered step with k < r/2
+    the ball, stopping on the KKT residual.  It starts from the md rule
+    with the class-mean midpoint, which a y with classes of unequal size
+    moves by one Newton step in b alone, clipped to [-1, 1] (sign(g_b)
+    where b has no curvature).  A bordered step with k < r/2
     active samples (V_1'' > 0) goes through a k x k system padded to the
     next power of two >= 16 (Sherman-Morrison-Woodbury), its last 2 x 2
     system solved by Cramer's rule.  Returns the
@@ -120,13 +123,15 @@ def reference_dwd(X, y, C, tol, max_iter=5000):
     Ga = Za @ Za.T
     yf = y.astype(np.float64)
 
-    def at(x):  # f, gradient, V_1'', ball multiplier, ||a||, KKT residual
+    def loss(x):  # V_1, V_1' and V_1'' at the margins y Z1 x
         u = yf * (Z1 @ x)
         hi = u >= 1.0
         recip = 1.0 / np.maximum(u, 1.0)
         gu = np.where(hi, -recip * recip, -1.0)
-        v = np.where(hi, recip, 2.0 - u)
-        curv = np.where(hi, -2.0 * gu / np.maximum(u, 1.0), 0.0)
+        return np.where(hi, recip, 2.0 - u), gu, np.where(hi, -2.0 * gu / np.maximum(u, 1.0), 0.0)
+
+    def at(x):  # f, gradient, V_1'', ball multiplier, ||a||, KKT residual
+        v, gu, curv = loss(x)
         g = (yf * gu) @ Z1
         lam = max(-float((x[:r] * g[:r]).sum()), 0.0)
         na = math.sqrt(float((x[:r] * x[:r]).sum()))
@@ -169,6 +174,10 @@ def reference_dwd(X, y, C, tol, max_iter=5000):
         x[:r] = a0 / nrm
     mean_pos, mean_neg = class_means(Z1 @ x)
     x[r] = -0.5 * (mean_pos + mean_neg)
+    if 2 * n_pos != n:  # unequal classes: one Newton step in b alone
+        _, gu, curv = loss(x)
+        gb, hb = float((yf * gu).sum()), float(curv.sum())
+        x[r] -= min(max(gb / hb if hb > 0.0 else float(np.sign(gb)), -1.0), 1.0)
     f, g, curv, lam, na, res = at(x)
     trace, iterations, active = [root_c * f], 0, 0
     while res > tol and iterations < max_iter:

@@ -229,10 +229,17 @@ def test_penalty_parameter_matches_tensor_formula_in_small_memory(mushrooms):
     assert peak < 10e6
 
 
-def test_penalty_parameter_degenerate():
+def test_penalty_parameter_degenerate(mushrooms):
     ds = dp.LabeledDataset(np.ones((4, 2)), [-1, 1, -1, 1])
     with pytest.raises(DegenerateScaleError):
         dp.penalty_parameter(ds)
+    # distances of ~1e-157 are not ~0 for their data, but 100 / med²
+    # overflows: refused by the penalty itself, not returned as inf
+    tiny = dp.LabeledDataset(mushrooms.features * 1e-157, mushrooms.labels)
+    for fit in (dp.penalty_parameter, dp.dwd_direction,
+                lambda ds: dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 0), workers=1)):
+        with pytest.raises(DegenerateScaleError, match="default penalty"):
+            fit(tiny)
 
 
 def test_overflowing_gram_matrix_is_refused_naming_the_data_scale():
@@ -368,21 +375,34 @@ def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms, monkeypatch):
     # each row of a lockstep batch is the single-problem iteration, bit for
     # bit, whether its neighbours stop far earlier or far later than it;
     # the batch forms no Direction (no w) until row(i) is called
+    # (data, seed of the relabelings, least max / min iterations of its stack)
     cases = [
-        (make_blobs(n=12, p=3, distance=1.0, seed=1), 1),
-        (mushrooms, 2),
-        (dp.synthetic_blobs(60, 500, seed=0), 3),
-        (make_blobs(n=100, p=2, distance=3.0, seed=4), 4),
-        (make_blobs(n=200, p=20, distance=2.0, seed=5), 5),
-        (dp.synthetic_blobs(60, 5000, seed=0), 6),  # p >> n: few active samples
+        (make_blobs(n=12, p=3, distance=1.0, seed=1), 1, 2),
+        (mushrooms, 2, 2),
+        (dp.synthetic_blobs(60, 500, seed=0), 3, 2),
+        (make_blobs(n=100, p=2, distance=3.0, seed=4), 4, 2),
+        (make_blobs(n=200, p=20, distance=2.0, seed=5), 5, 2),
+        (dp.synthetic_blobs(60, 5000, seed=0), 6, 2),  # p >> n: few active samples
+        # p >> n with classes of 30 and 15: every row starts from the
+        # Newton-corrected intercept, and 30-33 samples are active, so its
+        # steps are dense.  Its relabelings take 4 iterations and its
+        # "alone" rows 6-7 (5 and 8-9 from the midpoint): a spread under 2x
+        (dp.subset_rows(dp.synthetic_blobs(60, 5000, seed=0), range(45)), 7, 1.5),
+        # and with classes of 30 and 29, whose relabelings take
+        # active-sample steps from the corrected intercept
+        (dp.subset_rows(dp.synthetic_blobs(60, 5000, seed=0), range(59)), 8, 2),
     ]
     interior = 0  # rows whose optimum is inside the ball
     active = 0  # steps through the k x k active-sample system
-    for ds, seed in cases:
+    unequal_active = 0  # those of rows whose classes differ in size
+    for ds, seed, spread in cases:
         X, C = ds.features, dp.penalty_parameter(ds)
-        # a sample alone against the rest takes 2-4x the Newton iterations
-        # of a relabeling; on the 12 x 3 blobs it takes 9-14, and the
-        # relabelings 1-15 include one of 5
+        # a sample alone against the rest takes 1.5-4x the Newton
+        # iterations of a relabeling; on the 12 x 3 blobs it takes 9-14,
+        # and the relabelings 1-15 include one of 5.  The stack mixes rows
+        # with equal classes, which start from the class-mean midpoint, and
+        # unequal ones (the "alone" rows, and every row of an unequal data
+        # set), which start from the intercept's Newton step
         alone = [np.where(np.arange(len(X)) == i, 1, -1) for i in range(min(len(X), 60))]
         Y = np.array([ds.labels] + [
             dp.permute_labels(ds.labels, "unbalanced", dp.derive_stream(seed, b))
@@ -390,7 +410,7 @@ def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms, monkeypatch):
         made = _directions_made(monkeypatch)
         S, iterations, k, row = _dwd_batch(X, Y, _factor(*_gram(X)), C, DEFAULT_TOL, 5000)
         assert made == [] and k == len(Y)
-        assert iterations.max() >= 2 * iterations.min()
+        assert iterations.max() >= spread * iterations.min()
         for i, (y, scores) in enumerate(zip(Y, S)):
             ds_y = dp.LabeledDataset(X, y)
             single = dp.dwd_direction(ds_y, C=C)
@@ -404,6 +424,7 @@ def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms, monkeypatch):
                 X, y, C, DEFAULT_TOL)
             assert converged
             active += row_active
+            unequal_active += row_active if 2 * (y == 1).sum() != len(y) else 0
             # KKT of min f over ||w|| <= 1 at the solution (nw w, nw beta):
             # on the sphere the w-gradient is -lam w with lam >= 0, inside
             # the ball it is zero; f is flat in beta
@@ -428,7 +449,45 @@ def test_dwd_batch_rows_match_single_fits_bit_for_bit(mushrooms, monkeypatch):
                 assert fit.iterations == iters and isinstance(fit.iterations, int)
                 assert fit.objective == objective and fit.kkt_residual == res
             assert m.training_error == single.training_error
-    assert interior > 0 and active > 0
+    assert interior > 0 and active > 0 and unequal_active > 0
+
+
+def test_dwd_batch_rows_without_descent_keep_their_state(monkeypatch):
+    # a row that finds no descent leaves the batch with the state it had
+    # before that round, and no iteration for it, while the rows around it
+    # go on: each has a one-row batch's bits.  The objective is made NaN,
+    # which Armijo refuses, at every trial point whose first sample has a
+    # positive margin (a test of the row alone)
+    ds = make_blobs(n=12, p=3, distance=1.0, seed=1)
+    X, C = ds.features, dp.penalty_parameter(ds)
+    factors = _factor(*_gram(X))
+    loss, chunks, trials = direction._loss, direction._chunks, []
+
+    def refusing(u, C):  # after the first Newton direction, trials alone
+        v, g, c = loss(u, C)
+        return (np.where(u[:, :1] > 0.0, np.nan, v) if trials else v), g, c
+
+    monkeypatch.setattr(direction, "_loss", refusing)
+    monkeypatch.setattr(direction, "_chunks", lambda *a: trials.append(1) or chunks(*a))
+    Y = np.array([ds.labels] + [
+        dp.permute_labels(ds.labels, "unbalanced", dp.derive_stream(3, b)) for b in range(1, 16)])
+    S, iterations, _, row = _dwd_batch(X, Y, factors, C, DEFAULT_TOL, 5000)
+    failed = 0
+    for i, y in enumerate(Y):
+        trials.clear()
+        (s,), (n_iter,), _, single = _dwd_batch(X, y[None], factors, C, DEFAULT_TOL, 5000)
+        assert s.tobytes() == S[i].tobytes() and n_iter == iterations[i]
+        models = []
+        for fit in (partial(row, i), partial(single, 0)):
+            try:
+                models.append(fit()[1])
+            except NonConvergedError as err:
+                models.append(err.model)
+        a, b = models
+        assert (a.iterations, a.objective, a.kkt_residual) == (b.iterations, b.objective,
+                                                                b.kkt_residual)
+        failed += not a.kkt_residual <= DEFAULT_TOL
+    assert 0 < failed < len(Y) and iterations.min() == 0 < iterations.max()
 
 
 def test_dwd_batch_rows_match_across_chunks(monkeypatch):
@@ -643,8 +702,9 @@ def test_dwd_invalid_parameters(monkeypatch):
     ds = make_blobs(n=10, seed=0)
     grams, real = [], direction._gram
     monkeypatch.setattr(direction, "_gram", lambda X: grams.append(X) or real(X))
-    with pytest.raises(DegenerateScaleError):
-        dp.dwd_direction(ds, C=-1.0)
+    for C in (-1.0, 0.0, math.nan, math.inf, True):
+        with pytest.raises(DegenerateScaleError, match="penalty C"):
+            dp.dwd_direction(ds, C=C)
     for tol in (-1.0, 0.0, math.inf, math.nan, True):
         with pytest.raises(ValidationError, match="tol"):
             dp.dwd_direction(ds, C=1.0, tol=tol)

@@ -247,11 +247,13 @@ def test_result_json_dwd_block_is_the_model(result, tmp_path, capsys):
     for name in names:
         assert getattr(loaded, name) == getattr(result.observed_model, name)
     tampered = tmp_path / "tampered.json"
-    # and so is a field other than a JSON number (iterations: integer)
+    # and so is a field other than a finite JSON number (iterations:
+    # integer); json writes and reads NaN and Infinity, which are not JSON
     for dwd in ({**doc["dwd"], "margin": 1.0},
                 {k: v for k, v in doc["dwd"].items() if k != "C"},
                 {**doc["dwd"], "C": "abc"}, {**doc["dwd"], "objective": True},
-                {**doc["dwd"], "iterations": float(doc["dwd"]["iterations"])}):
+                {**doc["dwd"], "iterations": float(doc["dwd"]["iterations"])},
+                {**doc["dwd"], "C": math.nan}, {**doc["dwd"], "kkt_residual": math.inf}):
         tampered.write_text(json.dumps({**doc, "dwd": dwd}))
         with pytest.raises(ValidationError, match="'dwd'"):
             dp.load_result_json(tampered)
