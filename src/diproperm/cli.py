@@ -6,9 +6,8 @@ the top variable loadings from a result file, `report` re-emits panels
 from a result file, and `synth` generates the two-cluster Gaussian
 example data.
 
-Exit codes: 0 success, 1 I/O error or a lost worker process, 2
-validation error, 3 solver non-convergence.  Every failure prints one
-"error: ..." line to stderr.
+Exit codes: 0 success, 1 I/O error, 2 validation error, 3 solver
+non-convergence.  Every failure prints one "error: ..." line to stderr.
 """
 
 from __future__ import annotations
@@ -151,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--alpha", type=float, default=lib)
     run.add_argument("--workers", type=int,  # type=int parses the env value too
                      default=os.environ.get("DPP_WORKERS") or None,
-                     help="at most this many processes (default: usable cores)")
+                     help="at most this many threads (default: usable cores)")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--retain-all", action="store_true",
                      help="retain every permutation's scores in the result")

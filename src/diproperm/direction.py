@@ -300,7 +300,7 @@ def _factor(center: np.ndarray, K: np.ndarray):
         d -= Z[:, r] * Z[:, r]
         piv[r], r = i, r + 1
         d[piv[:r]] = 0.0
-    Z, piv = Z[:, :r].copy(), piv[:r]  # C order, as in any process it is sent to
+    Z, piv = Z[:, :r].copy(), piv[:r]  # a compact copy: frees the unused columns
     P = np.zeros_like(Z)
     P[piv] = np.linalg.inv(Z[piv]).T
     return center, Z, P
@@ -543,7 +543,7 @@ def _dwd_batch(X: np.ndarray, Y: np.ndarray, factors, C: float, tol: float, max_
 
 def _fitter(classifier: str, X: np.ndarray, y: np.ndarray, tol: float, max_iter: int,
             C: float | None = None):
-    """The picklable fit(Y) -> (S, iterations, k, row) on X: _md_batch, or _dwd_batch
+    """The fit(Y) -> (S, iterations, k, row) on X: _md_batch, or _dwd_batch
     with one Gram matrix's factor and C (y's by default), formed once C, tol and max_iter pass."""
     if classifier == "md":
         return partial(_md_batch, X)

@@ -5,8 +5,8 @@ and summarizes the permutation null distribution with a p-value, z-score,
 and empirical critical value.  A run's fits are numbered 0..B, 0 the
 observed labels and the first row of block 1; they run in at most
 `workers` contiguous blocks of at least _MIN_BLOCK re-fits (or one
-block), the caller running the first, a process pool the rest.  Each
-block is relabeled in one pass (permute.relabel_block, each row
+block), the calling thread running the first, a thread pool the rest.
+Each block is relabeled in one pass (permute.relabel_block, each row
 bit-identical to permute_labels with derive_stream's stream), fit as one
 batch by the run's direction._fitter (each row a single fit's bits) and
 scored at once.  Only permutation 0 forms a Direction (and for DWD its
@@ -25,8 +25,7 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import partial
@@ -49,7 +48,6 @@ from .errors import (
     DppError,
     EmptyError,
     ValidationError,
-    WorkerLostError,
     ZeroVarianceError,
     is_integer,
 )
@@ -209,46 +207,35 @@ def cutoff(perm_stats, alpha: float) -> float:
     return float(np.sort(stats)[rank - 1])
 
 
-# Fewest re-fits a block needs to pay for a worker process (fork, pickled
-# run state, BLAS thread wake-up).  One process against two forked blocks
-# (two at every B here), median wall s over 10 alternating pairs of fresh
-# processes, each the median of 5 calls, and the pairs the two blocks
+# Fewest re-fits a block needs to pay for a thread of its own.  DWD, one
+# block against two threads, median wall s of 10 alternating pairs of
+# fresh processes, each the median of 5 calls, and the pairs the threads
 # won, in two sessions on 2 cores:
 #
 #   B      mushrooms50                60 x 5000 blobs
-#   500    0.067 / 0.066   6/10       0.043 / 0.063   1/10
-#          0.065 / 0.063   6/10       0.046 / 0.058   2/10
-#   700    0.093 / 0.084   8/10       0.058 / 0.072   0/10
-#          0.089 / 0.093   5/10       0.063 / 0.074   5/10
-#   1000   0.122 / 0.097  10/10       0.078 / 0.085   4/10
-#          0.128 / 0.107   9/10       0.080 / 0.081   5/10
+#   200    0.048 / 0.037   7/10       0.031 / 0.030   4/10
+#   300    0.053 / 0.050   6/10       0.039 / 0.037   9/10
+#          0.038 / 0.043   3/10       0.027 / 0.028   5/10
+#   400    0.082 / 0.059   9/10       0.051 / 0.041   9/10
+#          0.053 / 0.047   8/10       0.033 / 0.033   7/10
 #
-# These are DWD runs: a fork breaks even on mushrooms50 near B = 700 and
-# pays at 1000, and on 60 x 5000, whose re-fits cost less, not below
-# B = 1000.  An md permutation costs ~55 us, mostly relabeling, so a fork
-# pays for md only near B = 2000 (the rule counts re-fits, not their
-# cost); 200 x 10 blobs, md, med statistic, retain_all, medians of 10
-# fresh-process pairs, each the median of 5 calls:
-#
-#   B      one process / two blocks
-#   700    0.044 / 0.052   2/10
-#   2000   0.120 / 0.110   6/10
-_MIN_BLOCK = 350
+# An md re-fit is mostly relabeling, Python code that holds the GIL, so
+# an md run never splits.
+_MIN_BLOCK = {"dwd": 200, "md": math.inf}
 
 
-def _permutations(state, indices):
+def _permutations(y, config, fit, indices):
     """One block's columns: permutation 0's (direction, model) if the block
     holds it (else None), its rows' labels and scores as (m x n) stacks,
     their statistics and solver iterations, and its wall time.
 
-    Pure in (state, indices); `state` is the run's (y, config, fit), fit
-    from direction._fitter.  relabel_block gives index 0 y itself and any
+    Pure in its arguments: the run's labels y, its TestConfig and its
+    direction._fitter.  relabel_block gives index 0 y itself and any
     other b its (seed, b) stream's relabeling, in one pass; fit(labels)
     is one batch, its stack scored up to the first failed fit; only row 0
     forms a Direction.  An error carries its row's index as perm_index
     (None for 0); the lowest failing index wins, fit or statistic.
     """
-    y, config, fit = state
     t0 = time.perf_counter()
     labels = relabel_block(y, config.scheme, config.seed, indices)
     S, iterations, k, row = fit(labels)
@@ -286,20 +273,19 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
     and the statistics only by rounding); an md run forms neither.
     `workers` is an upper bound (default: the usable cores, per the CPU
     affinity mask): the fits 0..B are split into max(1, min(workers,
-    B // _MIN_BLOCK)) contiguous blocks, so blocks of fewer than
-    _MIN_BLOCK re-fits are not forked; this process runs the first block
-    and a pool the rest.  Permutation 0, the observed labels, is the first
-    row of block 1 (row 0 of its batch), so block 1's DEBUG wall time
-    includes it; it alone forms a Direction.  From the blocks,
-    concatenated once, the run copies the statistics of 1..B and the rows
-    it keeps as one stack: of every permutation if `retain_all`, else of
-    0, 1, 2 and the first minimum and maximum.  Each b >= 1 draws from its
-    own (seed, b) stream, so results are bit-identical for any worker
-    count.  An error in the observed fit has no perm_index; one in
-    re-fitting or scoring permutation b (NonConvergedError, ...) aborts
-    the run with perm_index the lowest failing b; a pool worker that dies
-    raises WorkerLostError naming its block; no permutation is silently
-    dropped.
+    B // _MIN_BLOCK[classifier])) contiguous blocks, so no block has fewer
+    than its classifier's minimum of re-fits (md runs never split); the
+    calling thread runs the first block and a thread pool the rest.
+    Permutation 0, the observed labels, is the first row of block 1 (row
+    0 of its batch), so block 1's DEBUG wall time includes it; it alone
+    forms a Direction.  From the blocks, concatenated once, the run
+    copies the statistics of 1..B and the rows it keeps as one stack: of
+    every permutation if `retain_all`, else of 0, 1, 2 and the first
+    minimum and maximum.  Each b >= 1 draws from its own (seed, b)
+    stream, so results are bit-identical for any worker count.  An error
+    in the observed fit has no perm_index; one in re-fitting or scoring
+    permutation b (NonConvergedError, ...) aborts the run with perm_index
+    the lowest failing b; no permutation is silently dropped.
     """
     plan = plan or PermutationPlan()
     config = TestConfig(classifier, statistic, plan.scheme, plan.B,
@@ -316,24 +302,18 @@ def diproperm(ds: LabeledDataset, plan: PermutationPlan | None = None,
             "(%d, %d); using the composition-matched relabeling",
             *ds.class_counts(),
         )
-    state = (ds.labels, config, _fitter(classifier, ds.features, ds.labels, dwd_tol, dwd_max_iter))
+    run = partial(_permutations, ds.labels, config,
+                  _fitter(classifier, ds.features, ds.labels, dwd_tol, dwd_max_iter))
 
     # contiguous blocks of indices 0..B in index order, each worth a
-    # process; block 1 starts at 0, the observed labels, in the same batch
-    n_blocks = max(1, min(workers, config.B // _MIN_BLOCK))
+    # thread; block 1 starts at 0, the observed labels, in the same batch
+    n_blocks = max(1, min(workers, config.B // _MIN_BLOCK[classifier]))
     bounds = [min(k, 1) + k * config.B // n_blocks for k in range(n_blocks + 1)]
     blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    run = partial(_permutations, state)
-    # this process runs block 1, a pool the rest; one block starts no pool
-    with ProcessPoolExecutor(n_blocks - 1) if n_blocks > 1 else nullcontext() as pool:
+    # the calling thread runs block 1, a pool the rest; one block starts no pool
+    with ThreadPoolExecutor(n_blocks - 1) if n_blocks > 1 else nullcontext() as pool:
         rest = [pool.submit(run, block) for block in blocks[1:]]
-        block_outputs = [run(blocks[0])]
-        for block, future in zip(blocks[1:], rest):
-            try:
-                block_outputs.append(future.result())
-            except BrokenProcessPool as err:
-                raise WorkerLostError(f"a worker process died before permutations "
-                                      f"{block[0]}-{block[-1]} were done") from err
+        block_outputs = [run(blocks[0])] + [future.result() for future in rest]
     fits, labels, scores, stats, block_iterations, seconds = zip(*block_outputs)
     observed_direction, observed_model = fits[0]
     perm_statistics = np.concatenate(stats, dtype=np.float64)[1:].copy()

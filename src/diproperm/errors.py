@@ -104,11 +104,6 @@ class PanelUnavailableError(DppError):
     """The result holds no record of the permutation a score panel shows."""
 
 
-class WorkerLostError(DppError):
-    """A pool worker process died (killed, say, or out of memory) before
-    its block of permutations was done."""
-
-
 class NonConvergedError(DppError):
     """Solver stopped (iteration cap, no descent left) short of its tolerance.
 

@@ -163,7 +163,8 @@ def test_criterion_5_dwd_solver_correctness():
 
 
 def test_criterion_6_parallel_determinism(tmp_path, monkeypatch):
-    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)  # fork blocks of B=60 too
+    # split B=60 too
+    monkeypatch.setattr(engine, "_MIN_BLOCK", dict.fromkeys(engine.CLASSIFIERS, 1))
     ds = make_blobs(n=24, p=6, distance=2.5, std=1.0, seed=21)
     plan = dp.PermutationPlan(scheme="balanced", B=60, seed=9)
     outputs = {}

@@ -4,9 +4,11 @@ import gc
 import json
 import logging
 import math
-import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -20,11 +22,13 @@ from diproperm.errors import (
     EmptyError,
     NonConvergedError,
     ValidationError,
-    WorkerLostError,
     ZeroDirectionError,
     ZeroVarianceError,
 )
 from conftest import make_blobs
+
+# every classifier's minimum block at 1: runs of any B split, md's too
+SPLIT = dict.fromkeys(engine.CLASSIFIERS, 1)
 
 
 def test_p_value_examples():
@@ -129,14 +133,14 @@ def test_validation_of_engine_arguments(tmp_path, capsys):
 
 
 def test_default_workers_follow_cpu_affinity(monkeypatch):
-    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)  # only the mask keeps B=25 serial
+    monkeypatch.setattr(engine, "_MIN_BLOCK", SPLIT)  # only the mask keeps B=25 serial
 
     def no_pool(*args, **kwargs):
         raise AssertionError("one usable core must take the serial path")
 
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", no_pool)
     r = dp.diproperm(make_blobs(n=12, seed=2),
                      dp.PermutationPlan("unbalanced", 25, 1), classifier="md")
     assert len(r.perm_statistics) == 25
@@ -154,7 +158,7 @@ def test_infeasible_balance_warning(caplog):
 def test_debug_log_times_blocks_and_counts_iterations(caplog, monkeypatch):
     # a block's re-fits run as one batch: one wall time per block, solver
     # iterations per permutation
-    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)  # blocks of 3 re-fits
+    monkeypatch.setattr(engine, "_MIN_BLOCK", SPLIT)  # blocks of 3 re-fits
     ds = make_blobs(n=12, seed=3)
     with caplog.at_level(logging.DEBUG, logger="diproperm.engine"):
         r = dp.diproperm(ds, dp.PermutationPlan("balanced", 6, 1), alpha=0.5,
@@ -332,7 +336,7 @@ def test_label_swap_symmetry_unbalanced():
 
 
 def test_parallel_determinism_two_workers(monkeypatch):
-    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)  # fork even for tiny blocks
+    monkeypatch.setattr(engine, "_MIN_BLOCK", SPLIT)  # split even tiny blocks
     ds = make_blobs(n=20, p=4, distance=2.0, seed=6)
     kw = dict(classifier="dwd", statistic="md", alpha=0.05)
     plan = dp.PermutationPlan("balanced", 30, 17)
@@ -355,7 +359,7 @@ def test_parallel_determinism_two_workers(monkeypatch):
 def test_records_byte_identical_for_any_worker_count(mushrooms, monkeypatch):
     # each block keeps the scores of its first minimum and maximum; the
     # run's extreme records come from the blocks holding the global ones
-    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)  # split B=100 and 200 too
+    monkeypatch.setattr(engine, "_MIN_BLOCK", SPLIT)  # split B=100 and 200 too
     cases = [(mushrooms, 100, 5), (dp.synthetic_blobs(100, 2), 200, 3),
              (dp.synthetic_blobs(60, 5000), 100, 0)]
     for ds, B, seed in cases:
@@ -376,11 +380,11 @@ def test_records_byte_identical_for_any_worker_count(mushrooms, monkeypatch):
 def test_permutation_nonconvergence_aborts_with_index(monkeypatch):
     # observed fit converges from its warm start, permuted re-fits cannot;
     # the run aborts at the lowest failing index with that re-fit's own
-    # error, whatever block (and process) the index falls in: on seed 10
+    # error, whatever block (and thread) the index falls in: on seed 10
     # all re-fits fail at max_iter 5; on seed 24 only 11 does at 10, so it
     # is in the second block at 2 and at 3 workers (1-10 | 11-20,
-    # 1-6 | 7-13 | 14-20), and crosses a process boundary
-    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
+    # 1-6 | 7-13 | 14-20), and is raised in a pool thread
+    monkeypatch.setattr(engine, "_MIN_BLOCK", SPLIT)
     plan = dp.PermutationPlan("balanced", 20, 1)
     for seed, max_iter, lowest in ((10, 5, 1), (24, 10, 11)):
         ds = make_blobs(n=24, p=2, distance=8.0, std=0.5, seed=seed)
@@ -410,9 +414,9 @@ def test_permutation_nonconvergence_aborts_with_index(monkeypatch):
 def test_any_refit_failure_names_its_permutation(monkeypatch, tmp_path, capsys):
     # the observed fit is fine, but every balanced relabeling gives both
     # classes the same rows, so no re-fit has a direction: the error is
-    # the lowest index's, names it, keeps it across a pickle (the way a
-    # pool worker's error travels) and reaches the CLI as one line
-    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
+    # the lowest index's, names it, keeps it across a pickle (as a user
+    # may store it) and reaches the CLI as one line
+    monkeypatch.setattr(engine, "_MIN_BLOCK", SPLIT)
     ds = dp.LabeledDataset([[0, 1], [0, 1], [1, 0], [1, 0]], [-1, -1, 1, 1])
     data, labels = tmp_path / "x.csv", tmp_path / "y.txt"
     dp.write_dense(ds, data)
@@ -436,8 +440,8 @@ def test_any_refit_failure_names_its_permutation(monkeypatch, tmp_path, capsys):
 def test_permutation_scoring_failure_names_its_permutation(monkeypatch):
     # every re-fit has a direction, but one relabeling projects a class
     # onto a single point: its t statistic fails, naming its permutation
-    # from whatever block (and process) it falls in
-    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
+    # from whatever block (and thread) it falls in
+    monkeypatch.setattr(engine, "_MIN_BLOCK", SPLIT)
     ds = dp.LabeledDataset([[0], [0], [1], [0], [1], [1]], [-1, -1, -1, 1, 1, 1])
     plan = dp.PermutationPlan("unbalanced", 20, 3)
     for b in range(1, plan.B + 1):  # the first permutation the public route fails on
@@ -463,8 +467,8 @@ def test_lowest_failure_wins_across_fits_and_statistics(monkeypatch):
     # names the run's error, also when both fall in one block: on seed 28
     # permutation 2's statistic and 4's fit fail (block 1-6 at 3 workers),
     # on seed 4 1's fit and 2's statistic, on seed 747 7's fit and 8's
-    # statistic (block 7-13, a pool worker's)
-    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
+    # statistic (block 7-13, a pool thread's)
+    monkeypatch.setattr(engine, "_MIN_BLOCK", SPLIT)
     ds = dp.LabeledDataset(np.c_[[0, 0, 0, 1, 0, 1, 1, 1], np.zeros(8)], [-1] * 4 + [1] * 4)
     for seed, expected in ((28, ".S.F"), (4, "FS"), (747, "......FS")):
         plan = dp.PermutationPlan("unbalanced", 20, seed)
@@ -487,41 +491,14 @@ def test_lowest_failure_wins_across_fits_and_statistics(monkeypatch):
                 first[0], first[1], f"{first[2]} (permutation {first[0]})")
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patch reaches pool workers only through fork")
-def test_dead_worker_is_a_typed_error(monkeypatch, tmp_path, capsys):
-    # a pool worker that dies (here by os._exit; a kill for memory looks
-    # the same) fails the run naming its block, and leaves no child behind
-    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
-    caller, real = os.getpid(), engine.relabel_block
-
-    def dying(*args):
-        if os.getpid() != caller:
-            os._exit(9)
-        return real(*args)
-
-    monkeypatch.setattr(engine, "relabel_block", dying)
-    ds = make_blobs(n=20, p=4, distance=2.0, seed=6)
-    with pytest.raises(WorkerLostError, match="permutations 11-20"):
-        dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 3), workers=2)
-    assert multiprocessing.active_children() == []
-    data, labels = tmp_path / "x.csv", tmp_path / "y.txt"
-    dp.write_dense(ds, data)
-    dp.write_labels(ds, labels)
-    assert cli.main(["run", "--data", str(data), "--labels", str(labels), "-B", "20",
-                     "--seed", "3", "--workers", "2", "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1 and "11-20" in err
-    assert multiprocessing.active_children() == []
-
-
 def test_pool_only_for_blocks_worth_a_process(monkeypatch):
-    # `workers` is an upper bound: a block of fewer than _MIN_BLOCK
-    # re-fits is not forked, and the calling process runs block 1 beside
-    # a pool of the other blocks; the answer is the same on every path
+    # `workers` is an upper bound: a block of fewer than its classifier's
+    # _MIN_BLOCK re-fits gets no thread (an md run never splits), and the
+    # calling thread runs block 1 beside a pool of the other blocks; the
+    # answer is the same on every path
     pools = []
 
-    class SpyPool(engine.ProcessPoolExecutor):
+    class SpyPool(engine.ThreadPoolExecutor):
         def __init__(self, max_workers):
             super().__init__(max_workers=max_workers)
             self.max_workers, self.blocks = max_workers, []
@@ -536,20 +513,21 @@ def test_pool_only_for_blocks_worth_a_process(monkeypatch):
                 [(b, rec.statistic, rec.permuted_labels.tobytes(),
                   rec.scores.scores.tobytes()) for b, rec in r.records.items()])
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", SpyPool)
     ds = make_blobs(n=20, p=4, distance=2.0, seed=6)
-    for B, min_block, split in ((100, None, {1: [], 2: [], 3: []}),
-                                (1152, None, {2: [range(577, 1153)],
-                                              3: [range(385, 769), range(769, 1153)]}),
-                                (20, 1, {2: [range(11, 21)],
-                                         3: [range(7, 14), range(14, 21)]})):
+    for classifier, B, min_block, split in (
+            ("dwd", 100, None, {1: [], 2: [], 3: []}),
+            ("md", 1152, None, {2: [], 3: []}),
+            ("dwd", 1152, None, {2: [range(577, 1153)],
+                                 3: [range(385, 769), range(769, 1153)]}),
+            ("dwd", 20, SPLIT, {2: [range(11, 21)], 3: [range(7, 14), range(14, 21)]})):
         if min_block:
             monkeypatch.setattr(engine, "_MIN_BLOCK", min_block)
         plan = dp.PermutationPlan("balanced", B, 3)
-        one = dp.diproperm(ds, plan, workers=1)
+        one = dp.diproperm(ds, plan, classifier, workers=1)
         for workers, blocks in split.items():
             pools.clear()
-            r = dp.diproperm(ds, plan, workers=workers)
+            r = dp.diproperm(ds, plan, classifier, workers=workers)
             assert [(p.max_workers, p.blocks) for p in pools] == (
                 [(len(blocks), blocks)] if blocks else [])
             assert answer(r) == answer(one)
@@ -557,41 +535,50 @@ def test_pool_only_for_blocks_worth_a_process(monkeypatch):
 
 def test_abort_in_callers_block_leaves_no_worker_behind(monkeypatch):
     # every re-fit fails (seed 10, max_iter 5): the caller's own block 1
-    # raises while the pool runs blocks 2 and 3, and no worker outlives it
-    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
+    # raises while the pool runs blocks 2 and 3, and no thread outlives it
+    monkeypatch.setattr(engine, "_MIN_BLOCK", SPLIT)
+    threads = set(threading.enumerate())
     ds = make_blobs(n=24, p=2, distance=8.0, std=0.5, seed=10)
     with pytest.raises(NonConvergedError) as exc:
         dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 1), workers=3,
                      dwd_max_iter=5)
     assert exc.value.perm_index == 1
-    assert multiprocessing.active_children() == []
+    assert set(threading.enumerate()) == threads
 
 
-def _dwd_batch_spy(X, Y, **kw):
-    # at module level, so that pool blocks can unpickle the fitter that
-    # holds it; forked workers inherit _SPIED and append to the same file
-    calls, observed, real = _SPIED
-    with open(calls, "a") as f:
-        f.write(f"{len(Y)} {int(np.array_equal(Y[0], observed))}\n")
-    return real(X, Y, **kw)
+def test_split_run_loads_no_multiprocessing():
+    # a split run's extra blocks run on threads: neither the import nor
+    # the run loads multiprocessing, and two blocks give one block's answer
+    code = ("import sys, diproperm as dp; from diproperm import engine\n"
+            "engine._MIN_BLOCK = dict.fromkeys(engine.CLASSIFIERS, 1)\n"
+            "ds, plan = dp.synthetic_blobs(20, 4), dp.PermutationPlan('balanced', 20, 3)\n"
+            "one, two = (dp.diproperm(ds, plan, workers=w).perm_statistics for w in (1, 2))\n"
+            "print('multiprocessing' in sys.modules, one.tobytes() == two.tobytes())")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dp.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout.split()
+    assert out == ["False", "True"]
 
 
-def test_observed_fit_is_row_0_of_block_1(monkeypatch, tmp_path):
+def test_observed_fit_is_row_0_of_block_1(monkeypatch):
     # one _dwd_batch per block, block 1's with the observed labels first;
     # the observed model is dwd_direction's bit for bit at any worker count
-    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
+    monkeypatch.setattr(engine, "_MIN_BLOCK", SPLIT)
     ds = make_blobs(n=20, p=4, distance=2.0, seed=6)
-    calls = tmp_path / "calls"
-    monkeypatch.setitem(globals(), "_SPIED", (calls, ds.labels, direction._dwd_batch))
-    monkeypatch.setattr(direction, "_dwd_batch", _dwd_batch_spy)
+    calls, real = [], direction._dwd_batch
+
+    def spy(X, Y, **kw):
+        calls.append((len(Y), np.array_equal(Y[0], ds.labels)))
+        return real(X, Y, **kw)
+
+    monkeypatch.setattr(direction, "_dwd_batch", spy)
     single = dp.dwd_direction(ds, C=dp.penalty_parameter(ds))
     plan = dp.PermutationPlan("balanced", 20, 3)
     for workers, sizes in ((1, [20]), (2, [10, 10]), (3, [6, 7, 7])):
-        calls.write_text("")
+        calls.clear()
         m = dp.diproperm(ds, plan, workers=workers).observed_model
-        batches = sorted(line.split() for line in calls.read_text().splitlines())
-        assert batches == sorted([[str(sizes[0] + 1), "1"]]
-                                 + [[str(k), "0"] for k in sizes[1:]])
+        assert sorted(calls) == sorted([(sizes[0] + 1, True)]
+                                       + [(k, False) for k in sizes[1:]])
         assert m.direction.w.tobytes() == single.direction.w.tobytes()
         assert m.direction.beta == single.direction.beta
         assert (m.iterations, m.objective, m.kkt_residual, m.training_error) == (
@@ -607,26 +594,25 @@ def test_observed_fit_is_row_0_of_block_1(monkeypatch, tmp_path):
             expected.value.iterations, expected.value.kkt_residual)
 
 
-def test_only_the_observed_fit_forms_w(monkeypatch, tmp_path):
+def test_only_the_observed_fit_forms_w(monkeypatch):
     # re-fits are scored from their (w, beta) arrays (md) or row-space
     # solutions (DWD): a run of either classifier constructs one
-    # Direction, permutation 0's, and no pool block any
-    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
-    made, real = tmp_path / "made", dp.Direction.__post_init__
+    # Direction, permutation 0's, in the calling thread, and no pool block any
+    monkeypatch.setattr(engine, "_MIN_BLOCK", SPLIT)
+    made, real = [], dp.Direction.__post_init__
 
     def spy(self):
-        with open(made, "a") as f:  # pool workers append to the same file
-            f.write(f"{os.getpid()}\n")
+        made.append(threading.get_ident())
         real(self)
 
     monkeypatch.setattr(dp.Direction, "__post_init__", spy)
     ds = make_blobs(n=20, p=50, seed=6)
     for classifier in ("md", "dwd"):
         for workers in (1, 3):
-            made.write_text("")
+            made.clear()
             dp.diproperm(ds, dp.PermutationPlan("balanced", 20, 3), classifier=classifier,
                          workers=workers)
-            assert made.read_text().split() == [str(os.getpid())]
+            assert made == [threading.get_ident()]
 
 
 def test_run_state_is_released():
@@ -650,7 +636,7 @@ def test_run_state_is_released():
 def test_engine_matches_public_refits_bit_for_bit(monkeypatch):
     # each permutation statistic is what the public per-stage API gives for
     # that relabeling, at any worker count (p > n: coefficient-space DWD)
-    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)
+    monkeypatch.setattr(engine, "_MIN_BLOCK", SPLIT)
     ds = make_blobs(n=20, p=200, seed=3)
     plan = dp.PermutationPlan("balanced", 20, 4)
     C = dp.penalty_parameter(ds)
@@ -669,8 +655,8 @@ def test_records_view_is_the_per_permutation_records(monkeypatch):
     # `records` is derived from the kept stack, and each of its entries is
     # the record a run kept before it stored a stack: the relabeling of b's
     # stream, its re-fit's scores through the public API and entry b of
-    # perm_statistics; default and retain_all runs, one process and two
-    monkeypatch.setattr(engine, "_MIN_BLOCK", 1)  # workers=2 forks a block
+    # perm_statistics; default and retain_all runs, one block and two
+    monkeypatch.setattr(engine, "_MIN_BLOCK", SPLIT)  # workers=2 splits md too
     ds = make_blobs(n=14, p=3, seed=8)
     plan = dp.PermutationPlan("unbalanced", 30, 6)
     for retain_all in (False, True):

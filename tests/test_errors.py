@@ -1,4 +1,4 @@
-"""The error contract: where an error happened, and crossing a process."""
+"""The error contract: where an error happened, and crossing a pickle."""
 
 import pickle
 
@@ -29,8 +29,9 @@ def _sample(cls):
 @pytest.mark.parametrize("cls", [DppError, *SUBCLASSES], ids=lambda c: c.__name__)
 @pytest.mark.parametrize("perm_index", [None, 6])
 def test_error_survives_a_pickle(cls, perm_index):
-    # a pool worker's error reaches the caller through pickle: its type,
-    # message and every attribute (location included) must come back
+    # users pickle errors (to store a failed run, or to send it to another
+    # process): its type, message and every attribute (location included)
+    # must come back
     err = _sample(cls)
     if perm_index is not None:
         err.perm_index = perm_index
